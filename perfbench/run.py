@@ -6,10 +6,10 @@
 Run from the root of a checkout. Builds the release `mce` binary and the
 probe package in perfbench/probe into $CARGO_TARGET_DIR (default
 .bench_build), generates the workload's graph from --seed under
-.bench_work/, converts it to .mcg, then spends S seconds on two phases:
-`mce enumerate --preset HBBMC++` at --threads 1 and 2, one process after
-another, and a closed loop of queries from two connections against
-`mce serve`. Every output is checked outside the timed regions: CLI
+.bench_work/, converts it to .mcg, then spends S seconds in rounds that
+alternate two phases: `mce enumerate --preset HBBMC++` at --threads 1 and
+2, one process after another, and a closed loop of queries from two
+connections against `mce serve`. Every output is checked outside the timed regions: CLI
 output against an RDegen answer computed in process (and --threads 2
 byte-for-byte against --threads 1), serve answers against the same spec
 run in process. The last stdout line is one JSON object with the keys
@@ -42,9 +42,9 @@ ROOT = Path.cwd()
 HERE = Path(__file__).resolve().parent
 WORK = ROOT / ".bench_work"
 
-# Each workload is one graph on which every command is run: the enumerate
-# phase takes ENUMERATE_SHARE of the run and the serve phase the rest.
-# `tiny` is the self-test size.
+# Each workload is one graph on which every command is run, in rounds of
+# ROUND_SECONDS: the enumerate phase takes ENUMERATE_SHARE of each round and
+# the serve phase the rest. `tiny` is the self-test size.
 WORKLOADS = {
     "sparse-communities": {
         # Small enough for ~12 enumerate pairs per run. At n=50000 about
@@ -63,6 +63,7 @@ WORKLOADS = {
         "output": "count",
     },
 }
+ROUND_SECONDS = 3.0
 ENUMERATE_SHARE = 0.65
 
 KINDS = ("anchored", "topk", "maximum")
@@ -109,6 +110,18 @@ class Tally:
 
 def median(values):
     return statistics.median(values) if values else math.inf
+
+
+def low(values):
+    """The 10th percentile of a run's samples, failed ones counting as
+    infinite. The shared host slows a process by up to half for seconds at
+    a time, which moves a run's median by about 20% between runs; the
+    fastest tenth moves about half as much, and a change to the program
+    moves both alike."""
+    if len(values) < 2:
+        return min(values, default=math.inf)
+    value = statistics.quantiles(values, n=10, method="inclusive")[0]
+    return math.inf if math.isnan(value) else value
 
 
 def finite(value):
@@ -293,26 +306,41 @@ def anchor_pool(run):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_phase(run, ref, seconds):
-    """Alternates `mce enumerate` at 1 and 2 threads for `seconds`, with one
-    set-up sample before each pair: spread over the phase, a short burst of
-    load from elsewhere on the host cannot set the set-up median."""
-    mode = run.spec["output"]
-    out = run.work / "cliques.out"
-    walls = {1: [], 2: []}
-    cpu_t2 = []
-    setups = []
-    first_ok = None  # raw digest of the first output that matched the reference
-    deadline = time.perf_counter() + seconds
-    while time.perf_counter() < deadline or min(len(w) for w in walls.values()) < MIN_SAMPLES:
-        threads = 1 if len(walls[1]) <= len(walls[2]) else 2
-        if threads == 1:
-            setups.append(setup_sample(run))
+class Enumerations:
+    """`mce enumerate` at 1 and 2 threads, one process after another, with
+    one set-up sample before each pair: spread over the run, a short burst
+    of load from elsewhere on the host cannot set the set-up median."""
+
+    def __init__(self, run, ref):
+        self.run = run
+        self.ref = ref
+        self.walls = {1: [], 2: []}
+        self.cpu_t2 = []
+        self.setups = []
+        self.first_ok = None  # raw digest of the first output that matched the reference
+
+    def pairs(self, seconds):
+        """Runs pairs for `seconds`, and at least one."""
+        stop_at = time.perf_counter() + seconds
+        while True:
+            self.setups.append(setup_sample(self.run))
+            self.invoke(1)
+            self.invoke(2)
+            if time.perf_counter() >= stop_at:
+                return
+
+    def short(self):
+        return len(self.walls[2]) < MIN_SAMPLES
+
+    def invoke(self, threads):
+        run = self.run
+        mode = run.spec["output"]
+        out = run.work / "cliques.out"
         out.unlink(missing_ok=True)
         ok, wall, cpu = run.timed([
             run.bins["mce"], "enumerate", str(run.mcg), "--preset", "HBBMC++",
             "--threads", str(threads), "--output", mode, "--out", str(out)], f"enumerate_t{threads}")
-        if threads == 2 and run.inject == "corrupt-cli" and not cpu_t2:
+        if threads == 2 and run.inject == "corrupt-cli" and not self.cpu_t2:
             data = bytearray(out.read_bytes())
             data[len(data) // 2] ^= 0x01
             out.write_bytes(bytes(data))
@@ -320,30 +348,32 @@ def enumerate_phase(run, ref, seconds):
         raw = hashlib.sha256(data).hexdigest()
         if not ok:
             what = f"mce enumerate --threads {threads} exited non-zero"
-        elif first_ok is not None:
-            ok = raw == first_ok
+        elif self.first_ok is not None:
+            ok = raw == self.first_ok
             what = f"--threads {threads} output differs from the first checked output"
         else:
             if mode == "text":
-                ok = sorted_lines_digest(data) == (ref["digest"], ref["cliques"])
+                ok = sorted_lines_digest(data) == (self.ref["digest"], self.ref["cliques"])
             else:
-                ok = data.decode(errors="replace") == ref["count_summary"]
+                ok = data.decode(errors="replace") == self.ref["count_summary"]
             what = f"--threads {threads} output does not match the RDegen reference"
             if ok:
-                first_ok = raw
+                self.first_ok = raw
         run.tally.op(ok, what)
-        walls[threads].append(wall if ok else math.inf)
+        self.walls[threads].append(wall if ok else math.inf)
         if threads == 2:
-            cpu_t2.append(cpu if ok else math.inf)
-    run.counters["cli_output_sha256"] = first_ok
-    print(f"perfbench: enumerate samples: {len(walls[1])} at --threads 1, "
-          f"{len(walls[2])} at --threads 2", file=sys.stderr)
-    return {
-        "setup_s": median(setups),
-        "enumerate_t1_s": median(walls[1]),
-        "enumerate_t2_s": median(walls[2]),
-        "enumerate_t2_cpu_s": median(cpu_t2),
-    }
+            self.cpu_t2.append(cpu if ok else math.inf)
+
+    def metrics(self):
+        self.run.counters["cli_output_sha256"] = self.first_ok
+        print(f"perfbench: enumerate samples: {len(self.walls[1])} at --threads 1, "
+              f"{len(self.walls[2])} at --threads 2", file=sys.stderr)
+        return {
+            "setup_s": median(self.setups),
+            "enumerate_t1_s": low(self.walls[1]),
+            "enumerate_t2_s": low(self.walls[2]),
+            "enumerate_t2_cpu_s": low(self.cpu_t2),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -459,43 +489,70 @@ def one_query(conn, kind, anchor, graph):
     return rec
 
 
-def query_loop(run, server, pool, seconds):
-    """Two connections in a closed loop for `seconds`: each sends its next
-    query only after the previous one's `end` frame. The mix is seeded per
-    connection and exact per block of 20 requests: 18 anchored (alternately
-    a vertex and an edge from the pool), 1 top-k and 1 maximum, shuffled, so
-    the share of slow whole-graph queries does not vary with the seed.
-    Returns the records and the loop's wall time."""
-    records = [[], []]
-    stop_at = time.perf_counter() + seconds
+class Client:
+    """One connection in a closed loop: it sends its next query only after
+    the previous one's `end` frame. The mix is seeded per connection and
+    exact per block of 20 requests: 18 anchored (alternately a vertex and an
+    edge from the pool), 1 top-k and 1 maximum, shuffled, so the share of
+    slow whole-graph queries does not vary with the seed."""
 
-    def client(index):
-        rng = random.Random(run.args.seed * 1000 + index)
-        schedule = []
-        conn = Connection(server.addr)
-        sent = 0
+    def __init__(self, run, addr, pool, index):
+        self.run = run
+        self.addr = addr
+        self.pool = pool
+        self.index = index
+        self.rng = random.Random(run.args.seed * 1000 + index)
+        self.schedule = []
+        self.records = []
+        self.active = 0.0  # seconds from each burst's start to its last `end`
+        self.conn = Connection(addr)
+
+    def until(self, start, stop_at):
         while time.perf_counter() < stop_at:
-            if not schedule:
-                schedule = ["anchored"] * 18 + ["topk", "maximum"]
-                rng.shuffle(schedule)
-            kind = schedule.pop()
-            anchor = pool[(2 * sent + index) % len(pool)]
-            graph = "missing" if run.inject == "refused-query" and sent == 0 else "g"
-            rec = one_query(conn, kind, anchor, graph)
-            records[index].append(rec)
-            sent += 1
+            if not self.schedule:
+                self.schedule = ["anchored"] * 18 + ["topk", "maximum"]
+                self.rng.shuffle(self.schedule)
+            kind = self.schedule.pop()
+            sent = len(self.records)
+            anchor = self.pool[(2 * sent + self.index) % len(self.pool)]
+            graph = "missing" if self.run.inject == "refused-query" and sent == 0 else "g"
+            rec = one_query(self.conn, kind, anchor, graph)
+            self.records.append(rec)
             if rec["error"] is not None and rec["end"] is None:
-                conn.close()
-                conn = Connection(server.addr)
-        conn.close()
+                self.conn.close()
+                self.conn = Connection(self.addr)
+        self.active += time.perf_counter() - start
 
-    start = time.perf_counter()
-    clients = [threading.Thread(target=client, args=(i,)) for i in range(2)]
-    for thread in clients:
-        thread.start()
-    for thread in clients:
-        thread.join()
-    return records[0] + records[1], time.perf_counter() - start
+
+class QueryLoad:
+    """Two clients against one server, run in bursts; the connections, their
+    mixes and their records last across bursts."""
+
+    def __init__(self, run, server, pool):
+        self.clients = [Client(run, server.addr, pool, i) for i in range(2)]
+
+    def burst(self, seconds):
+        start = time.perf_counter()
+        threads = [threading.Thread(target=client.until, args=(start, start + seconds))
+                   for client in self.clients]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+    def records(self):
+        return [rec for client in self.clients for rec in client.records]
+
+    def queries_per_s(self):
+        """Each connection's completed queries over its own time in the
+        loop, summed: the connection that finishes a burst first does not
+        count as idle while the other ends a slow query."""
+        return sum(sum(1 for rec in client.records if rec["ok"]) / client.active
+                   for client in self.clients if client.active > 0)
+
+    def close(self):
+        for client in self.clients:
+            client.conn.close()
 
 
 def check_serve(run, records):
@@ -543,17 +600,20 @@ def round_trips(records, kind):
             for rec in records if rec["kind"] == kind]
 
 
-def serve_metrics(records, wall):
+def serve_metrics(load):
+    records = load.records()
     anchored = round_trips(records, "anchored")
     tail, pct, count = percentile_tail(anchored)
     print(f"perfbench: anchored_tail_ms = p{pct:.1f} of {count} anchored round trips",
           file=sys.stderr)
-    completed = sum(1 for rec in records if rec["ok"])
+    topk = round_trips(records, "topk")
+    print(f"perfbench: topk_p10_ms over {len(topk)} top-{TOP_K} round trips, "
+          f"median {median(topk):.3f} ms", file=sys.stderr)
     return {
-        "queries_per_s": completed / wall,
+        "queries_per_s": load.queries_per_s(),
         "anchored_p50_ms": median(anchored),
         "anchored_tail_ms": tail,
-        "topk_p50_ms": median(round_trips(records, "topk")),
+        "topk_p10_ms": low(topk),
         "maximum_p50_ms": median(round_trips(records, "maximum")),
     }
 
@@ -564,19 +624,30 @@ def serve_metrics(records, wall):
 
 
 def measured(run, seconds):
-    """The end-to-end run: every `end_to_end` metric of BENCHMARK.json."""
+    """The end-to-end run: every `end_to_end` metric of BENCHMARK.json.
+
+    Rounds of enumerate pairs and query bursts until `seconds` have passed,
+    so every metric's samples spread over the whole run and a slow spell of
+    the shared host weighs on all of them alike."""
     ref = reference(run)
     _, pool = anchor_pool(run)
-    cli_seconds = seconds * ENUMERATE_SHARE
-    metrics = enumerate_phase(run, ref, cli_seconds)
+    cli = Enumerations(run, ref)
     server = Server(run)
-    server.load(run.mcg)
     try:
-        records, wall = query_loop(run, server, pool, seconds - cli_seconds)
+        server.load(run.mcg)
+        load = QueryLoad(run, server, pool)
+        try:
+            deadline = time.perf_counter() + seconds
+            while time.perf_counter() < deadline or cli.short():
+                cli.pairs(ROUND_SECONDS * ENUMERATE_SHARE)
+                load.burst(ROUND_SECONDS * (1 - ENUMERATE_SHARE))
+        finally:
+            load.close()
     finally:
         server.shutdown()
-    check_serve(run, records)
-    metrics.update(serve_metrics(records, wall))
+    metrics = cli.metrics()
+    check_serve(run, load.records())
+    metrics.update(serve_metrics(load))
     print("perfbench: peak RSS MB by command (min/median/max): " + ", ".join(
         f"{label} {min(p) / 1024:.1f}/{statistics.median(p) / 1024:.1f}/{max(p) / 1024:.1f}"
         for label, p in sorted(run.peaks_kb.items())), file=sys.stderr)
@@ -628,13 +699,18 @@ def traced(run, seconds):
         run.counters[name] = layers["metrics"][name]
 
     server = Server(run)
-    server.load(run.mcg)
     try:
+        server.load(run.mcg)
         before = server.metrics()
-        records, _ = query_loop(run, server, pool, seconds * 0.3)
+        load = QueryLoad(run, server, pool)
+        try:
+            load.burst(seconds * 0.3)
+        finally:
+            load.close()
         after = server.metrics()
     finally:
         server.shutdown()
+    records = load.records()
     check_serve(run, records)
     write_client_spans(records, run.work / "spans.jsonl")
     engine_ms = {"anchored": metrics["query.anchored_us"] / 1e3,

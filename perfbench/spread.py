@@ -9,7 +9,8 @@ prints the median, the quartiles as statistics.quantiles(values, n=4) gives
 them, and the spread (Q3 - Q1) / median next to the metric's bound. This is
 the check a benchmark change must pass (each end-to-end spread below its
 bound, setup_s excepted); a change that claims a gain compares two such
-sets of runs. --out writes every run's result as JSON.
+sets of runs. Each run's wall time, build included, is printed too. --out
+writes every run's result as JSON.
 """
 
 import argparse
@@ -17,6 +18,7 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -42,14 +44,16 @@ def main():
         for seed in args.seeds:
             argv = [sys.executable, str(HERE / "run.py"), "--workload", workload, "--seed",
                     str(seed), "--seconds", str(bench["run_seconds"]), "--trace", str(args.trace)]
+            start = time.perf_counter()
             done = subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+            took = time.perf_counter() - start
             if done.returncode != 0:
-                print(f"{workload} seed {seed}: exit {done.returncode}")
+                print(f"{workload} seed {seed}: exit {done.returncode} after {took:.1f} s")
                 continue
             result = json.loads(done.stdout.strip().splitlines()[-1])
-            runs.append({"seed": seed, **result})
+            runs.append({"seed": seed, "run_s": took, **result})
             print(f"{workload} seed {seed}: correct={result['correct']} "
-                  f"failed={result['failed']}/{result['attempted']}", flush=True)
+                  f"failed={result['failed']}/{result['attempted']} in {took:.1f} s", flush=True)
         for metric in metrics:
             values = [run["metrics"][metric["name"]]["value"] for run in runs]
             if len(values) < 2:
