@@ -95,7 +95,8 @@ pub enum RootScheduler {
     /// ordering order (degeneracy/truss order, heaviest roots first).
     #[default]
     Dynamic,
-    /// Worker `k` of `p` processes the fixed ranks `{r : r ≡ k (mod p)}`.
+    /// Worker `k` of `p` processes the fixed ranks `{r : r ≡ k (mod p)}`
+    /// (the ordered driver stripes whole chunks of ranks the same way).
     Static,
     /// Adaptive subtree splitting: workers pull root ranks from a shared
     /// task pool (grouped into per-connected-component shards) and, when the

@@ -11,8 +11,9 @@
 //!   `O(δm)` preprocessing, which dominated multi-threaded runs.
 //! * Under the default [`RootScheduler::Dynamic`] policy, workers *pull*
 //!   chunks of root ranks from a shared atomic counter as they drain their
-//!   previous chunk. [`RootScheduler::Static`] retains fixed `rank % threads`
-//!   striping for deterministic per-worker assignment.
+//!   previous chunk. [`RootScheduler::Static`] retains fixed striping for
+//!   deterministic per-worker assignment: ranks `rank % threads` in the
+//!   unordered drivers, whole chunks `chunk % threads` in the ordered one.
 //! * Each worker owns a private scratch arena
 //!   ([`EnumerationState`](crate::EnumerationState)-equivalent), so the
 //!   recursion allocates nothing in steady state, and per-worker results are
@@ -54,16 +55,28 @@
 //!    order. The output stream is therefore byte-identical to the
 //!    sequential one at any thread count, under any scheduler.
 //!
+//! Under the pulling schedulers the sequencer's unit is a whole claimed
+//! chunk: the worker runs its `CHUNK` ranks in one solver call into one flat
+//! clique block and deposits it once, keyed by the chunk's first rank, and
+//! emitting it moves the stream head past the whole range. The per-root cost
+//! of ordering — a lock hand-off, a wake-up, a stats merge — is therefore
+//! paid once per chunk. Splitting deposits stay per rank, because donation
+//! keys belong to a single rank.
+//!
 //! Backpressure: the pulling schedulers park at most `SEQUENCER_BUFFER_CAP`
-//! (2¹⁶) out-of-order cliques (later depositors wait for the stream head).
-//! Splitting deposits never wait — a blocked depositor
-//! could be the only worker able to execute the stream head's stolen tasks —
-//! so ordered splitting runs trade the hard buffer bound for progress
-//! (donated work is claimed FIFO, which keeps buffering close to the head).
+//! (2¹⁶) out-of-order cliques; a depositor whose chunk does not start at the
+//! stream head waits until it does or the buffer drains, and a depositor
+//! wakes waiters only when one is counted. Splitting deposits never wait — a
+//! blocked depositor could be the only worker able to execute the stream
+//! head's stolen tasks — so ordered splitting runs trade the hard buffer
+//! bound for progress (donated work is claimed FIFO, which keeps buffering
+//! close to the head).
 
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::mem;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -80,8 +93,9 @@ use crate::scratch::WorkerState;
 use crate::solver::{RootPlan, Solver};
 use crate::stats::EnumerationStats;
 
-/// Ranks per atomic-counter claim of the pulling scheduler. Small enough to
-/// balance skewed roots, large enough to keep counter contention negligible.
+/// Ranks per claim of the pulling schedulers, and per sequencer deposit of
+/// their ordered driver. Small enough to balance skewed roots, large enough
+/// to keep counter contention and per-deposit costs negligible.
 const CHUNK: usize = 16;
 
 // ----------------------------------------------------------------------
@@ -176,41 +190,38 @@ impl FaultCell {
     }
 }
 
-/// An iterator handing out root ranks from a shared atomic counter in chunks.
-struct StealingRanks<'a> {
+/// An iterator handing out chunks of `CHUNK` consecutive root ranks from a
+/// shared atomic counter.
+struct StealingChunks<'a> {
     next_rank: &'a AtomicUsize,
     total: usize,
-    current: usize,
-    end: usize,
 }
 
-impl<'a> StealingRanks<'a> {
+impl<'a> StealingChunks<'a> {
     fn new(next_rank: &'a AtomicUsize, total: usize) -> Self {
-        StealingRanks {
-            next_rank,
-            total,
-            current: 0,
-            end: 0,
-        }
+        StealingChunks { next_rank, total }
     }
 }
 
-impl Iterator for StealingRanks<'_> {
-    type Item = usize;
+impl Iterator for StealingChunks<'_> {
+    type Item = Range<usize>;
 
-    fn next(&mut self) -> Option<usize> {
-        if self.current == self.end {
-            let start = self.next_rank.fetch_add(CHUNK, Ordering::Relaxed);
-            if start >= self.total {
-                return None;
-            }
-            self.current = start;
-            self.end = (start + CHUNK).min(self.total);
-        }
-        let rank = self.current;
-        self.current += 1;
-        Some(rank)
+    fn next(&mut self) -> Option<Range<usize>> {
+        let start = self.next_rank.fetch_add(CHUNK, Ordering::Relaxed);
+        (start < self.total).then(|| start..(start + CHUNK).min(self.total))
     }
+}
+
+/// The chunks of `CHUNK` consecutive root ranks that static striping assigns
+/// to `worker_id`: chunk `c` belongs to worker `c % threads`.
+fn static_chunks(
+    worker_id: usize,
+    threads: usize,
+    total: usize,
+) -> impl Iterator<Item = Range<usize>> {
+    (worker_id..total.div_ceil(CHUNK))
+        .step_by(threads)
+        .map(move |chunk| chunk * CHUNK..((chunk + 1) * CHUNK).min(total))
 }
 
 // ----------------------------------------------------------------------
@@ -246,9 +257,9 @@ impl ProgressCounters {
 struct ProgressHook<'a>(Option<&'a ProgressCounters>);
 
 impl ProgressHook<'_> {
-    fn root_done(&self) {
+    fn roots_done(&self, roots: usize) {
         if let Some(p) = self.0 {
-            p.roots_done.fetch_add(1, Ordering::Relaxed);
+            p.roots_done.fetch_add(roots as u64, Ordering::Relaxed);
         }
     }
 
@@ -353,7 +364,7 @@ where
                         ),
                         _ => solver.run_on_plan(
                             plan,
-                            StealingRanks::new(next_rank, total),
+                            StealingChunks::new(next_rank, total).flatten(),
                             worker_id == 0,
                             &mut state,
                             None,
@@ -594,39 +605,72 @@ pub fn par_enumerate_streaming<G: GraphTopology + Sync, R: CliqueReporter + Send
 // Deterministic ordered streaming
 // ----------------------------------------------------------------------
 
-/// Per-task clique buffer: preserves the sequential recursion order of one
-/// work item (a root branch or a stolen sub-branch) without sorting
-/// anything, ticking the progress counters at discovery time.
-struct RankBuffer<'a> {
-    cliques: Vec<Vec<VertexId>>,
+/// The cliques of one work item — a chunk of root ranks, one root rank or a
+/// stolen sub-branch — in sequential recursion order, stored flat: every
+/// clique's members back to back in `vertices`, clique `i` ending at
+/// `ends[i]`. Filling a block costs two amortised pushes per clique instead
+/// of one heap allocation, and the sequencer hands emitted blocks back to
+/// depositors with their capacity intact.
+#[derive(Debug, Default)]
+struct CliqueBlock {
+    vertices: Vec<VertexId>,
+    ends: Vec<usize>,
+}
+
+impl CliqueBlock {
+    /// Number of cliques in the block.
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn push(&mut self, clique: &[VertexId]) {
+        self.vertices.extend_from_slice(clique);
+        self.ends.push(self.vertices.len());
+    }
+
+    /// Empties the block, keeping both buffers' capacity.
+    fn clear(&mut self) {
+        self.vertices.clear();
+        self.ends.clear();
+    }
+
+    /// The cliques in deposit order.
+    fn cliques(&self) -> impl Iterator<Item = &[VertexId]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.vertices[start..end])
+    }
+}
+
+/// Fills a [`CliqueBlock`] without sorting anything, ticking the progress
+/// counters at discovery time.
+struct BlockBuffer<'a> {
+    block: CliqueBlock,
     hook: ProgressHook<'a>,
 }
 
-impl<'a> RankBuffer<'a> {
-    fn new(hook: ProgressHook<'a>) -> Self {
-        RankBuffer {
-            cliques: Vec::new(),
-            hook,
-        }
-    }
-}
-
-impl CliqueReporter for RankBuffer<'_> {
+impl CliqueReporter for BlockBuffer<'_> {
     fn report(&mut self, clique: &[VertexId]) {
         self.hook.cliques(1);
-        self.cliques.push(clique.to_vec());
+        self.block.push(clique);
     }
 }
 
-/// The parts of one root rank collected so far.
+/// The parts of one sequencer slot collected so far. A slot is a range of
+/// root ranks keyed by its first rank: a whole claimed chunk under the
+/// pulling schedulers, a single rank (plus its donations) under splitting.
 #[derive(Default)]
 struct RankParts {
-    /// `(key, cliques, truncated)` deposits, unsorted until the rank
+    /// `(key, block, truncated)` deposits, unsorted until the slot
     /// completes. `truncated` marks a part whose work item was cut short by
     /// the session budget — its cliques are a prefix of that item's
     /// sequential contribution.
-    parts: Vec<(SeqKey, Vec<Vec<VertexId>>, bool)>,
-    /// Donations registered for this rank. A rank is complete when
+    parts: Vec<(SeqKey, CliqueBlock, bool)>,
+    /// One past the slot's last rank: where the stream head moves once the
+    /// slot is emitted.
+    end: usize,
+    /// Donations registered for this rank. A slot is complete when
     /// `parts.len() == donations + 1` (the `+ 1` is the root's own task);
     /// donations are registered *before* their task enters the pool, so the
     /// test is exact.
@@ -639,14 +683,21 @@ impl RankParts {
     }
 }
 
-/// Reorders per-task clique buffers arriving from any worker in any order
-/// into the sequential stream: strict root-rank order, and within one rank
-/// the donation-tree order encoded by [`SeqKey`].
+/// Reorders clique blocks arriving from any worker in any order into the
+/// sequential stream: strict root-rank order, and within one rank the
+/// donation-tree order encoded by [`SeqKey`].
 struct Sequencer<'a, R: CliqueReporter + ?Sized> {
+    /// First rank not yet emitted — always the first rank of a slot.
     next: usize,
     pending: BTreeMap<usize, RankParts>,
     /// Total cliques currently parked in `pending` (the backpressure gauge).
     buffered_cliques: usize,
+    /// Depositors waiting for backpressure to ease, counted under the lock
+    /// so that a deposit wakes the condvar only when someone waits.
+    waiters: usize,
+    /// Emitted blocks, emptied with their capacity intact, for depositors to
+    /// refill.
+    spare: Vec<CliqueBlock>,
     /// Whether a truncated part reached the stream head: the emitted bytes
     /// end at a clean budget cut and nothing later may follow (the
     /// sequential stream has a gap from that point on).
@@ -665,6 +716,8 @@ impl<'a, R: CliqueReporter + ?Sized> Sequencer<'a, R> {
             next: 0,
             pending: BTreeMap::new(),
             buffered_cliques: 0,
+            waiters: 0,
+            spare: Vec::new(),
             closed: false,
             fault: None,
             out,
@@ -676,29 +729,33 @@ impl<'a, R: CliqueReporter + ?Sized> Sequencer<'a, R> {
         self.pending.entry(rank).or_default().donations += 1;
     }
 
-    /// Adds one task's cliques and emits every now-complete head rank. A
-    /// part marked `truncated` was cut short by the session budget: once it
-    /// reaches the stream head its (prefix) cliques are emitted and the
-    /// stream closes — everything later is discarded, keeping the output an
-    /// exact byte-prefix of the full deterministic stream. Returns whether
-    /// the head advanced or the stream closed (both free waiting
-    /// depositors).
+    /// An empty block to fill with the next work item: an emitted one when
+    /// available, so steady-state runs stop allocating blocks.
+    fn spare_block(&mut self) -> CliqueBlock {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Adds one work item's cliques for the slot covering `ranks` and emits
+    /// every now-complete head slot. A part marked `truncated` was cut short
+    /// by the session budget: once it reaches the stream head its (prefix)
+    /// cliques are emitted and the stream closes — everything later is
+    /// discarded, keeping the output an exact byte-prefix of the full
+    /// deterministic stream. Returns whether the head advanced or the stream
+    /// closed (both free waiting depositors).
     fn deposit(
         &mut self,
-        rank: usize,
+        ranks: Range<usize>,
         key: SeqKey,
-        cliques: Vec<Vec<VertexId>>,
+        block: CliqueBlock,
         truncated: bool,
     ) -> bool {
         if self.closed {
             return true; // nothing further emits; park nothing
         }
-        self.buffered_cliques += cliques.len();
-        self.pending
-            .entry(rank)
-            .or_default()
-            .parts
-            .push((key, cliques, truncated));
+        self.buffered_cliques += block.len();
+        let slot = self.pending.entry(ranks.start).or_default();
+        slot.end = ranks.end;
+        slot.parts.push((key, block, truncated));
         let before = self.next;
         // The caller's reporter runs inside this emission loop and may
         // panic. Catch it *here*, while the depositor still holds the
@@ -721,7 +778,8 @@ impl<'a, R: CliqueReporter + ?Sized> Sequencer<'a, R> {
         self.next != before || self.closed
     }
 
-    /// Emits every now-complete head rank in key order.
+    /// Emits every now-complete head slot in key order and recycles its
+    /// blocks.
     fn emit_ready(&mut self) {
         while !self.closed
             && self
@@ -731,12 +789,14 @@ impl<'a, R: CliqueReporter + ?Sized> Sequencer<'a, R> {
         {
             let mut slot = self.pending.remove(&self.next).expect("checked above");
             slot.parts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            for (_, cliques, part_truncated) in &slot.parts {
-                self.buffered_cliques -= cliques.len();
-                for clique in cliques {
+            for (_, mut block, part_truncated) in slot.parts {
+                self.buffered_cliques -= block.len();
+                for clique in block.cliques() {
                     self.out.report(clique);
                 }
-                if *part_truncated {
+                block.clear();
+                self.spare.push(block);
+                if part_truncated {
                     self.closed = true;
                     break;
                 }
@@ -744,7 +804,7 @@ impl<'a, R: CliqueReporter + ?Sized> Sequencer<'a, R> {
             if self.closed {
                 break;
             }
-            self.next += 1;
+            self.next = slot.end;
         }
     }
 }
@@ -752,35 +812,92 @@ impl<'a, R: CliqueReporter + ?Sized> Sequencer<'a, R> {
 /// Out-of-order cliques the sequencer may park before depositors must wait
 /// for the stream head to catch up (pulling schedulers only — see the module
 /// docs for why splitting deposits never wait). Bounds the ordered driver's
-/// memory at roughly this many cliques (plus one in-flight rank per worker)
+/// memory at roughly this many cliques (plus one in-flight chunk per worker)
 /// instead of the full result set when one early root branch is much slower
 /// than the rest.
 const SEQUENCER_BUFFER_CAP: usize = 1 << 16;
 
-/// Deposits `cliques` for `rank`, waiting while the out-of-order buffer is
-/// over `cap`. Deadlock-free: the depositor holding a head-rank part never
-/// waits (its deposit is what drains the buffer and advances `next`, which
-/// eventually makes every waiting depositor the head of the stream).
+/// Deposits the block of the chunk covering `ranks`, waiting while the
+/// out-of-order buffer is over `cap`, and returns an empty block for the
+/// worker's next chunk. Deadlock-free: the chunk starting at the stream head
+/// never waits (its deposit is what drains the buffer and advances `next`,
+/// which eventually makes every waiting depositor the head of the stream).
 fn bounded_deposit<R: CliqueReporter + ?Sized>(
     sequencer: &Mutex<Sequencer<'_, R>>,
     drained: &Condvar,
     cap: usize,
-    rank: usize,
-    cliques: Vec<Vec<VertexId>>,
+    ranks: Range<usize>,
+    block: CliqueBlock,
     truncated: bool,
-) {
+) -> CliqueBlock {
     // Poison recovery: the sequencer catches reporter panics itself, but a
     // worker unwinding for any other reason while holding the lock must not
     // strand its siblings behind a poisoned mutex.
     let mut seq = sequencer.lock().unwrap_or_else(|e| e.into_inner());
-    while !seq.closed && rank != seq.next && seq.buffered_cliques + cliques.len() > cap {
+    while !seq.closed && ranks.start != seq.next && seq.buffered_cliques + block.len() > cap {
+        seq.waiters += 1;
         seq = drained.wait(seq).unwrap_or_else(|e| e.into_inner());
+        seq.waiters -= 1;
     }
-    if seq.deposit(rank, SeqKey::root(), cliques, truncated) {
-        // `next` moved (possibly past several parked ranks) or the stream
-        // closed: capacity was freed and some waiter may now be the stream
-        // head (or free to drop its deposit).
+    // `next` moved (possibly past several parked chunks) or the stream
+    // closed: capacity was freed and a waiter may now be the stream head
+    // (or free to drop its deposit). A waiter counted here is already
+    // parked on the condvar, so notifying after the unlock loses no wake-up.
+    let wake = seq.deposit(ranks, SeqKey::root(), block, truncated) && seq.waiters > 0;
+    let spare = seq.spare_block();
+    drop(seq);
+    if wake {
         drained.notify_all();
+    }
+    spare
+}
+
+/// Runs one work item of an ordered worker into `block` and returns the part
+/// to deposit: the item's cliques, and whether they are cut short. `body`
+/// runs the solver into the buffer it is given; `roots` is the number of
+/// root ranks the item completes. Once the budget stopped the run or a
+/// sibling faulted, the item is not run and gets an empty truncated part,
+/// which closes the ordered stream at or before it. A panic in `body` is
+/// recorded as the fleet's fault (halting the siblings on the budget cadence
+/// when a budget exists) and answered the same way, so no depositor waits on
+/// the item forever.
+fn run_part(
+    mut block: CliqueBlock,
+    roots: usize,
+    hook: ProgressHook<'_>,
+    budget: Option<&BudgetState>,
+    fault: &FaultCell,
+    stats: &mut EnumerationStats,
+    body: impl FnOnce(&mut BlockBuffer<'_>) -> EnumerationStats,
+) -> (CliqueBlock, bool) {
+    if fault.is_set() || budget.is_some_and(BudgetState::should_stop) {
+        block.clear();
+        return (block, true);
+    }
+    let mut buffer = BlockBuffer { block, hook };
+    match catch_unwind(AssertUnwindSafe(|| body(&mut buffer))) {
+        Ok(s) => {
+            stats.merge(&s);
+            hook.roots_done(roots);
+            // Re-check the budget after the run, not only the item's own
+            // count: a sibling can exhaust the shared budget between the
+            // check above and the solver's own uncharged between-rank check,
+            // and then ranks return empty stats with `terminated_by_budget
+            // == 0` although they never ran. Marking a completed part
+            // truncated is harmless — the outcome is truncated anyway and
+            // the closed stream stays a prefix.
+            let truncated =
+                s.terminated_by_budget > 0 || budget.is_some_and(BudgetState::should_stop);
+            (buffer.block, truncated)
+        }
+        Err(payload) => {
+            fault.record_payload(payload);
+            if let Some(b) = budget {
+                b.halt_for_fault();
+            }
+            buffer.block.clear();
+            (buffer.block, true)
+        }
     }
 }
 
@@ -1088,8 +1205,11 @@ where
     Ok(merged)
 }
 
-/// Ordered workers under the pulling schedulers: one deposit per root rank,
-/// bounded by the sequencer buffer cap.
+/// Ordered workers under the pulling schedulers: each claimed chunk of
+/// `CHUNK` root ranks — pulled from the shared counter, or striped by worker
+/// id under [`RootScheduler::Static`] — runs as one solver call into one
+/// flat clique block and is deposited once, keyed by its first rank, under
+/// the sequencer buffer cap.
 #[allow(clippy::too_many_arguments)]
 fn ordered_pulling_workers<G: GraphTopology + Sync, R: CliqueReporter + Send + ?Sized>(
     solver: &Solver<'_, G>,
@@ -1112,86 +1232,35 @@ fn ordered_pulling_workers<G: GraphTopology + Sync, R: CliqueReporter + Send + ?
                 scope.spawn(move || {
                     let mut state = WorkerState::new();
                     let mut stats = EnumerationStats::default();
-                    // Returns `false` once the budget stopped the run or a
-                    // sibling faulted: the claimed rank gets an empty
-                    // truncated part (closing the ordered stream at or
-                    // before it) and the worker exits.
-                    let run_rank =
-                        |rank: usize, state: &mut WorkerState, stats: &mut EnumerationStats| {
-                            if fault.is_set() || budget.is_some_and(BudgetState::should_stop) {
-                                bounded_deposit(sequencer, drained, cap, rank, Vec::new(), true);
-                                return false;
-                            }
-                            let mut buffer = RankBuffer::new(hook);
-                            let run = catch_unwind(AssertUnwindSafe(|| {
+                    let mut block = CliqueBlock::default();
+                    let chunks: Box<dyn Iterator<Item = Range<usize>>> = match scheduler {
+                        RootScheduler::Static => Box::new(static_chunks(worker_id, threads, total)),
+                        _ => Box::new(StealingChunks::new(next_rank, total)),
+                    };
+                    for ranks in chunks {
+                        let (part, truncated) = run_part(
+                            mem::take(&mut block),
+                            ranks.len(),
+                            hook,
+                            budget,
+                            fault,
+                            &mut stats,
+                            |buffer| {
                                 solver.run_on_plan(
                                     plan,
-                                    std::iter::once(rank),
+                                    ranks.clone(),
                                     false,
-                                    state,
+                                    &mut state,
                                     budget,
-                                    &mut buffer,
+                                    buffer,
                                 )
-                            }));
-                            let s = match run {
-                                Ok(s) => s,
-                                Err(payload) => {
-                                    // First fault wins. Halt the siblings on
-                                    // the budget cadence when one exists,
-                                    // and close the faulted rank with an
-                                    // empty truncated part so no depositor
-                                    // waits on it forever.
-                                    fault.record_payload(payload);
-                                    if let Some(b) = budget {
-                                        b.halt_for_fault();
-                                    }
-                                    bounded_deposit(
-                                        sequencer,
-                                        drained,
-                                        cap,
-                                        rank,
-                                        Vec::new(),
-                                        true,
-                                    );
-                                    return false;
-                                }
-                            };
-                            // Re-check the budget after the run: a sibling may
-                            // exhaust the shared budget between the pre-check
-                            // above and the solver's own uncharged between-rank
-                            // check, in which case the rank returns empty stats
-                            // with `terminated_by_budget == 0` even though it
-                            // never ran. Marking a fully-completed rank
-                            // truncated is harmless — the outcome is truncated
-                            // anyway and the closed stream stays a prefix.
-                            let truncated = s.terminated_by_budget > 0
-                                || budget.is_some_and(BudgetState::should_stop);
-                            stats.merge(&s);
-                            hook.root_done();
-                            bounded_deposit(
-                                sequencer,
-                                drained,
-                                cap,
-                                rank,
-                                buffer.cliques,
-                                truncated,
-                            );
-                            true
-                        };
-                    match scheduler {
-                        RootScheduler::Static => {
-                            for rank in (worker_id..total).step_by(threads) {
-                                if !run_rank(rank, &mut state, &mut stats) {
-                                    break;
-                                }
-                            }
-                        }
-                        _ => {
-                            for rank in StealingRanks::new(next_rank, total) {
-                                if !run_rank(rank, &mut state, &mut stats) {
-                                    break;
-                                }
-                            }
+                            },
+                        );
+                        block = bounded_deposit(sequencer, drained, cap, ranks, part, truncated);
+                        // The stream closes at or before a truncated part, so
+                        // nothing this worker could run later would be emitted.
+                        if truncated {
+                            break;
                         }
                     }
                     stats
@@ -1206,7 +1275,8 @@ fn ordered_pulling_workers<G: GraphTopology + Sync, R: CliqueReporter + Send + ?
 }
 
 /// Ordered workers under the splitting scheduler: claim component chunks or
-/// donated tasks, deposit each work item's buffer under its `(rank, key)`.
+/// donated tasks, deposit each root rank's block under `(rank, root key)`
+/// and each task's block under its `(rank, key)`.
 #[allow(clippy::too_many_arguments)]
 fn ordered_splitting_workers<G: GraphTopology + Sync, R: CliqueReporter + Send + ?Sized>(
     solver: &Solver<'_, G>,
@@ -1223,11 +1293,11 @@ fn ordered_splitting_workers<G: GraphTopology + Sync, R: CliqueReporter + Send +
         .as_ref()
         .expect("splitting plan carries component shards");
     let pool = TaskPool::new(shards.chunk_count(), pool_config);
-    let deposit = |rank: usize, key: SeqKey, cliques: Vec<Vec<VertexId>>, truncated: bool| {
-        sequencer
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .deposit(rank, key, cliques, truncated);
+    // Deposits one part and hands back an empty block for the next one.
+    let deposit = |rank: usize, key: SeqKey, block: CliqueBlock, truncated: bool| {
+        let mut seq = sequencer.lock().unwrap_or_else(|e| e.into_inner());
+        seq.deposit(rank..rank + 1, key, block, truncated);
+        seq.spare_block()
     };
 
     thread::scope(|scope| {
@@ -1244,15 +1314,7 @@ fn ordered_splitting_workers<G: GraphTopology + Sync, R: CliqueReporter + Send +
                     };
                     let mut state = WorkerState::new();
                     let mut stats = EnumerationStats::default();
-                    // Records a fault and halts the siblings on the budget
-                    // cadence; the faulted work item is answered with an
-                    // empty truncated part by the caller.
-                    let record_fault = |payload: Box<dyn Any + Send>| {
-                        fault.record_payload(payload);
-                        if let Some(b) = budget {
-                            b.halt_for_fault();
-                        }
-                    };
+                    let mut block = CliqueBlock::default();
                     // After a budget stop or a fault, the pool must still
                     // drain so the sequencer's parts-per-rank accounting
                     // stays exact: every remaining work item is claimed and
@@ -1261,84 +1323,46 @@ fn ordered_splitting_workers<G: GraphTopology + Sync, R: CliqueReporter + Send +
                     // body panicked (a claimed-but-never-completed item
                     // would hang every sibling's `claim()`).
                     while let Some(work) = pool.claim() {
-                        let stopped =
-                            fault.is_set() || budget.is_some_and(BudgetState::should_stop);
                         match work {
                             PoolWork::Chunk(chunk) => {
                                 for rank in shards.chunk(chunk) {
-                                    if stopped
-                                        || fault.is_set()
-                                        || budget.is_some_and(BudgetState::should_stop)
-                                    {
-                                        deposit(rank, SeqKey::root(), Vec::new(), true);
-                                        continue;
-                                    }
-                                    let mut buffer = RankBuffer::new(hook);
-                                    let run = catch_unwind(AssertUnwindSafe(|| {
-                                        solver.run_ranks_donating(
-                                            plan,
-                                            std::iter::once(rank),
-                                            &mut state,
-                                            &sink,
-                                            budget,
-                                            &mut buffer,
-                                        )
-                                    }));
-                                    match run {
-                                        Ok(s) => {
-                                            hook.root_done();
-                                            // Same post-run re-check as the
-                                            // pulling path: a sibling's budget
-                                            // exhaustion between our pre-check
-                                            // and the solver's between-rank
-                                            // check yields empty stats for a
-                                            // never-run rank.
-                                            let truncated = s.terminated_by_budget > 0
-                                                || budget.is_some_and(BudgetState::should_stop);
-                                            stats.merge(&s);
-                                            deposit(
-                                                rank,
-                                                SeqKey::root(),
-                                                buffer.cliques,
-                                                truncated,
-                                            );
-                                        }
-                                        Err(payload) => {
-                                            record_fault(payload);
-                                            deposit(rank, SeqKey::root(), Vec::new(), true);
-                                        }
-                                    }
+                                    let (part, truncated) = run_part(
+                                        mem::take(&mut block),
+                                        1,
+                                        hook,
+                                        budget,
+                                        fault,
+                                        &mut stats,
+                                        |buffer| {
+                                            solver.run_ranks_donating(
+                                                plan,
+                                                std::iter::once(rank),
+                                                &mut state,
+                                                &sink,
+                                                budget,
+                                                buffer,
+                                            )
+                                        },
+                                    );
+                                    block = deposit(rank, SeqKey::root(), part, truncated);
                                 }
                             }
                             PoolWork::Task(task) => {
-                                let rank = task.rank;
-                                let key = task.key.clone();
-                                if stopped {
-                                    deposit(rank, key, Vec::new(), true);
-                                } else {
-                                    let mut buffer = RankBuffer::new(hook);
-                                    let run = catch_unwind(AssertUnwindSafe(|| {
+                                let (rank, key) = (task.rank, task.key.clone());
+                                let (part, truncated) = run_part(
+                                    mem::take(&mut block),
+                                    0,
+                                    hook,
+                                    budget,
+                                    fault,
+                                    &mut stats,
+                                    |buffer| {
                                         solver.run_branch_task(
-                                            *task,
-                                            &mut state,
-                                            &sink,
-                                            budget,
-                                            &mut buffer,
+                                            *task, &mut state, &sink, budget, buffer,
                                         )
-                                    }));
-                                    match run {
-                                        Ok(s) => {
-                                            let truncated = s.terminated_by_budget > 0
-                                                || budget.is_some_and(BudgetState::should_stop);
-                                            stats.merge(&s);
-                                            deposit(rank, key, buffer.cliques, truncated);
-                                        }
-                                        Err(payload) => {
-                                            record_fault(payload);
-                                            deposit(rank, key, Vec::new(), true);
-                                        }
-                                    }
-                                }
+                                    },
+                                );
+                                block = deposit(rank, key, part, truncated);
                             }
                         }
                         pool.complete();
@@ -1395,6 +1419,19 @@ mod tests {
         .unwrap()
     }
 
+    /// A sparse random graph whose edge-oriented root ordering yields
+    /// hundreds of roots — many `CHUNK`s — so ordered runs cross chunk
+    /// boundaries, and some of whose roots take several branch steps.
+    fn many_roots_graph() -> Graph {
+        mce_gen::erdos_renyi(240, 1_800, 11)
+    }
+
+    const ALL_SCHEDULERS: [RootScheduler; 3] = [
+        RootScheduler::Dynamic,
+        RootScheduler::Static,
+        RootScheduler::Splitting,
+    ];
+
     /// `hbbmc_pp` with the given scheduler.
     fn cfg_with(scheduler: RootScheduler) -> SolverConfig {
         let mut cfg = SolverConfig::hbbmc_pp();
@@ -1415,11 +1452,7 @@ mod tests {
     fn parallel_count_matches_sequential() {
         let g = test_graph();
         let (seq, _) = count_maximal_cliques(&g, &SolverConfig::hbbmc_pp());
-        for scheduler in [
-            RootScheduler::Dynamic,
-            RootScheduler::Static,
-            RootScheduler::Splitting,
-        ] {
+        for scheduler in ALL_SCHEDULERS {
             for threads in [1, 2, 4, 7] {
                 let (par, stats) = par_count_maximal_cliques(&g, &cfg_with(scheduler), threads);
                 assert_eq!(par, seq, "{scheduler:?}, threads = {threads}");
@@ -1462,11 +1495,7 @@ mod tests {
     #[test]
     fn more_threads_than_roots_is_fine() {
         let g = Graph::complete(3); // one root survives reduction
-        for scheduler in [
-            RootScheduler::Dynamic,
-            RootScheduler::Static,
-            RootScheduler::Splitting,
-        ] {
+        for scheduler in ALL_SCHEDULERS {
             for threads in [2, 8, 16] {
                 let (count, _) = par_count_maximal_cliques(&g, &cfg_with(scheduler), threads);
                 assert_eq!(count, 1, "{scheduler:?}, threads = {threads}");
@@ -1486,11 +1515,7 @@ mod tests {
         let g = test_graph();
         let baseline = ordered_bytes(&g, &SolverConfig::hbbmc_pp(), 1);
         assert!(!baseline.is_empty());
-        for scheduler in [
-            RootScheduler::Dynamic,
-            RootScheduler::Static,
-            RootScheduler::Splitting,
-        ] {
+        for scheduler in ALL_SCHEDULERS {
             for threads in [1, 2, 4, 7] {
                 let bytes = ordered_bytes(&g, &cfg_with(scheduler), threads);
                 assert_eq!(
@@ -1503,24 +1528,35 @@ mod tests {
 
     #[test]
     fn ordered_stream_with_tiny_buffer_cap_still_matches() {
-        // Forces the backpressure path: with cap 0 every out-of-order deposit
-        // waits until its rank becomes the stream head.
-        let g = test_graph();
+        // Forces the backpressure path of the pulling schedulers: with cap 0
+        // every out-of-order chunk waits until it becomes the stream head.
+        // The graph has many chunks, so deposits cross chunk boundaries in
+        // every order. (Splitting deposits never wait; the cap must not
+        // change its stream either.)
+        let g = many_roots_graph();
         let baseline = ordered_bytes(&g, &SolverConfig::hbbmc_pp(), 1);
-        for cap in [0usize, 1, 3] {
-            let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
-            par_enumerate_ordered_driver(
-                &g,
-                &SolverConfig::hbbmc_pp(),
-                4,
-                cap,
-                PoolConfig::default(),
-                None,
-                None,
-                &mut reporter,
-            )
-            .unwrap();
-            assert_eq!(reporter.finish().unwrap(), baseline, "cap {cap}");
+        for scheduler in ALL_SCHEDULERS {
+            for threads in [2, 4] {
+                for cap in [0usize, 1, 3, 50] {
+                    let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
+                    par_enumerate_ordered_driver(
+                        &g,
+                        &cfg_with(scheduler),
+                        threads,
+                        cap,
+                        PoolConfig::default(),
+                        None,
+                        None,
+                        &mut reporter,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        reporter.finish().unwrap(),
+                        baseline,
+                        "{scheduler:?} x{threads}, cap {cap}"
+                    );
+                }
+            }
         }
     }
 
@@ -1666,11 +1702,7 @@ mod tests {
         par_enumerate_ordered(&g, &SolverConfig::hbbmc_pp(), 1, &mut baseline).unwrap();
         let full = baseline.cliques;
         assert!(full.len() > 4);
-        for scheduler in [
-            RootScheduler::Dynamic,
-            RootScheduler::Static,
-            RootScheduler::Splitting,
-        ] {
+        for scheduler in ALL_SCHEDULERS {
             for threads in [1usize, 2, 4] {
                 for keep in [0usize, 1, 3] {
                     let mut reporter = PanicAfter::new(keep);
@@ -1751,13 +1783,9 @@ mod tests {
 
     #[test]
     fn deadline_truncates_to_a_byte_prefix() {
-        let g = test_graph();
+        let g = many_roots_graph();
         let baseline = ordered_bytes(&g, &SolverConfig::hbbmc_pp(), 1);
-        for scheduler in [
-            RootScheduler::Dynamic,
-            RootScheduler::Static,
-            RootScheduler::Splitting,
-        ] {
+        for scheduler in ALL_SCHEDULERS {
             for threads in [1usize, 2, 4] {
                 let budget = Budget::within(std::time::Duration::ZERO);
                 let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
@@ -1788,6 +1816,94 @@ mod tests {
         }
     }
 
+    /// Branch steps a sequential run has consumed when each root rank
+    /// starts (`marks[rank]`), plus the whole run's (`marks[root_count]`).
+    fn step_marks(g: &Graph, cfg: &SolverConfig) -> Vec<u64> {
+        let solver = Solver::new(g, *cfg).unwrap();
+        let plan = solver.prepare();
+        let state = BudgetState::new(&Budget::unlimited());
+        let mut worker = WorkerState::new();
+        let mut sink = CountReporter::new();
+        solver.run_on_plan(&plan, 0..0, true, &mut worker, Some(&state), &mut sink);
+        let mut marks = vec![state.steps_taken()];
+        for rank in 0..plan.root_count() {
+            solver.run_on_plan(
+                &plan,
+                rank..rank + 1,
+                false,
+                &mut worker,
+                Some(&state),
+                &mut sink,
+            );
+            marks.push(state.steps_taken());
+        }
+        marks
+    }
+
+    /// The sequential stream of the rank-independent output and `ranks`.
+    fn sequential_bytes(g: &Graph, cfg: &SolverConfig, ranks: Range<usize>) -> Vec<u8> {
+        let solver = Solver::new(g, *cfg).unwrap();
+        let plan = solver.prepare();
+        let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
+        solver.run_on_plan(
+            &plan,
+            ranks,
+            true,
+            &mut WorkerState::new(),
+            None,
+            &mut reporter,
+        );
+        reporter.finish().unwrap()
+    }
+
+    #[test]
+    fn step_budget_cut_inside_a_chunk_or_on_its_boundary_is_a_byte_prefix() {
+        let g = many_roots_graph();
+        let cfg = SolverConfig::hbbmc_pp();
+        let baseline = ordered_bytes(&g, &cfg, 1);
+        let marks = step_marks(&g, &cfg);
+        let roots = marks.len() - 1;
+        assert!(roots > 8 * CHUNK, "only {roots} roots");
+        // A budget that runs out exactly where the fourth chunk ends, and one
+        // that runs out after the first step of a multi-step rank in the
+        // middle of a chunk.
+        let boundary = 4 * CHUNK;
+        let middle = (CHUNK..roots)
+            .filter(|r| (CHUNK / 4..3 * CHUNK / 4).contains(&(r % CHUNK)))
+            .find(|&r| marks[r + 1] - marks[r] >= 2)
+            .expect("some mid-chunk rank takes several branch steps");
+        for (steps, whole_ranks) in [(marks[boundary], boundary), (marks[middle] + 1, middle)] {
+            // The sequential run emits every rank before the cut in full.
+            let before_cut = sequential_bytes(&g, &cfg, 0..whole_ranks);
+            for scheduler in ALL_SCHEDULERS {
+                for threads in [1usize, 2, 4] {
+                    let budget = Budget::steps(steps);
+                    let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
+                    let (_, outcome) = par_enumerate_ordered_budgeted(
+                        &g,
+                        &cfg_with(scheduler),
+                        threads,
+                        &budget,
+                        None,
+                        &mut reporter,
+                    )
+                    .unwrap();
+                    let bytes = reporter.finish().unwrap();
+                    let label = format!("{scheduler:?} x{threads}, {steps} steps");
+                    assert!(outcome.is_truncated(), "{label}: {outcome:?}");
+                    assert!(
+                        baseline.starts_with(&bytes),
+                        "{label}: a step-budget cut must be a byte-prefix"
+                    );
+                    if threads == 1 {
+                        assert!(bytes.starts_with(&before_cut), "{label}");
+                        assert!(bytes.len() < baseline.len(), "{label}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn generous_deadline_completes_identically() {
         let g = test_graph();
@@ -1807,17 +1923,48 @@ mod tests {
         assert_eq!(reporter.finish().unwrap(), baseline);
     }
 
+    /// A block holding `cliques`, with room for 64 vertices and 8 cliques.
+    fn block(cliques: &[&[VertexId]]) -> CliqueBlock {
+        let mut block = CliqueBlock {
+            vertices: Vec::with_capacity(64),
+            ends: Vec::with_capacity(8),
+        };
+        for clique in cliques {
+            block.push(clique);
+        }
+        block
+    }
+
     #[test]
     fn sequencer_reorders_out_of_order_deposits() {
         let mut out = CollectReporter::new();
         let mut seq = Sequencer::new(&mut out);
-        seq.deposit(2, SeqKey::root(), vec![vec![2]], false);
-        seq.deposit(0, SeqKey::root(), vec![vec![0]], false);
+        // Slots are rank ranges keyed by their first rank; emitting one
+        // moves the head past its whole range.
+        seq.deposit(3..5, SeqKey::root(), block(&[&[3], &[4, 5]]), false);
+        seq.deposit(0..1, SeqKey::root(), block(&[&[0]]), false);
         assert_eq!(seq.next, 1);
-        seq.deposit(1, SeqKey::root(), vec![vec![1]], false);
-        assert_eq!(seq.next, 3);
+        assert_eq!(seq.buffered_cliques, 2);
+        seq.deposit(1..3, SeqKey::root(), block(&[&[1, 2]]), false);
+        assert_eq!(seq.next, 5);
         assert!(seq.pending.is_empty());
-        assert_eq!(out.cliques, vec![vec![0], vec![1], vec![2]]);
+        assert_eq!(seq.buffered_cliques, 0);
+        // Every emitted block comes back empty, with its capacity intact.
+        assert_eq!(seq.spare.len(), 3);
+        for _ in 0..3 {
+            let spare = seq.spare_block();
+            assert_eq!(spare.len(), 0);
+            assert!(spare.vertices.is_empty());
+            assert_eq!(spare.vertices.capacity(), 64);
+            assert_eq!(spare.ends.capacity(), 8);
+        }
+        assert_eq!(
+            seq.spare_block().vertices.capacity(),
+            0,
+            "fresh when none left"
+        );
+        drop(seq);
+        assert_eq!(out.cliques, vec![vec![0], vec![1, 2], vec![3], vec![4, 5]]);
     }
 
     #[test]
@@ -1829,11 +1976,11 @@ mod tests {
         seq.register_donation(0);
         let first = SeqKey::root().child(u32::MAX);
         let second = SeqKey::root().child(u32::MAX - 1);
-        seq.deposit(0, first, vec![vec![30]], false);
+        seq.deposit(0..1, first, block(&[&[30]]), false);
         assert_eq!(seq.next, 0, "incomplete rank must not emit");
-        seq.deposit(0, SeqKey::root(), vec![vec![10]], false);
+        seq.deposit(0..1, SeqKey::root(), block(&[&[10]]), false);
         assert_eq!(seq.next, 0);
-        seq.deposit(0, second, vec![vec![20]], false);
+        seq.deposit(0..1, second, block(&[&[20]]), false);
         // Root part first, then the second (deeper) donation, then the first.
         assert_eq!(seq.next, 1);
         assert_eq!(seq.buffered_cliques, 0);
@@ -1842,12 +1989,32 @@ mod tests {
     }
 
     #[test]
+    fn static_chunks_stripe_every_rank_exactly_once() {
+        for (threads, total) in [(1, 40), (2, 16), (3, 100), (4, 33)] {
+            let mut seen = vec![0usize; total];
+            for worker in 0..threads {
+                for chunk in static_chunks(worker, threads, total) {
+                    assert_eq!(chunk.start % CHUNK, 0);
+                    assert_eq!(chunk.start / CHUNK % threads, worker);
+                    for rank in chunk {
+                        seen[rank] += 1;
+                    }
+                }
+            }
+            assert!(
+                seen.iter().all(|&c| c == 1),
+                "{threads} x {total}: {seen:?}"
+            );
+        }
+    }
+
+    #[test]
     fn stealing_ranks_cover_every_rank_exactly_once() {
         let counter = AtomicUsize::new(0);
         let mut seen = vec![0usize; 100];
         // Two interleaved consumers of the same counter.
-        let mut a = StealingRanks::new(&counter, 100);
-        let mut b = StealingRanks::new(&counter, 100);
+        let mut a = StealingChunks::new(&counter, 100).flatten();
+        let mut b = StealingChunks::new(&counter, 100).flatten();
         loop {
             let ra = a.next();
             let rb = b.next();

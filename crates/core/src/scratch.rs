@@ -326,10 +326,12 @@ impl WorkerState {
         Self::default()
     }
 
-    /// Prepares the state for a run over a graph with `n` vertices.
+    /// Prepares the state for a run over a graph with `n` vertices. Every
+    /// root build leaves the position map all-`u32::MAX`, so only a length
+    /// change touches it: once the map has length `n` this is O(1), not the
+    /// O(n) refill the parallel drivers would pay per chunk of roots.
     pub fn prepare_for(&mut self, n: usize) {
         debug_assert!(self.position.iter().all(|&p| p == u32::MAX));
-        self.position.clear();
         self.position.resize(n, u32::MAX);
     }
 }

@@ -11,9 +11,13 @@
 //!
 //! The library crates `forbid(unsafe_code)`; the `GlobalAlloc` impl is
 //! confined to this test crate.
+//!
+//! Counts are per thread: the allocator counts only on a thread whose
+//! `COUNTING` flag [`allocations_of`] has turned on, into that thread's own
+//! counter, so tests running in parallel never add to each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use hbbmc::MaxCliqueState;
 use hbbmc::{maximum_clique_bb_with_state, CountReporter, EnumerationState, Solver, SolverConfig};
@@ -21,11 +25,27 @@ use mce_gen::{erdos_renyi, moon_moser};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread's allocations are being counted.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocations while `COUNTING` was on.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+/// Counts one allocation if this thread is being measured. `try_with`
+/// because the allocator may run while the thread's locals are torn down.
+fn note_allocation() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting beside it only touches
+// const-initialised thread-locals and never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc(layout)
     }
 
@@ -35,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A growing Vec reallocates; that counts as allocator traffic too.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -43,8 +63,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Runs `f` on this thread with counting on and returns its result with the
+/// number of allocations it made.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCATIONS.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
+    let out = f();
+    COUNTING.with(|on| on.set(false));
+    (out, ALLOCATIONS.with(Cell::get))
 }
 
 /// Warm-runs `config` on the graph, then measures the allocations of a
@@ -57,10 +83,8 @@ fn warm_run_allocations(g: &mce_graph::Graph, config: &SolverConfig) -> (u64, u6
     solver.run_with_state(&mut state, &mut reporter);
 
     let mut reporter = CountReporter::new();
-    let before = allocations();
-    let stats = solver.run_with_state(&mut state, &mut reporter);
-    let after = allocations();
-    (after - before, stats.recursive_calls)
+    let (stats, allocs) = allocations_of(|| solver.run_with_state(&mut state, &mut reporter));
+    (allocs, stats.recursive_calls)
 }
 
 #[test]
@@ -119,9 +143,7 @@ fn steady_state_max_clique_search_does_not_allocate() {
         "expected a non-trivial search, got {} calls",
         warmup.recursive_calls
     );
-    let before = allocations();
-    let (best, stats) = maximum_clique_bb_with_state(&g, &mut state);
-    let allocs = allocations() - before;
+    let ((best, stats), allocs) = allocations_of(|| maximum_clique_bb_with_state(&g, &mut state));
     assert!(!best.is_empty());
     // The degeneracy ordering allocates one bucket vector per degree value
     // (~240 for this instance, same budget as the vertex-root plan above);
@@ -133,9 +155,7 @@ fn steady_state_max_clique_search_does_not_allocate() {
     );
     // And the steady state is exactly steady: a third identical run costs
     // the same fixed plan allocations, not one more.
-    let before = allocations();
-    let _ = maximum_clique_bb_with_state(&g, &mut state);
-    let allocs_again = allocations() - before;
+    let (_, allocs_again) = allocations_of(|| maximum_clique_bb_with_state(&g, &mut state));
     assert_eq!(
         allocs, allocs_again,
         "warm B&B runs must have a fixed allocation plan"
@@ -167,17 +187,17 @@ fn fused_kernels_are_allocation_free_on_every_backend() {
         bits.clear();
         a.and_not_collect_with(k, &row, &mut bits);
 
-        let before = allocations();
-        for _ in 0..256 {
-            a.intersect_into_count_with(k, &row, &mut out);
-            a.difference_into_with(k, &row, &mut out);
-            let _ = a.intersection_len_words_with(k, &row);
-            bits.clear();
-            a.and_not_collect_with(k, &row, &mut bits);
-        }
+        let ((), allocs) = allocations_of(|| {
+            for _ in 0..256 {
+                a.intersect_into_count_with(k, &row, &mut out);
+                a.difference_into_with(k, &row, &mut out);
+                let _ = a.intersection_len_words_with(k, &row);
+                bits.clear();
+                a.and_not_collect_with(k, &row, &mut bits);
+            }
+        });
         assert_eq!(
-            allocations() - before,
-            0,
+            allocs, 0,
             "{backend}: fused kernels allocated in the steady state"
         );
     }
@@ -198,18 +218,14 @@ fn steady_state_top_k_search_reuses_its_worker() {
     let mut reporter = CollectReporter::new();
     let warm = run(&mut reporter);
     assert!(warm.stats.recursive_calls > 100, "trivial search");
-    let before = allocations();
     let mut reporter = CollectReporter::new();
-    let rerun = run(&mut reporter);
-    let allocs = allocations() - before;
+    let (rerun, allocs) = allocations_of(|| run(&mut reporter));
     // The query layer rebuilds its per-run state (no cross-run cache), so
     // each run pays the per-plan vectors — but that cost is a constant of
     // the plan, never of the branch count: a second identical run costs
     // exactly the same, and the total stays far below the call volume.
-    let before = allocations();
     let mut reporter = CollectReporter::new();
-    let _ = run(&mut reporter);
-    let allocs_again = allocations() - before;
+    let (_, allocs_again) = allocations_of(|| run(&mut reporter));
     assert_eq!(
         allocs, allocs_again,
         "top-k runs must have a fixed allocation plan"
