@@ -45,12 +45,6 @@ options:
   --deadline-ms N                  abort after N milliseconds of wall-clock
                                    time; like --max-steps, the emitted
                                    stream stays an exact prefix
-  --kernel scalar|avx2|neon        word-kernel backend (default: the widest
-                                   arm the CPU supports; the MCE_KERNEL
-                                   environment variable sets the same
-                                   override). Requesting an arm this host
-                                   cannot run is a usage error. Never
-                                   changes output — only throughput
   --output count|text|ndjson|histogram|max   output mode (default: count)
   --out FILE                       write to FILE instead of stdout
   --stats                          print run statistics (and the outcome:
@@ -67,7 +61,6 @@ const VALUE_OPTS: &[&str] = &[
     "--limit",
     "--max-steps",
     "--deadline-ms",
-    "--kernel",
     "--output",
     "--out",
 ];
@@ -201,7 +194,6 @@ pub(crate) fn parse_budget(p: &ParsedArgs) -> Result<Budget, CliError> {
 /// Prints the run statistics (and outcome) to stderr for `--stats`.
 pub(crate) fn print_stats(stats: &EnumerationStats, outcome: Outcome) {
     eprintln!("{stats}");
-    eprintln!("kernel backend: {}", crate::kernel::active_name());
     eprintln!("outcome: {outcome}");
 }
 
@@ -221,7 +213,6 @@ pub(crate) fn write_count_summary(
 pub fn run(args: &[String]) -> Result<(), CliError> {
     let p = ParsedArgs::parse(args, VALUE_OPTS, BOOL_FLAGS)?;
     p.reject_extra_positionals(1)?;
-    crate::kernel::init(p.value("--kernel"))?;
     let mode = parse_output_mode(p.value("--output"))?;
     let mut config = SolverConfig::preset_by_name(p.value("--preset").unwrap_or("HBBMC++"))?;
     config.scheduler = parse_scheduler(p.value("--scheduler"))?;

@@ -37,7 +37,6 @@ pub mod enumerate;
 pub mod error;
 pub mod gen;
 pub mod io;
-pub mod kernel;
 pub mod query;
 // The daemon must never bring itself down on a recoverable fault: panicking
 // unwrap/expect are denied throughout the serve tree (tests are allow-listed

@@ -58,9 +58,6 @@ options:
   --scheduler dynamic|static|splitting   root-branch scheduling policy
   --min-size K                     only report cliques with >= K vertices
                                    (streaming modes; applied after --limit)
-  --kernel scalar|avx2|neon        word-kernel backend (default: the widest
-                                   arm the CPU supports; MCE_KERNEL sets the
-                                   same override). Never changes output
   --output text|ndjson|count       streaming output mode (default: text)
   --out FILE                       write to FILE instead of stdout
   --stats                          print run statistics and the outcome to
@@ -78,7 +75,6 @@ const VALUE_OPTS: &[&str] = &[
     "--threads",
     "--scheduler",
     "--min-size",
-    "--kernel",
     "--output",
     "--out",
 ];
@@ -213,7 +209,6 @@ fn run_streaming(
 pub fn run(args: &[String]) -> Result<(), CliError> {
     let p = ParsedArgs::parse(args, VALUE_OPTS, BOOL_FLAGS)?;
     p.reject_extra_positionals(1)?;
-    crate::kernel::init(p.value("--kernel"))?;
     let spec = parse_spec(&p)?;
     let mut config = SolverConfig::preset_by_name(p.value("--preset").unwrap_or("HBBMC++"))?;
     config.scheduler = parse_scheduler(p.value("--scheduler"))?;

@@ -69,11 +69,7 @@ options:
                            with a degraded (step-clamped) budget instead of
                            queueing them; end frames carry \"degraded\":true
                            (default: off)
-  --degrade-max-steps N    step clamp for degraded sessions (default: 10000)
-  --kernel scalar|avx2|neon  word-kernel backend for every session (default:
-                           the widest arm the CPU supports; MCE_KERNEL sets
-                           the same override). Reported by 'metrics'. Never
-                           changes response bytes — only throughput";
+  --degrade-max-steps N    step clamp for degraded sessions (default: 10000)";
 
 const VALUE_OPTS: &[&str] = &[
     "--addr",
@@ -91,7 +87,6 @@ const VALUE_OPTS: &[&str] = &[
     "--default-deadline-ms",
     "--degrade-high-water",
     "--degrade-max-steps",
-    "--kernel",
 ];
 const BOOL_FLAGS: &[&str] = &[];
 
@@ -128,7 +123,6 @@ fn parse_config(p: &ParsedArgs) -> Result<ServeConfig, CliError> {
 pub fn run(args: &[String]) -> Result<(), CliError> {
     let p = ParsedArgs::parse(args, VALUE_OPTS, BOOL_FLAGS)?;
     p.reject_extra_positionals(0)?;
-    crate::kernel::init(p.value("--kernel"))?;
     let config = parse_config(&p)?;
     let server =
         Server::bind(config).map_err(|e| CliError::runtime(format!("binding listener: {e}")))?;

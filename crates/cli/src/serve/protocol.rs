@@ -395,13 +395,9 @@ pub fn graphs_frame(entries: &[(String, usize, usize, u64)]) -> String {
     .render()
 }
 
-/// The `metrics` response: the active kernel backend plus the counter
-/// snapshot in a fixed key order.
-pub fn metrics_frame(kernel_backend: &str, counters: &[(&'static str, u64)]) -> String {
-    let mut pairs: Vec<(&str, Value)> = vec![
-        ("type", Value::Str("metrics".into())),
-        ("kernel_backend", Value::Str(kernel_backend.into())),
-    ];
+/// The `metrics` response: the counter snapshot in a fixed key order.
+pub fn metrics_frame(counters: &[(&'static str, u64)]) -> String {
+    let mut pairs: Vec<(&str, Value)> = vec![("type", Value::Str("metrics".into()))];
     for (key, value) in counters {
         pairs.push((key, Value::Num(*value as f64)));
     }
@@ -553,7 +549,7 @@ mod tests {
             loaded_frame("g", 60, 343, 1),
             evicted_frame("g"),
             graphs_frame(&[("g".into(), 60, 343, 1)]),
-            metrics_frame("scalar", &[("sessions_started", 4)]),
+            metrics_frame(&[("sessions_started", 4)]),
             begin_frame(1, "g", 1),
             end_frame(1, "complete", 114, 8, false, false, Some(114)),
             end_frame(1, "truncated (deadline exceeded)", 3, 4, true, true, None),

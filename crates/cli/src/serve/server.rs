@@ -580,10 +580,7 @@ fn handle_control(shared: &Shared, w: &mut impl Write, request: Request) -> io::
     match request {
         Request::Ping => write_frame(w, &protocol::pong_frame())?,
         Request::List => write_frame(w, &protocol::graphs_frame(&shared.registry.list()))?,
-        Request::Metrics => write_frame(
-            w,
-            &protocol::metrics_frame(crate::kernel::active_name(), &shared.metrics.snapshot()),
-        )?,
+        Request::Metrics => write_frame(w, &protocol::metrics_frame(&shared.metrics.snapshot()))?,
         Request::Shutdown => {
             write_frame(w, &protocol::shutdown_frame())?;
             shared.begin_shutdown();

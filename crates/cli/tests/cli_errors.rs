@@ -40,6 +40,21 @@ fn unknown_command_is_usage() {
 #[test]
 fn unknown_option_is_usage() {
     assert_clean_failure(&["enumerate", "--warp", "9"], 2);
+    // `--kernel` (a removed word-kernel backend switch) is rejected like any
+    // other unknown option.
+    for args in [
+        &["enumerate", "--kernel", "scalar", "/dev/null"][..],
+        &["query", "--kernel", "scalar", "/dev/null"],
+        &["serve", "--kernel", "scalar"],
+    ] {
+        let out = mce(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "mce: unknown option '--kernel'\n",
+            "{args:?}"
+        );
+    }
 }
 
 #[test]
@@ -142,89 +157,6 @@ fn verify_step_budget_guards_naive_blowup() {
     );
     std::fs::remove_file(&graph).ok();
     std::fs::remove_file(&cliques).ok();
-}
-
-/// The SIMD arm of the *other* architecture: always a valid backend name,
-/// never runnable on this host, whatever the CPU.
-fn foreign_kernel() -> &'static str {
-    if cfg!(target_arch = "x86_64") {
-        "neon"
-    } else {
-        "avx2"
-    }
-}
-
-#[test]
-fn unknown_kernel_backend_is_usage() {
-    for cmd in ["enumerate", "query"] {
-        let out = mce(&[cmd, "--kernel", "sse9", "/dev/null"]);
-        assert_eq!(out.status.code(), Some(2), "{cmd}");
-        assert_eq!(
-            String::from_utf8_lossy(&out.stderr),
-            "mce: unknown kernel backend 'sse9' (expected scalar, avx2 or neon)\n",
-            "{cmd}"
-        );
-    }
-    assert_clean_failure(&["serve", "--kernel", "sse9"], 2);
-}
-
-#[test]
-fn unsupported_kernel_backend_is_usage() {
-    let foreign = foreign_kernel();
-    let out = mce(&["enumerate", "--kernel", foreign, "/dev/null"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert_eq!(
-        String::from_utf8_lossy(&out.stderr),
-        format!("mce: kernel backend '{foreign}' is not supported on this host\n")
-    );
-    assert_clean_failure(&["query", "--kernel", foreign, "/dev/null"], 2);
-    assert_clean_failure(&["serve", "--kernel", foreign], 2);
-}
-
-#[test]
-fn invalid_kernel_env_var_is_usage() {
-    let out = Command::new(env!("CARGO_BIN_EXE_mce"))
-        .args(["enumerate", "/dev/null"])
-        .env("MCE_KERNEL", "quantum")
-        .output()
-        .expect("spawning mce");
-    assert_eq!(out.status.code(), Some(2));
-    assert_eq!(
-        String::from_utf8_lossy(&out.stderr),
-        "mce: unknown kernel backend 'quantum' (expected scalar, avx2 or neon)\n"
-    );
-    // An unsupported (but valid) backend via the environment is the same
-    // typed error as via the flag.
-    let out = Command::new(env!("CARGO_BIN_EXE_mce"))
-        .args(["query", "/dev/null", "--count"])
-        .env("MCE_KERNEL", foreign_kernel())
-        .output()
-        .expect("spawning mce");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("is not supported on this host"));
-}
-
-#[test]
-fn explicit_scalar_kernel_runs_and_is_reported() {
-    let dir = std::env::temp_dir().join("mce_cli_errors_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let graph = dir.join("kernel_tri.txt");
-    std::fs::write(&graph, "0 1\n1 2\n0 2\n").unwrap();
-    let out = mce(&[
-        "enumerate",
-        graph.to_str().unwrap(),
-        "--kernel",
-        "scalar",
-        "--stats",
-    ]);
-    assert_eq!(out.status.code(), Some(0));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("kernel backend: scalar"), "{stderr}");
-    assert_eq!(
-        String::from_utf8_lossy(&out.stdout),
-        "cliques 1\nmax_size 3\navg_size 3.0000\n"
-    );
-    std::fs::remove_file(&graph).ok();
 }
 
 #[test]

@@ -286,96 +286,6 @@ fn limit_emits_the_exact_golden_prefix_across_threads_and_schedulers() {
     }
 }
 
-/// The kernel-backend determinism gate: pinning any backend this host can
-/// run — scalar always, plus the native SIMD arm where present — must leave
-/// every byte of the golden corpus untouched at 1/2/4 threads under all
-/// three schedulers. Backends change throughput, never output.
-#[test]
-fn goldens_replay_identically_under_every_kernel_backend() {
-    for stem in [
-        "planted-60",
-        "er-sparse-48",
-        "moon-moser-12",
-        "ba-40",
-        "turan-30",
-    ] {
-        let graph = if stem == "turan-30" {
-            format!("{stem}.col")
-        } else {
-            format!("{stem}.txt")
-        };
-        let golden = format!("{stem}.text.golden");
-        let expected = std::fs::read(corpus_dir().join(&golden))
-            .unwrap_or_else(|e| panic!("reading {golden}: {e}"));
-        for backend in mce_graph::KernelBackend::available() {
-            for threads in [1usize, 2, 4] {
-                for scheduler in ["dynamic", "static", "splitting"] {
-                    let out = mce()
-                        .arg("enumerate")
-                        .arg(corpus_dir().join(&graph))
-                        .args(["--output", "text"])
-                        .args(["--kernel", backend.name()])
-                        .args(["--threads", &threads.to_string()])
-                        .args(["--scheduler", scheduler])
-                        .output()
-                        .expect("spawning mce");
-                    assert!(
-                        out.status.success(),
-                        "enumerate {graph} --kernel {backend} failed: {}",
-                        String::from_utf8_lossy(&out.stderr)
-                    );
-                    assert_eq!(
-                        out.stdout, expected,
-                        "{graph} differs from {golden} under --kernel {backend} \
-                         at {threads} threads, {scheduler} scheduler"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Same gate through the environment variable, on the query-layer goldens
-/// (top-k with its pruning bounds, and the branch-and-bound maximum clique):
-/// `MCE_KERNEL` pins the backend exactly like `--kernel` does.
-#[test]
-fn query_goldens_replay_under_env_pinned_backends() {
-    let graph = corpus_dir().join("planted-60.txt");
-    let graph = graph.to_str().unwrap();
-    for (args, golden) in [
-        (vec!["query", graph, "--top", "3"], "planted-60.top3.golden"),
-        (
-            vec!["query", graph, "--max-clique"],
-            "planted-60.maxclique.golden",
-        ),
-    ] {
-        let expected = std::fs::read(corpus_dir().join(golden)).unwrap();
-        for backend in mce_graph::KernelBackend::available() {
-            for threads in [1usize, 2, 4] {
-                for scheduler in ["dynamic", "static", "splitting"] {
-                    let out = mce()
-                        .args(&args)
-                        .args(["--threads", &threads.to_string()])
-                        .args(["--scheduler", scheduler])
-                        .env("MCE_KERNEL", backend.name())
-                        .output()
-                        .expect("spawning mce");
-                    assert!(
-                        out.status.success(),
-                        "{args:?} with MCE_KERNEL={backend} failed: {}",
-                        String::from_utf8_lossy(&out.stderr)
-                    );
-                    assert_eq!(
-                        out.stdout, expected,
-                        "{args:?} differs from {golden} under MCE_KERNEL={backend} \
-                         at {threads} threads, {scheduler} scheduler"
-                    );
-                }
-            }
-        }
-    }
-}
-
 #[test]
 fn golden_text_outputs_pass_mce_verify() {
     for (graph, golden) in [

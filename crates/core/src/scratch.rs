@@ -32,7 +32,7 @@
 //! position map), so a whole enumeration run touches the allocator only while
 //! warming up.
 
-use mce_graph::{kernels, BitSet, BitsMut, BitsRef, VertexId};
+use mce_graph::{BitSet, BitsMut, BitsRef, VertexId};
 
 use crate::local::LocalGraph;
 
@@ -267,15 +267,6 @@ impl SearchScratch {
         child.set_cap(parent.cap());
         let pc = parent.c();
         child.c_mut().assign_and_count(pc, row)
-    }
-
-    /// Prefetches the adjacency rows the *next* branch iteration will
-    /// intersect against, overlapping the memory fetch with the current
-    /// child's subtree.
-    #[inline]
-    pub fn prefetch_rows(lg: &LocalGraph, v: usize) {
-        kernels::prefetch(lg.cand(v));
-        kernels::prefetch(lg.gadj(v));
     }
 }
 

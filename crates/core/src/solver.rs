@@ -1167,12 +1167,6 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
             ctx.advance_branch_loop(slot, i);
             self.maybe_donate(lg, partial, ctx, scratch);
             scratch.make_child(depth, lg, v);
-            // Overlap the next sibling's adjacency fetch with this child's
-            // whole subtree: by the time the loop comes back around, the rows
-            // the next make_child intersects against are already in cache.
-            if let Some(&next) = scratch.frame(depth).branch.get(i) {
-                SearchScratch::prefetch_rows(lg, next);
-            }
             partial.push(lg.orig[v]);
             self.pivot_rec(lg, partial, depth + 1, strategy, ctx, scratch);
             partial.pop();

@@ -163,13 +163,10 @@ fn steady_state_max_clique_search_does_not_allocate() {
 }
 
 #[test]
-fn fused_kernels_are_allocation_free_on_every_backend() {
-    // The SIMD arms must share the scalar path's zero-allocation property:
-    // once the destination bitset and branch vector are warm, the fused
-    // word kernels — pinned per backend through the `*_with` variants, so
-    // one process covers scalar *and* the native SIMD arm — touch the
-    // allocator exactly never.
-    use mce_graph::{BitSet, KernelBackend};
+fn fused_kernels_are_allocation_free() {
+    // Once the destination bitset and branch vector are warm, the fused word
+    // kernels touch the allocator exactly never.
+    use mce_graph::BitSet;
     let mut a = BitSet::with_capacity(4096);
     let row: Vec<u64> = (0..64u64)
         .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1 << (i % 64))
@@ -179,28 +176,22 @@ fn fused_kernels_are_allocation_free_on_every_backend() {
     }
     let mut out = BitSet::with_capacity(4096);
     let mut bits = Vec::with_capacity(4096);
-    for backend in KernelBackend::available() {
-        let k = backend.table().expect("available implies table");
-        // Warm the destination buffers under this backend.
-        a.intersect_into_count_with(k, &row, &mut out);
-        a.difference_into_with(k, &row, &mut out);
-        bits.clear();
-        a.and_not_collect_with(k, &row, &mut bits);
+    // Warm the destination buffers.
+    a.intersect_into_count(&row, &mut out);
+    a.difference_into(&row, &mut out);
+    bits.clear();
+    a.and_not_collect(&row, &mut bits);
 
-        let ((), allocs) = allocations_of(|| {
-            for _ in 0..256 {
-                a.intersect_into_count_with(k, &row, &mut out);
-                a.difference_into_with(k, &row, &mut out);
-                let _ = a.intersection_len_words_with(k, &row);
-                bits.clear();
-                a.and_not_collect_with(k, &row, &mut bits);
-            }
-        });
-        assert_eq!(
-            allocs, 0,
-            "{backend}: fused kernels allocated in the steady state"
-        );
-    }
+    let ((), allocs) = allocations_of(|| {
+        for _ in 0..256 {
+            a.intersect_into_count(&row, &mut out);
+            a.difference_into(&row, &mut out);
+            let _ = a.intersection_len_words(&row);
+            bits.clear();
+            a.and_not_collect(&row, &mut bits);
+        }
+    });
+    assert_eq!(allocs, 0, "fused kernels allocated in the steady state");
 }
 
 #[test]

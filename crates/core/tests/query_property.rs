@@ -8,7 +8,8 @@ use hbbmc::{
     TopKReporter, WriterReporter,
 };
 use mce_gen::{
-    barabasi_albert, erdos_renyi_gnp, moon_moser, planted_communities, turan_graph, PlantedConfig,
+    barabasi_albert, erdos_renyi, erdos_renyi_gnp, moon_moser, planted_communities, turan_graph,
+    PlantedConfig,
 };
 use mce_graph::{Graph, VertexId};
 use proptest::prelude::*;
@@ -273,6 +274,37 @@ proptest! {
         );
         prop_assert!(bytes.len() <= full.len());
         prop_assert_eq!(&full[..bytes.len()], &bytes[..]);
+    }
+}
+
+/// On dense instances the top-k bounds must actually prune: the bounded
+/// search picks the same k = 8 cliques as a [`TopKReporter`] riding full
+/// enumeration with strictly fewer recursive calls (the proptests above only
+/// assert `<=`, which a search whose bounds never fire also satisfies).
+#[test]
+fn bounded_top_k_makes_strictly_fewer_calls_on_dense_graphs() {
+    let k = 8;
+    for (name, g) in [
+        ("er_n80", erdos_renyi(80, 1_200, 11)),
+        ("moon_moser_5", moon_moser(5)),
+    ] {
+        let mut riding = TopKReporter::new(k);
+        let full = run_query(&g, Query::new(QuerySpec::Enumerate), &mut riding)
+            .expect("valid enumerate query");
+        let mut ignored = CountReporter::new();
+        let bounded = run_query(&g, Query::new(QuerySpec::TopKBySize { k }), &mut ignored)
+            .expect("valid top-k query");
+        assert_eq!(bounded.outcome, Outcome::Complete, "{name}");
+        let QueryValue::TopK(got) = bounded.value else {
+            panic!("TopKBySize yields a TopK value");
+        };
+        assert_eq!(got, riding.into_cliques(), "{name}");
+        assert!(
+            bounded.stats.recursive_calls < full.stats.recursive_calls,
+            "{name}: bounded top-{k} made {} calls, riding enumeration {}",
+            bounded.stats.recursive_calls,
+            full.stats.recursive_calls
+        );
     }
 }
 

@@ -88,7 +88,7 @@ impl AdjMatrix {
 
     /// Number of set bits in row `i` (the degree of vertex `i`).
     pub fn row_len(&self, i: usize) -> usize {
-        (crate::kernels::active().popcount)(self.row(i))
+        crate::bitset::popcount(self.row(i))
     }
 
     /// Iterates over the set bits of row `i` in increasing order.

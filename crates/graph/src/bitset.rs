@@ -24,23 +24,19 @@
 //! materialising a second `BitSet`. Words missing from a shorter slice are
 //! treated as zero; words beyond `self`'s length are ignored.
 //!
-//! # Kernel backends
+//! # Word loops
 //!
-//! The dense word loops of the fused kernels run through the process-wide
-//! [`kernels`] backend (scalar / AVX2 / NEON, resolved once
-//! at startup). Tail and out-of-range semantics live *here*: `BitSet` slices
-//! both operands to their shared word prefix, hands the equal-length dense
-//! part to the backend, and handles ragged tails itself, so every backend is
-//! bit-identical by construction on the dense part and the tail rules cannot
-//! diverge between backends. The `*_with` variants take an explicit
-//! [`Kernels`] table — used by the backend-equivalence tests and
-//! `bench_kernels` to pin a specific backend regardless of the process-wide
-//! selection.
+//! The dense part of every fused kernel is one of a handful of private
+//! 4×-unrolled `u64` loops at the end of this file, called directly by
+//! [`BitSet`], [`BitsRef`], [`BitsMut`] and [`AdjMatrix`](crate::AdjMatrix).
+//! The loops take equal-length slices: callers slice both operands to their
+//! shared word prefix and handle ragged tails themselves, so the tail rules
+//! live in the methods and the loops are pure word math. Local rows are
+//! ⌈δ/64⌉ words, usually one or two, so plain 64-bit word operations are the
+//! whole trick (the bit-parallel layout of San Segundo et al.).
 //!
 //! [`BitsRef`]/[`BitsMut`] are borrowed views with the same semantics over
 //! word rows owned elsewhere (the per-depth scratch slab of the solver).
-
-use crate::kernels::{self, push_bits, Kernels};
 
 /// A fixed-capacity bit set over the universe `0..capacity`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -110,7 +106,7 @@ impl BitSet {
 
     /// Number of set bits.
     pub fn len(&self) -> usize {
-        (kernels::active().popcount)(&self.words)
+        popcount(&self.words)
     }
 
     /// Inserts `value`. Returns `true` if the value was not previously
@@ -194,18 +190,10 @@ impl BitSet {
 
     /// Number of elements of `self` whose bit is also set in `row`.
     ///
-    /// The branching hot loops call this once per candidate per pivot scan;
-    /// the dense reduction runs on the active kernel backend.
+    /// The branching hot loops call this once per candidate per pivot scan.
     #[inline]
     pub fn intersection_len_words(&self, row: &[u64]) -> usize {
-        self.intersection_len_words_with(kernels::active(), row)
-    }
-
-    /// [`BitSet::intersection_len_words`] with an explicitly pinned backend.
-    #[inline]
-    pub fn intersection_len_words_with(&self, k: &Kernels, row: &[u64]) -> usize {
-        let shared = self.words.len().min(row.len());
-        (k.intersection_len)(&self.words[..shared], &row[..shared])
+        self.view().intersection_len_words(row)
     }
 
     /// In-place intersection with a word row; words missing from a shorter
@@ -253,21 +241,9 @@ impl BitSet {
     /// popcount pass over the freshly written words.
     #[inline]
     pub fn intersect_into_count(&self, row: &[u64], out: &mut BitSet) -> usize {
-        self.intersect_into_count_with(kernels::active(), row, out)
-    }
-
-    /// [`BitSet::intersect_into_count`] with an explicitly pinned backend.
-    #[inline]
-    pub fn intersect_into_count_with(&self, k: &Kernels, row: &[u64], out: &mut BitSet) -> usize {
         out.capacity = self.capacity;
-        out.words.clear();
         out.words.resize(self.words.len(), 0);
-        let shared = self.words.len().min(row.len());
-        (k.intersect_count)(
-            &self.words[..shared],
-            &row[..shared],
-            &mut out.words[..shared],
-        )
+        BitsMut::new(&mut out.words, self.capacity).assign_and_count(self.view(), row)
     }
 
     /// Writes `self \ row` into `out` (fused copy + and-not). `out` takes
@@ -275,22 +251,9 @@ impl BitSet {
     /// words `row` is missing all survive (the tail is copied verbatim).
     #[inline]
     pub fn difference_into(&self, row: &[u64], out: &mut BitSet) {
-        self.difference_into_with(kernels::active(), row, out);
-    }
-
-    /// [`BitSet::difference_into`] with an explicitly pinned backend.
-    #[inline]
-    pub fn difference_into_with(&self, k: &Kernels, row: &[u64], out: &mut BitSet) {
         out.capacity = self.capacity;
-        out.words.clear();
         out.words.resize(self.words.len(), 0);
-        let shared = self.words.len().min(row.len());
-        (k.difference)(
-            &self.words[..shared],
-            &row[..shared],
-            &mut out.words[..shared],
-        );
-        out.words[shared..].copy_from_slice(&self.words[shared..]);
+        BitsMut::new(&mut out.words, self.capacity).assign_difference(self.view(), row);
     }
 
     /// Iterates over the set bits in increasing order, one word at a time
@@ -331,22 +294,11 @@ impl BitSet {
 
     /// Appends the elements of `self \ mask` to `out` in increasing order —
     /// the collector twin of [`BitSet::and_not_iter`] for the branch-list
-    /// builders, which always drain the iterator into a `Vec`. The dense
-    /// prefix runs on the active kernel backend (which skips all-zero word
-    /// blocks without per-bit bounds checks). Words missing from a shorter
-    /// `mask` are treated as zero, so those elements of `self` are all
-    /// appended.
+    /// builders, which always drain the iterator into a `Vec` (no per-bit
+    /// bounds checks). Words missing from a shorter `mask` are treated as
+    /// zero, so those elements of `self` are all appended.
     pub fn and_not_collect(&self, mask: &[u64], out: &mut Vec<usize>) {
-        self.and_not_collect_with(kernels::active(), mask, out);
-    }
-
-    /// [`BitSet::and_not_collect`] with an explicitly pinned backend.
-    pub fn and_not_collect_with(&self, k: &Kernels, mask: &[u64], out: &mut Vec<usize>) {
-        let shared = self.words.len().min(mask.len());
-        (k.and_not_collect)(&self.words[..shared], &mask[..shared], out);
-        for wi in shared..self.words.len() {
-            push_bits(wi, self.words[wi], out);
-        }
+        self.view().and_not_collect(mask, out);
     }
 
     /// A borrowed read-only view of the whole set.
@@ -404,7 +356,7 @@ impl<'a> BitsRef<'a> {
     /// Number of set bits.
     #[inline]
     pub fn len(self) -> usize {
-        (kernels::active().popcount)(self.words)
+        popcount(self.words)
     }
 
     /// Returns `true` when no bit is set.
@@ -450,14 +402,14 @@ impl<'a> BitsRef<'a> {
     #[inline]
     pub fn intersection_len_words(self, row: &[u64]) -> usize {
         let shared = self.words.len().min(row.len());
-        (kernels::active().intersection_len)(&self.words[..shared], &row[..shared])
+        intersection_len(&self.words[..shared], &row[..shared])
     }
 
     /// Appends the elements of `self \ mask` to `out` in increasing order
     /// (same tail semantics as [`BitSet::and_not_collect`]).
     pub fn and_not_collect(self, mask: &[u64], out: &mut Vec<usize>) {
         let shared = self.words.len().min(mask.len());
-        (kernels::active().and_not_collect)(&self.words[..shared], &mask[..shared], out);
+        and_not_collect(&self.words[..shared], &mask[..shared], out);
         for wi in shared..self.words.len() {
             push_bits(wi, self.words[wi], out);
         }
@@ -530,7 +482,7 @@ impl<'a> BitsMut<'a> {
     /// Number of set bits.
     #[inline]
     pub fn len(&self) -> usize {
-        (kernels::active().popcount)(self.words)
+        popcount(self.words)
     }
 
     /// Returns `true` when no bit is set.
@@ -619,7 +571,7 @@ impl<'a> BitsMut<'a> {
     pub fn assign_and_count(&mut self, a: BitsRef<'_>, row: &[u64]) -> usize {
         debug_assert_eq!(self.capacity, a.capacity);
         let shared = self.words.len().min(row.len());
-        let count = (kernels::active().intersect_count)(
+        let count = intersect_count(
             &a.words[..shared],
             &row[..shared],
             &mut self.words[..shared],
@@ -637,7 +589,7 @@ impl<'a> BitsMut<'a> {
     pub fn assign_difference(&mut self, a: BitsRef<'_>, row: &[u64]) {
         debug_assert_eq!(self.capacity, a.capacity);
         let shared = self.words.len().min(row.len());
-        (kernels::active().difference)(
+        difference(
             &a.words[..shared],
             &row[..shared],
             &mut self.words[..shared],
@@ -656,6 +608,128 @@ impl FromIterator<usize> for BitSet {
         }
         s
     }
+}
+
+// ----------------------------------------------------------------------
+// Word loops: equal-length slices, `dst` fully overwritten (module docs)
+// ----------------------------------------------------------------------
+
+/// `dst = a & b`; returns the popcount of the result.
+#[inline]
+fn intersect_count(a: &[u64], b: &[u64], dst: &mut [u64]) -> usize {
+    debug_assert!(a.len() == b.len() && a.len() == dst.len());
+    let n = a.len();
+    let mut count = 0usize;
+    let mut i = 0;
+    while i + 4 <= n {
+        let (w0, w1) = (a[i] & b[i], a[i + 1] & b[i + 1]);
+        let (w2, w3) = (a[i + 2] & b[i + 2], a[i + 3] & b[i + 3]);
+        dst[i] = w0;
+        dst[i + 1] = w1;
+        dst[i + 2] = w2;
+        dst[i + 3] = w3;
+        count += (w0.count_ones() + w1.count_ones() + w2.count_ones() + w3.count_ones()) as usize;
+        i += 4;
+    }
+    while i < n {
+        let w = a[i] & b[i];
+        dst[i] = w;
+        count += w.count_ones() as usize;
+        i += 1;
+    }
+    count
+}
+
+/// Popcount of `a & b` without materialising it.
+#[inline]
+fn intersection_len(a: &[u64], b: &[u64]) -> usize {
+    debug_assert_eq!(a.len(), b.len());
+    let n = a.len();
+    let mut total = 0usize;
+    let mut i = 0;
+    while i + 4 <= n {
+        total += (a[i] & b[i]).count_ones() as usize
+            + (a[i + 1] & b[i + 1]).count_ones() as usize
+            + (a[i + 2] & b[i + 2]).count_ones() as usize
+            + (a[i + 3] & b[i + 3]).count_ones() as usize;
+        i += 4;
+    }
+    while i < n {
+        total += (a[i] & b[i]).count_ones() as usize;
+        i += 1;
+    }
+    total
+}
+
+/// `dst = a & !b`.
+#[inline]
+fn difference(a: &[u64], b: &[u64], dst: &mut [u64]) {
+    debug_assert!(a.len() == b.len() && a.len() == dst.len());
+    let n = a.len();
+    let mut i = 0;
+    while i + 4 <= n {
+        dst[i] = a[i] & !b[i];
+        dst[i + 1] = a[i + 1] & !b[i + 1];
+        dst[i + 2] = a[i + 2] & !b[i + 2];
+        dst[i + 3] = a[i + 3] & !b[i + 3];
+        i += 4;
+    }
+    while i < n {
+        dst[i] = a[i] & !b[i];
+        i += 1;
+    }
+}
+
+/// Appends the bit positions of word `w` (word index `wi`) in increasing
+/// order.
+#[inline]
+fn push_bits(wi: usize, mut w: u64, out: &mut Vec<usize>) {
+    while w != 0 {
+        let b = w.trailing_zeros() as usize;
+        w &= w - 1;
+        out.push(wi * WORD_BITS + b);
+    }
+}
+
+/// Appends the bit positions of `a & !mask` in increasing order.
+#[inline]
+fn and_not_collect(a: &[u64], mask: &[u64], out: &mut Vec<usize>) {
+    debug_assert_eq!(a.len(), mask.len());
+    let n = a.len();
+    let mut i = 0;
+    while i + 4 <= n {
+        let (w0, w1) = (a[i] & !mask[i], a[i + 1] & !mask[i + 1]);
+        let (w2, w3) = (a[i + 2] & !mask[i + 2], a[i + 3] & !mask[i + 3]);
+        push_bits(i, w0, out);
+        push_bits(i + 1, w1, out);
+        push_bits(i + 2, w2, out);
+        push_bits(i + 3, w3, out);
+        i += 4;
+    }
+    while i < n {
+        push_bits(i, a[i] & !mask[i], out);
+        i += 1;
+    }
+}
+
+/// Total popcount of `a`.
+#[inline]
+pub(crate) fn popcount(a: &[u64]) -> usize {
+    let n = a.len();
+    let mut total = 0usize;
+    let mut i = 0;
+    while i + 4 <= n {
+        total += (a[i].count_ones()
+            + a[i + 1].count_ones()
+            + a[i + 2].count_ones()
+            + a[i + 3].count_ones()) as usize;
+        i += 4;
+    }
+    while i < n {
+        total += a[i].count_ones() as usize;
+        i += 1;
+    }
+    total
 }
 
 #[cfg(test)]

@@ -32,12 +32,8 @@
 //!
 //! All structures are implemented from scratch on `std` only; identifiers are
 //! `u32` ([`VertexId`]) to keep hot data small.
-//!
-//! `unsafe` is denied crate-wide and allowed in exactly one place: the
-//! private `std::arch` SIMD arms of [`kernels`], whose `#[target_feature]`
-//! functions are only reachable behind a positive runtime feature check.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adjmatrix;
@@ -49,7 +45,6 @@ pub mod error;
 pub mod graph;
 pub mod hindex;
 pub mod io;
-pub mod kernels;
 pub mod kplex;
 pub mod mcg;
 pub mod ordering;
@@ -67,7 +62,6 @@ pub use error::GraphError;
 pub use graph::{CsrGraph, Graph, VertexId};
 pub use hindex::h_index;
 pub use io::GraphFormat;
-pub use kernels::{KernelBackend, KernelError, Kernels};
 pub use kplex::{ComplementStructure, PlexCheck};
 pub use ordering::{EdgeOrderingKind, VertexOrderingKind};
 pub use stats::GraphStats;

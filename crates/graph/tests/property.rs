@@ -7,13 +7,13 @@ use std::collections::BTreeSet;
 use mce_graph::degeneracy::degeneracy_ordering;
 use mce_graph::triangles::{edge_supports, triangle_count};
 use mce_graph::truss::truss_ordering;
-use mce_graph::{AdjMatrix, BitSet, Graph, GraphStats, KernelBackend, PlexCheck};
+use mce_graph::{AdjMatrix, BitSet, BitsMut, BitsRef, Graph, GraphStats, PlexCheck};
 use proptest::prelude::*;
 
-/// Word vectors biased toward the shapes where SIMD arms can diverge from
-/// scalar code: all-zero words (empty rows), all-one words (full rows) and
-/// arbitrary bit soup, at every length from empty through several SIMD chunks
-/// plus a ragged tail.
+/// Word vectors biased toward the edge cases of the unrolled word loops:
+/// all-zero words (empty rows), all-one words (full rows) and arbitrary bit
+/// soup, at every length from empty through several 4-word chunks plus a
+/// ragged tail.
 fn arb_words() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec((0u32..9, any::<u64>()), 0..=21).prop_map(|raw| {
         raw.into_iter()
@@ -228,45 +228,39 @@ proptest! {
         prop_assert_eq!(diff.iter().collect::<Vec<_>>(), expected_diff);
     }
 
-    /// Every available SIMD backend is bit-identical to scalar on the raw
-    /// equal-length kernel tables, for empty, full and arbitrary words at
-    /// every chunk/tail shape.
+    /// The word loops on equal-length rows, through the borrowed views: every
+    /// result is the one-word-at-a-time definition, for empty, full and
+    /// arbitrary words at every chunk/tail shape.
     #[test]
-    fn kernel_backends_match_scalar_on_raw_tables(a in arb_words(), b in arb_words()) {
+    fn word_kernels_match_per_word_model_on_equal_rows(a in arb_words(), b in arb_words()) {
         let shared = a.len().min(b.len());
         let (a, b) = (&a[..shared], &b[..shared]);
-        let scalar = KernelBackend::Scalar.table().expect("scalar is always available");
-        let mut want_inter = vec![0u64; shared];
-        let want_count = (scalar.intersect_count)(a, b, &mut want_inter);
-        let want_len = (scalar.intersection_len)(a, b);
-        let mut want_diff = vec![0u64; shared];
-        (scalar.difference)(a, b, &mut want_diff);
-        let mut want_bits = vec![usize::MAX]; // non-empty: appends must preserve
-        (scalar.and_not_collect)(a, b, &mut want_bits);
-        let want_pop = (scalar.popcount)(a);
+        let view = BitsRef::new(a, shared * 64);
+        let and: Vec<u64> = (0..shared).map(|i| a[i] & b[i]).collect();
+        let and_not: Vec<u64> = (0..shared).map(|i| a[i] & !b[i]).collect();
 
-        for backend in KernelBackend::available() {
-            let k = backend.table().expect("available implies table");
-            let mut inter = vec![!0u64; shared];
-            prop_assert_eq!((k.intersect_count)(a, b, &mut inter), want_count, "{}", backend);
-            prop_assert_eq!(&inter, &want_inter, "{}", backend);
-            prop_assert_eq!((k.intersection_len)(a, b), want_len, "{}", backend);
-            let mut diff = vec![!0u64; shared];
-            (k.difference)(a, b, &mut diff);
-            prop_assert_eq!(&diff, &want_diff, "{}", backend);
-            let mut bits = vec![usize::MAX];
-            (k.and_not_collect)(a, b, &mut bits);
-            prop_assert_eq!(&bits, &want_bits, "{}", backend);
-            prop_assert_eq!((k.popcount)(a), want_pop, "{}", backend);
-        }
+        let mut dst = vec![!0u64; shared];
+        let count = BitsMut::new(&mut dst, shared * 64).assign_and_count(view, b);
+        prop_assert_eq!(count, popcount(&and));
+        prop_assert_eq!(&dst, &and);
+        prop_assert_eq!(view.intersection_len_words(b), popcount(&and));
+        let mut dst = vec![!0u64; shared];
+        BitsMut::new(&mut dst, shared * 64).assign_difference(view, b);
+        prop_assert_eq!(&dst, &and_not);
+        let mut bits = vec![usize::MAX]; // non-empty: appends must preserve
+        view.and_not_collect(b, &mut bits);
+        let mut want = vec![usize::MAX];
+        want.extend(bit_positions(&and_not));
+        prop_assert_eq!(bits, want);
+        prop_assert_eq!(view.len(), popcount(a));
     }
 
-    /// Backend equivalence through the `BitSet` fused operations, where the
-    /// operands are ragged (different word counts) and the set's capacity
-    /// need not be word-aligned — the tail and out-of-range handling in
-    /// `bitset.rs` must compose identically with every backend.
+    /// The fused `BitSet` operations on ragged rows (different word counts)
+    /// over a capacity that need not be word-aligned: each result is the
+    /// per-word model with the module's tail rules (missing row words count
+    /// as zero).
     #[test]
-    fn kernel_backends_match_scalar_through_bitset(
+    fn fused_kernels_match_per_word_model_at_any_capacity(
         a_words in arb_words(),
         row in arb_words(),
         slack in 0usize..64,
@@ -281,37 +275,32 @@ proptest! {
                 }
             }
         }
-        let scalar = KernelBackend::Scalar.table().expect("scalar is always available");
-        let want_len = a.intersection_len_words_with(scalar, &row);
-        let mut want_inter = BitSet::default();
-        let want_count = a.intersect_into_count_with(scalar, &row, &mut want_inter);
-        let mut want_diff = BitSet::default();
-        a.difference_into_with(scalar, &row, &mut want_diff);
-        let mut want_bits = Vec::new();
-        a.and_not_collect_with(scalar, &row, &mut want_bits);
+        let words = a.words();
+        let row_word = |i: usize| row.get(i).copied().unwrap_or(0);
+        let and: Vec<u64> = (0..words.len()).map(|i| words[i] & row_word(i)).collect();
+        let and_not: Vec<u64> = (0..words.len()).map(|i| words[i] & !row_word(i)).collect();
 
-        for backend in KernelBackend::available() {
-            let k = backend.table().expect("available implies table");
-            prop_assert_eq!(a.intersection_len_words_with(k, &row), want_len, "{}", backend);
-            let mut inter = BitSet::default();
-            prop_assert_eq!(
-                a.intersect_into_count_with(k, &row, &mut inter), want_count, "{}", backend
-            );
-            prop_assert_eq!(inter.words(), want_inter.words(), "{}", backend);
-            let mut diff = BitSet::default();
-            a.difference_into_with(k, &row, &mut diff);
-            prop_assert_eq!(diff.words(), want_diff.words(), "{}", backend);
-            let mut bits = Vec::new();
-            a.and_not_collect_with(k, &row, &mut bits);
-            prop_assert_eq!(&bits, &want_bits, "{}", backend);
-        }
+        prop_assert_eq!(a.len(), popcount(words));
+        prop_assert_eq!(a.intersection_len_words(&row), popcount(&and));
+        let mut inter = BitSet::default();
+        prop_assert_eq!(a.intersect_into_count(&row, &mut inter), popcount(&and));
+        prop_assert_eq!(inter.words(), and.as_slice());
+        prop_assert_eq!(inter.capacity(), cap);
+        let mut diff = BitSet::default();
+        a.difference_into(&row, &mut diff);
+        prop_assert_eq!(diff.words(), and_not.as_slice());
+        prop_assert_eq!(diff.capacity(), cap);
+        let mut bits = Vec::new();
+        a.and_not_collect(&row, &mut bits);
+        prop_assert_eq!(bits, bit_positions(&and_not));
     }
 
-    /// Backend equivalence on real adjacency data, both representations: the
-    /// dense `AdjMatrix` rows (stride-padded, so SIMD sees the padding words)
-    /// and bitsets built from the sparse CSR neighbour lists.
+    /// The word loops on real adjacency data, both representations: each
+    /// dense `AdjMatrix` row has popcount == degree, and a bitset built from
+    /// the sparse CSR neighbour list of `v` meets the dense rows of `v` and of
+    /// vertex `(v + 1) mod n` exactly as the per-word model says.
     #[test]
-    fn kernel_backends_agree_on_dense_and_csr_rows(g in arb_graph()) {
+    fn dense_rows_match_csr_neighbourhoods(g in arb_graph()) {
         let n = g.n();
         let mut dense = AdjMatrix::new(n);
         for v in g.vertices() {
@@ -319,29 +308,37 @@ proptest! {
                 dense.insert(v as usize, u as usize);
             }
         }
-        let scalar = KernelBackend::Scalar.table().expect("scalar is always available");
         for v in g.vertices() {
-            // CSR side: the neighbour list as a bitset…
+            let degree = g.neighbors(v).len();
+            prop_assert_eq!(dense.row_len(v as usize), degree);
+            prop_assert_eq!(BitsRef::new(dense.row(v as usize), n).len(), degree);
             let mut csr_row = BitSet::with_capacity(n);
             for &u in g.neighbors(v) {
                 csr_row.insert(u as usize);
             }
-            // …must see the same counts over the dense rows on every backend.
-            let dense_row = dense.row(v as usize);
-            prop_assert_eq!((scalar.popcount)(dense_row), g.neighbors(v).len());
-            let want = csr_row.intersection_len_words_with(scalar, dense_row);
-            let mut want_branch = Vec::new();
-            csr_row.and_not_collect_with(scalar, dense_row, &mut want_branch);
-            for backend in KernelBackend::available() {
-                let k = backend.table().expect("available implies table");
-                prop_assert_eq!((k.popcount)(dense_row), g.neighbors(v).len(), "{}", backend);
-                prop_assert_eq!(
-                    csr_row.intersection_len_words_with(k, dense_row), want, "{}", backend
-                );
+            for w in [v as usize, (v as usize + 1) % n] {
+                let dense_row = dense.row(w);
+                let csr = csr_row.words();
+                let and: Vec<u64> = (0..csr.len()).map(|i| csr[i] & dense_row[i]).collect();
+                let and_not: Vec<u64> =
+                    (0..csr.len()).map(|i| csr[i] & !dense_row[i]).collect();
+                prop_assert_eq!(csr_row.intersection_len_words(dense_row), popcount(&and));
                 let mut branch = Vec::new();
-                csr_row.and_not_collect_with(k, dense_row, &mut branch);
-                prop_assert_eq!(&branch, &want_branch, "{}", backend);
+                csr_row.and_not_collect(dense_row, &mut branch);
+                prop_assert_eq!(branch, bit_positions(&and_not));
             }
         }
     }
+}
+
+/// Per-word model of a popcount.
+fn popcount(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Per-word model of bit-position collection: word `i`, bit `b` → `i * 64 + b`.
+fn bit_positions(words: &[u64]) -> Vec<usize> {
+    (0..words.len() * 64)
+        .filter(|&idx| words[idx / 64] >> (idx % 64) & 1 == 1)
+        .collect()
 }
