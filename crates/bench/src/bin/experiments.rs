@@ -27,13 +27,10 @@ use mce_bench::hotpath::{append_records, run_hotpath, HotpathOptions};
 use mce_bench::query::{
     append_records as append_query_records, run_query_bench, QueryBenchOptions,
 };
-use mce_bench::scheduler::{
-    append_records as append_scheduler_records, run_scheduler_bench, SchedulerBenchOptions,
-};
 
 const USAGE: &str = "usage: experiments [--quick] [--threads N] [--json PATH] [--variant NAME] <experiment>...\n\
-                     experiments: table1 table2 table3 table4 table5 table6 fig5a fig5b fig5c fig5d ext1 solver scheduler query all\n\
-                     (--threads/--json/--variant apply to the 'solver', 'scheduler' and 'query' experiments)";
+                     experiments: table1 table2 table3 table4 table5 table6 fig5a fig5b fig5c fig5d ext1 solver query all\n\
+                     (--threads/--json/--variant apply to the 'solver' and 'query' experiments)";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -102,11 +99,6 @@ fn main() {
             println!("(generated in {:.1}s)\n", start.elapsed().as_secs_f64());
             continue;
         }
-        if experiment == "scheduler" {
-            run_scheduler_experiment(quick, &variant, json_path.as_deref());
-            println!("(generated in {:.1}s)\n", start.elapsed().as_secs_f64());
-            continue;
-        }
         if experiment == "query" {
             run_query_experiment(quick, &variant, json_path.as_deref());
             println!("(generated in {:.1}s)\n", start.elapsed().as_secs_f64());
@@ -131,35 +123,6 @@ fn main() {
         };
         println!("{table}");
         println!("(generated in {:.1}s)\n", start.elapsed().as_secs_f64());
-    }
-}
-
-/// The `scheduler` experiment: the skewed-graph dynamic-vs-splitting matrix,
-/// optionally appended to the perf trajectory file.
-fn run_scheduler_experiment(quick: bool, variant: &str, json_path: Option<&std::path::Path>) {
-    let options = SchedulerBenchOptions {
-        variant: variant.to_string(),
-        quick,
-        repeats: 2,
-    };
-    println!(
-        "## scheduler load balance (variant={variant}, {} matrix)",
-        if quick { "quick" } else { "full" }
-    );
-    let records = run_scheduler_bench(&options);
-    if let Some(path) = json_path {
-        match append_scheduler_records(path, variant, &records) {
-            Ok(total) => println!(
-                "appended {} records to {} ({} scheduler records total, validated)",
-                records.len(),
-                path.display(),
-                total
-            ),
-            Err(e) => {
-                eprintln!("experiments: JSON emission failed: {e}");
-                std::process::exit(1);
-            }
-        }
     }
 }
 

@@ -21,7 +21,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use hbbmc::{par_count_with_worker_stats, SolverConfig};
+use hbbmc::{par_count_maximal_cliques, SolverConfig};
 use mce_gen::erdos_renyi;
 use mce_graph::io::{read_graph_bytes, write_graph, GraphFormat};
 use mce_graph::Graph;
@@ -211,8 +211,8 @@ pub fn measure_instance(name: &str, n: usize, options: &CsrBenchOptions) -> CsrR
     let config = SolverConfig::hbbmc_pp();
     let (seconds, (cliques, stats)) = best_of(options.repeats, || {
         let start = Instant::now();
-        let (count, merged, _) = par_count_with_worker_stats(&g, &config, options.threads);
-        (start.elapsed().as_secs_f64(), (count, merged))
+        let counted = par_count_maximal_cliques(&g, &config, options.threads);
+        (start.elapsed().as_secs_f64(), counted)
     });
 
     CsrRecord {

@@ -11,7 +11,7 @@
 //! The graph matrix deliberately includes **dense-branch microbenchmarks**
 //! (Moon–Moser and a dense G(n, m) instance, where the per-branch `C ∩ N(v)`
 //! refinement dominates) alongside clique-community and sparse instances, so
-//! both the word-parallel kernels and the scheduler are exercised.
+//! both the word-parallel kernels and the parallel engine are exercised.
 
 use std::path::Path;
 

@@ -32,7 +32,6 @@ pub mod json;
 pub mod maxclique;
 pub mod query;
 pub mod runner;
-pub mod scheduler;
 pub mod serve;
 pub mod table;
 
@@ -44,6 +43,5 @@ pub use json::JsonValue;
 pub use maxclique::{run_maxclique_bench, MaxCliqueBenchOptions, MaxCliqueRecord};
 pub use query::{run_query_bench, QueryBenchOptions, QueryRecord};
 pub use runner::{measure, Measurement};
-pub use scheduler::{run_scheduler_bench, SchedulerBenchOptions, SchedulerRecord};
 pub use serve::{run_serve_bench, ServeBenchOptions, ServeRecord};
 pub use table::Table;

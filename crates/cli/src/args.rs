@@ -6,6 +6,19 @@ use std::collections::HashMap;
 
 use crate::error::CliError;
 
+/// Checks a `--scheduler` option or wire `scheduler` field. The parallel
+/// engine has a single scheduling policy, so the value has no effect; the
+/// three historical names stay accepted so scripts and clients keep working,
+/// and anything else is still rejected.
+pub(crate) fn check_scheduler(name: &str) -> Result<(), String> {
+    match name {
+        "dynamic" | "static" | "splitting" => Ok(()),
+        other => Err(format!(
+            "unknown scheduler '{other}' (expected dynamic, static or splitting)"
+        )),
+    }
+}
+
 /// Parsed arguments of one subcommand.
 #[derive(Debug, Default)]
 pub struct ParsedArgs {

@@ -10,11 +10,11 @@ use std::io::Write;
 
 use hbbmc::{
     run_query, CliqueLineFormat, CountReporter, MinSizeFilter, Query, QueryResult, QuerySpec,
-    QueryValue, RootScheduler, SolverConfig, VertexId, WriterReporter,
+    QueryValue, SolverConfig, VertexId, WriterReporter,
 };
 use mce_graph::Graph;
 
-use crate::args::ParsedArgs;
+use crate::args::{check_scheduler, ParsedArgs};
 use crate::enumerate::{parse_budget, print_stats, write_count_summary};
 use crate::error::CliError;
 use crate::io::{load_graph, open_sink, FormatArg};
@@ -24,8 +24,8 @@ pub const HELP: &str = "usage: mce query [GRAPH] [options]
 
 Runs one budgeted enumeration query over GRAPH (a file path, or stdin for
 '-' / no argument). Streaming output is deterministic: a budget-truncated
-run emits an exact prefix of the unbudgeted stream at any --threads and
---scheduler. Exit code 0 covers truncated runs; the outcome (complete /
+run emits an exact prefix of the unbudgeted stream at any --threads.
+Exit code 0 covers truncated runs; the outcome (complete /
 truncated) is reported by --stats.
 
 query modes (choose at most one; default: stream every maximal clique):
@@ -55,7 +55,8 @@ options:
   --preset NAME                    solver preset, e.g. HBBMC++ (default)
   --threads N                      worker threads, 1..=1024 (default: 1;
                                    anchored/kclique queries run sequentially)
-  --scheduler dynamic|static|splitting   root-branch scheduling policy
+  --scheduler dynamic|static|splitting   accepted, no effect (one parallel
+                                   engine)
   --min-size K                     only report cliques with >= K vertices
                                    (streaming modes; applied after --limit)
   --output text|ndjson|count       streaming output mode (default: text)
@@ -100,17 +101,6 @@ fn parse_anchor(raw: &str) -> Result<Vec<VertexId>, CliError> {
         ));
     }
     Ok(vertices)
-}
-
-pub(crate) fn parse_scheduler(raw: Option<&str>) -> Result<RootScheduler, CliError> {
-    match raw {
-        None | Some("dynamic") => Ok(RootScheduler::Dynamic),
-        Some("static") => Ok(RootScheduler::Static),
-        Some("splitting") => Ok(RootScheduler::Splitting),
-        Some(other) => Err(CliError::usage(format!(
-            "unknown scheduler '{other}' (expected dynamic, static or splitting)"
-        ))),
-    }
 }
 
 /// Streaming sink of the stream-valued query modes.
@@ -210,8 +200,10 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let p = ParsedArgs::parse(args, VALUE_OPTS, BOOL_FLAGS)?;
     p.reject_extra_positionals(1)?;
     let spec = parse_spec(&p)?;
-    let mut config = SolverConfig::preset_by_name(p.value("--preset").unwrap_or("HBBMC++"))?;
-    config.scheduler = parse_scheduler(p.value("--scheduler"))?;
+    let config = SolverConfig::preset_by_name(p.value("--preset").unwrap_or("HBBMC++"))?;
+    if let Some(name) = p.value("--scheduler") {
+        check_scheduler(name).map_err(CliError::usage)?;
+    }
     let threads = p.usize_value("--threads", 1, 1, 1024)?;
     let min_size = p.usize_value("--min-size", 1, 1, usize::MAX)?;
     let budget = parse_budget(&p)?;

@@ -6,7 +6,7 @@
 //! concurrent budgeted `query` sessions against them; every query maps onto
 //! the unified query engine ([`hbbmc::ExecSession`]), so a truncated
 //! response's clique bytes are an exact prefix of the complete response at
-//! any thread count and scheduler. See the README's wire-protocol
+//! any thread count. See the README's wire-protocol
 //! reference for the full request/response vocabulary.
 //!
 //! Module layout:
@@ -28,9 +28,9 @@ pub mod registry;
 pub mod server;
 pub mod testkit;
 
+use crate::args::check_scheduler;
 use crate::args::ParsedArgs;
 use crate::error::CliError;
-use crate::query::parse_scheduler;
 
 pub use server::{ServeConfig, Server, ServerHandle};
 
@@ -54,7 +54,8 @@ options:
   --default-max-steps N    step budget for queries without 'max_steps'
   --client-max-steps N     per-connection branch-step quota
   --client-max-cliques N   per-connection clique quota
-  --scheduler dynamic|static|splitting   default root scheduler
+  --scheduler dynamic|static|splitting   accepted, no effect (one parallel
+                           engine; the wire 'scheduler' field likewise)
   --preset NAME            default solver preset (default: HBBMC++)
   --max-line-bytes N       request-line length cap (default: 1048576)
   --idle-timeout-secs N    close connections with no request for N seconds
@@ -92,6 +93,9 @@ const BOOL_FLAGS: &[&str] = &[];
 
 /// Builds the [`ServeConfig`] from parsed flags.
 fn parse_config(p: &ParsedArgs) -> Result<ServeConfig, CliError> {
+    if let Some(name) = p.value("--scheduler") {
+        check_scheduler(name).map_err(CliError::usage)?;
+    }
     let defaults = ServeConfig::default();
     // Timeout flags use 0 to mean "disabled" so the CLI has no bool flags.
     let secs_or_off = |value: u64| (value > 0).then(|| std::time::Duration::from_secs(value));
@@ -103,7 +107,6 @@ fn parse_config(p: &ParsedArgs) -> Result<ServeConfig, CliError> {
         default_max_steps: p.opt_u64("--default-max-steps")?,
         client_max_steps: p.opt_u64("--client-max-steps")?,
         client_max_cliques: p.opt_u64("--client-max-cliques")?,
-        scheduler: parse_scheduler(p.value("--scheduler"))?,
         preset: p.value("--preset").unwrap_or(&defaults.preset).to_string(),
         max_line_bytes: p.usize_value("--max-line-bytes", defaults.max_line_bytes, 64, 1 << 30)?,
         idle_timeout: secs_or_off(p.u64_value("--idle-timeout-secs", 300)?),
@@ -136,7 +139,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use hbbmc::RootScheduler;
     use std::time::Duration;
 
     fn parse(args: &[&str]) -> Result<ServeConfig, CliError> {
@@ -152,7 +154,6 @@ mod tests {
         assert_eq!(config.default_threads, 1);
         assert_eq!(config.max_threads, 8);
         assert_eq!(config.default_max_steps, None);
-        assert_eq!(config.scheduler, RootScheduler::Dynamic);
         assert_eq!(config.preset, "HBBMC++");
         assert_eq!(config.max_line_bytes, 1 << 20);
         assert_eq!(config.idle_timeout, Some(Duration::from_secs(300)));
@@ -212,7 +213,6 @@ mod tests {
         assert_eq!(config.default_threads, 4);
         assert_eq!(config.default_max_steps, Some(1000));
         assert_eq!(config.client_max_cliques, Some(50));
-        assert_eq!(config.scheduler, RootScheduler::Splitting);
         assert_eq!(config.max_line_bytes, 4096);
     }
 

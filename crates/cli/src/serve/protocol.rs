@@ -11,7 +11,9 @@
 //! parsing is strict (unknown keys and ops are rejected) in the same spirit
 //! as the CLI argument parser.
 
-use hbbmc::{QuerySpec, RootScheduler, VertexId};
+use hbbmc::{QuerySpec, VertexId};
+
+use crate::args::check_scheduler;
 
 use super::json::{self, Value};
 
@@ -71,8 +73,6 @@ pub struct QueryRequest {
     pub deadline_ms: Option<u64>,
     /// `threads`: worker threads (clamped to the server's `max_threads`).
     pub threads: Option<usize>,
-    /// `scheduler`: root-branch scheduling policy override.
-    pub scheduler: Option<RootScheduler>,
     /// `preset`: solver preset override (e.g. `"HBBMC++"`).
     pub preset: Option<String>,
     /// `queue`: wait for a session slot instead of failing with `capacity`.
@@ -208,17 +208,6 @@ fn parse_spec(v: &Value) -> Result<QuerySpec, String> {
     }
 }
 
-fn parse_scheduler(raw: &str) -> Result<RootScheduler, String> {
-    match raw {
-        "dynamic" => Ok(RootScheduler::Dynamic),
-        "static" => Ok(RootScheduler::Static),
-        "splitting" => Ok(RootScheduler::Splitting),
-        other => Err(format!(
-            "unknown scheduler '{other}' (expected dynamic, static or splitting)"
-        )),
-    }
-}
-
 /// Parses one request line. The error string becomes the `message` of a
 /// `bad-request` error frame.
 pub fn parse_request(line: &str) -> Result<Request, String> {
@@ -298,12 +287,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             )?;
             let graph = required_str(&v, "graph")?;
             let spec = parse_spec(&v)?;
-            let scheduler = match v.get("scheduler") {
-                None => None,
-                Some(s) => Some(parse_scheduler(
-                    s.as_str().ok_or("'scheduler' must be a string")?,
-                )?),
-            };
+            if let Some(s) = v.get("scheduler") {
+                check_scheduler(s.as_str().ok_or("'scheduler' must be a string")?)?;
+            }
             let threads = match optional_u64(&v, "threads")? {
                 None => None,
                 Some(0) => return Err("'threads' must be >= 1".to_string()),
@@ -320,7 +306,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 max_steps: optional_u64(&v, "max_steps")?,
                 deadline_ms: optional_u64(&v, "deadline_ms")?,
                 threads,
-                scheduler,
                 preset: optional_str(&v, "preset")?,
                 queue,
             }))
@@ -417,8 +402,8 @@ pub fn begin_frame(id: u64, graph: &str, generation: u64) -> String {
 
 /// Closes a query response stream.
 ///
-/// Only fields that are deterministic at any thread count and scheduler
-/// appear here (the golden wire corpus replays responses byte-for-byte):
+/// Only fields that are deterministic at any thread count appear here (the
+/// golden wire corpus replays responses byte-for-byte):
 /// `outcome`, the emitted clique count and max size, whether the budget
 /// terminated work (a boolean — the exact abandoned-frame count is
 /// scheduling-dependent and lives in the `metrics` aggregates), and the
@@ -512,7 +497,6 @@ mod tests {
         .unwrap();
         let Request::Query(q) = q else { panic!() };
         assert_eq!(q.spec, QuerySpec::KClique { k: 3 });
-        assert_eq!(q.scheduler, Some(RootScheduler::Splitting));
         assert_eq!(q.threads, Some(2));
     }
 

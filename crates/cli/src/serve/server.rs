@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use hbbmc::{
     Budget, CancelToken, CliqueLineFormat, CliqueReporter, CountReporter, ExecSession, Query,
-    QueryValue, RootScheduler, SolverConfig, VertexId, WriterReporter,
+    QueryValue, SolverConfig, VertexId, WriterReporter,
 };
 
 use super::metrics::Metrics;
@@ -59,8 +59,6 @@ pub struct ServeConfig {
     pub client_max_steps: Option<u64>,
     /// Per-connection clique quota across all of its queries.
     pub client_max_cliques: Option<u64>,
-    /// Root scheduler for queries that do not carry `scheduler`.
-    pub scheduler: RootScheduler,
     /// Solver preset for queries that do not carry `preset`.
     pub preset: String,
     /// Request lines longer than this are rejected and the connection
@@ -101,7 +99,6 @@ impl Default for ServeConfig {
             default_max_steps: None,
             client_max_steps: None,
             client_max_cliques: None,
-            scheduler: RootScheduler::Dynamic,
             preset: "HBBMC++".to_string(),
             max_line_bytes: 1 << 20,
             idle_timeout: Some(Duration::from_secs(300)),
@@ -777,14 +774,13 @@ fn run_session<W: Write + Send>(
         return Ok(true);
     };
     let preset = request.preset.as_deref().unwrap_or(&shared.config.preset);
-    let mut config = match SolverConfig::preset_by_name(preset) {
+    let config = match SolverConfig::preset_by_name(preset) {
         Ok(config) => config,
         Err(e) => {
             send_error(shared, writer, ErrorCode::BadRequest, &e.to_string())?;
             return Ok(true);
         }
     };
-    config.scheduler = request.scheduler.unwrap_or(shared.config.scheduler);
     if quota.steps == Some(0) {
         return reject(shared, writer, ErrorCode::Quota, "step quota exhausted");
     }

@@ -250,6 +250,17 @@ pub fn load_request(name: &str, content: &str) -> String {
     format!(r#"{{"op":"load","name":"{name}","content":{escaped}}}"#)
 }
 
+/// `request`, a `query` op, with the wire `scheduler` field set to `name`.
+/// Servers accept the three historical names and ignore them, so every name
+/// must give the same bytes.
+pub fn with_scheduler(request: &str, name: &str) -> String {
+    request.replacen(
+        r#"{"op":"query","#,
+        &format!(r#"{{"op":"query","scheduler":"{name}","#),
+        1,
+    )
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {

@@ -58,6 +58,25 @@ fn unknown_option_is_usage() {
 }
 
 #[test]
+fn unknown_scheduler_is_usage() {
+    // `--scheduler` has no effect, but only its three historical names are
+    // accepted (the golden tests replay all three).
+    for args in [
+        &["enumerate", "--scheduler", "magic", "/dev/null"][..],
+        &["query", "--scheduler", "magic", "/dev/null"],
+        &["serve", "--scheduler", "magic"],
+    ] {
+        let out = mce(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "mce: unknown scheduler 'magic' (expected dynamic, static or splitting)\n",
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
 fn missing_file_is_runtime() {
     assert_clean_failure(&["enumerate", "/no/such/graph.txt"], 1);
     assert_clean_failure(&["stats", "/no/such/graph.txt"], 1);

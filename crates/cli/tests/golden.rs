@@ -1,9 +1,9 @@
 //! The golden-corpus determinism gate.
 //!
 //! Replays `mce enumerate` over every checked-in corpus graph at 1/2/4
-//! threads under all three root schedulers (including the subtree-splitting
-//! one, whose donated tasks must resequence exactly) and asserts the output
-//! is byte-identical to the committed golden file — "same cliques regardless
+//! threads under each of the three accepted `--scheduler` names (donated
+//! sub-branches must resequence exactly) and asserts the output is
+//! byte-identical to the committed golden file — "same cliques regardless
 //! of parallelism" as an executable contract rather than a test-only
 //! property. Regenerate the goldens with `crates/cli/tests/corpus/regen.sh`
 //! after an intentional format change.

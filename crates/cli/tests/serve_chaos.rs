@@ -5,12 +5,14 @@
 //! session: the server stays up, unaffected concurrent sessions' responses
 //! stay byte-identical to their golden, the faulted session gets a typed
 //! `internal-error` frame, and deadline-truncated responses remain exact
-//! byte-prefixes of complete ones at every thread count × scheduler.
+//! byte-prefixes of complete ones at every thread count × wire `scheduler`
+//! name (accepted and ignored).
 
 use std::time::Duration;
 
-use hbbmc::RootScheduler;
-use mce_cli::serve::testkit::{load_request, FaultSchedule, TestClient, TestServer};
+use mce_cli::serve::testkit::{
+    load_request, with_scheduler, FaultSchedule, TestClient, TestServer,
+};
 use mce_cli::serve::ServeConfig;
 
 /// K_{3,3,...} with `classes` fully interconnected 3-vertex classes:
@@ -28,11 +30,7 @@ fn moon_moser_text(classes: u32) -> String {
     text
 }
 
-const SCHEDULERS: [RootScheduler; 3] = [
-    RootScheduler::Dynamic,
-    RootScheduler::Static,
-    RootScheduler::Splitting,
-];
+const SCHEDULERS: [&str; 3] = ["dynamic", "static", "splitting"];
 
 /// On mismatch, writes both frame streams under `SERVE_REPLAY_DIR` (when
 /// set — the CI chaos job uploads that directory as an artifact) and then
@@ -91,7 +89,7 @@ fn without_ids(frames: &[String]) -> Vec<String> {
 
 /// The acceptance scenario: one session's pool worker panics
 /// mid-enumeration and another client disconnects mid-stream, concurrently
-/// with healthy sessions, at every thread count × scheduler. The healthy
+/// with healthy sessions, at every thread count × scheduler name. The healthy
 /// sessions' bytes never change, the faulted session ends in a typed
 /// `internal-error` frame on a connection that stays usable, and the server
 /// keeps accepting.
@@ -102,7 +100,6 @@ fn worker_panic_and_disconnect_leave_neighbours_byte_identical() {
         for scheduler in SCHEDULERS {
             let server = TestServer::start(ServeConfig {
                 default_threads: threads,
-                scheduler,
                 max_sessions: 8,
                 chaos_panic_graph: Some("bad".to_string()),
                 chaos_panic_after: 5,
@@ -131,18 +128,27 @@ fn worker_panic_and_disconnect_leave_neighbours_byte_identical() {
             let addr = server.addr();
             let healthy = std::thread::spawn(move || -> std::io::Result<Vec<String>> {
                 let mut c = TestClient::connect(addr)?;
-                c.roundtrip(r#"{"op":"query","graph":"good"}"#)
+                c.roundtrip(&with_scheduler(
+                    r#"{"op":"query","graph":"good"}"#,
+                    scheduler,
+                ))
             });
             let faulted =
                 std::thread::spawn(move || -> std::io::Result<(Vec<String>, Vec<String>)> {
                     let mut c = TestClient::connect(addr)?;
-                    let frames = c.roundtrip(r#"{"op":"query","graph":"bad"}"#)?;
+                    let frames = c.roundtrip(&with_scheduler(
+                        r#"{"op":"query","graph":"bad"}"#,
+                        scheduler,
+                    ))?;
                     let ping = c.roundtrip(r#"{"op":"ping"}"#)?;
                     Ok((frames, ping))
                 });
             let vanished = std::thread::spawn(move || -> std::io::Result<()> {
                 let mut c = TestClient::connect(addr)?;
-                c.send_line(r#"{"op":"query","graph":"good"}"#)?;
+                c.send_line(&with_scheduler(
+                    r#"{"op":"query","graph":"good"}"#,
+                    scheduler,
+                ))?;
                 // Read a couple of frames, then vanish mid-stream.
                 c.recv_line()?;
                 c.recv_line()?;
@@ -151,11 +157,7 @@ fn worker_panic_and_disconnect_leave_neighbours_byte_identical() {
 
             // The unaffected session is byte-identical to its golden.
             let frames = healthy.join().expect("healthy thread").expect("healthy io");
-            assert_same_bytes(
-                &frames,
-                &golden,
-                &format!("healthy.t{threads}.{scheduler:?}"),
-            );
+            assert_same_bytes(&frames, &golden, &format!("healthy.t{threads}.{scheduler}"));
 
             // The faulted session: its prefix is deterministic, the terminal
             // frame is the typed internal error, and the connection survived.
@@ -165,7 +167,7 @@ fn worker_panic_and_disconnect_leave_neighbours_byte_identical() {
             assert_eq!(
                 cliques,
                 golden_cliques[..5].to_vec(),
-                "faulted session's prefix diverged at {threads} threads / {scheduler:?}"
+                "faulted session's prefix diverged at {threads} threads / {scheduler}"
             );
             assert!(
                 terminal.contains(r#""code":"internal-error""#),
@@ -182,13 +184,12 @@ fn worker_panic_and_disconnect_leave_neighbours_byte_identical() {
             // The server is still accepting and still byte-deterministic.
             let mut after = server.connect().expect("connect after faults");
             let replay = after
-                .roundtrip(r#"{"op":"query","graph":"good"}"#)
+                .roundtrip(&with_scheduler(
+                    r#"{"op":"query","graph":"good"}"#,
+                    scheduler,
+                ))
                 .expect("replay");
-            assert_same_bytes(
-                &replay,
-                &golden,
-                &format!("replay.t{threads}.{scheduler:?}"),
-            );
+            assert_same_bytes(&replay, &golden, &format!("replay.t{threads}.{scheduler}"));
             let metrics = after.roundtrip(r#"{"op":"metrics"}"#).expect("metrics");
             assert!(
                 metrics[0].contains(r#""panics_contained":1"#),
@@ -200,7 +201,7 @@ fn worker_panic_and_disconnect_leave_neighbours_byte_identical() {
 }
 
 /// A `deadline_ms` truncated response is an exact byte-prefix of the
-/// complete response at 1/2/4 server threads under all three schedulers,
+/// complete response at 1/2/4 server threads under all three scheduler names,
 /// and carries the deadline outcome.
 #[test]
 fn deadline_truncated_response_is_byte_prefix_at_every_thread_count() {
@@ -209,7 +210,6 @@ fn deadline_truncated_response_is_byte_prefix_at_every_thread_count() {
         for scheduler in SCHEDULERS {
             let server = TestServer::start(ServeConfig {
                 default_threads: threads,
-                scheduler,
                 ..ServeConfig::default()
             })
             .expect("start server");
@@ -223,23 +223,29 @@ fn deadline_truncated_response_is_byte_prefix_at_every_thread_count() {
 
             // An already-expired deadline: the strictest truncation point.
             let cut = client
-                .roundtrip(r#"{"op":"query","graph":"g","deadline_ms":0}"#)
+                .roundtrip(&with_scheduler(
+                    r#"{"op":"query","graph":"g","deadline_ms":0}"#,
+                    scheduler,
+                ))
                 .expect("expired deadline");
             let (cut_cliques, cut_end) = split(&cut);
             assert!(
                 cut_end.contains(r#""outcome":"truncated (deadline exceeded)""#),
-                "{threads} threads / {scheduler:?}: {cut_end}"
+                "{threads} threads / {scheduler}: {cut_end}"
             );
             assert!(cut_end.contains(r#""budget_terminated":true"#), "{cut_end}");
             assert_eq!(
                 cut_cliques,
                 full_cliques[..cut_cliques.len()].to_vec(),
-                "deadline truncation is not a byte-prefix at {threads} threads / {scheduler:?}"
+                "deadline truncation is not a byte-prefix at {threads} threads / {scheduler}"
             );
 
             // A generous deadline changes nothing at all.
             let generous = client
-                .roundtrip(r#"{"op":"query","graph":"g","deadline_ms":3600000}"#)
+                .roundtrip(&with_scheduler(
+                    r#"{"op":"query","graph":"g","deadline_ms":3600000}"#,
+                    scheduler,
+                ))
                 .expect("generous deadline");
             assert_eq!(without_ids(&generous), without_ids(&full));
         }

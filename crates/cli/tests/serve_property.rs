@@ -6,8 +6,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use hbbmc::RootScheduler;
-use mce_cli::serve::testkit::{load_request, TestClient, TestServer};
+use mce_cli::serve::testkit::{load_request, with_scheduler, TestClient, TestServer};
 use mce_cli::serve::ServeConfig;
 
 /// Renders a deduplicated edge list (self-loops dropped) as edge-list text.
@@ -40,12 +39,8 @@ fn moon_moser_text(classes: u32) -> String {
     text
 }
 
-fn scheduler(index: usize) -> RootScheduler {
-    match index % 3 {
-        0 => RootScheduler::Dynamic,
-        1 => RootScheduler::Static,
-        _ => RootScheduler::Splitting,
-    }
+fn scheduler(index: usize) -> &'static str {
+    ["dynamic", "static", "splitting"][index % 3]
 }
 
 /// Splits a response into (begin?, clique lines, terminal frame), panicking
@@ -90,7 +85,6 @@ proptest! {
     ) {
         let server = TestServer::start(ServeConfig {
             default_threads: threads,
-            scheduler: scheduler(sched),
             ..ServeConfig::default()
         }).unwrap();
         let mut client = server.connect().unwrap();
@@ -109,8 +103,9 @@ proptest! {
             .roundtrip(&format!(r#"{{"op":"query","graph":"g"{mode}}}"#))
             .unwrap();
         let truncated = client
-            .roundtrip(&format!(
-                r#"{{"op":"query","graph":"g","limit":{limit}{mode}}}"#
+            .roundtrip(&with_scheduler(
+                &format!(r#"{{"op":"query","graph":"g","limit":{limit}{mode}}}"#),
+                scheduler(sched),
             ))
             .unwrap();
         // Anchored queries on a graph without vertex 0 are admission errors
@@ -151,7 +146,6 @@ proptest! {
     ) {
         let server = TestServer::start(ServeConfig {
             default_threads: threads,
-            scheduler: scheduler(sched),
             ..ServeConfig::default()
         }).unwrap();
         let mut client = server.connect().unwrap();
@@ -160,7 +154,9 @@ proptest! {
             .unwrap();
         // Pipeline the query and the cancel: the reader thread services the
         // cancel while the session streams.
-        client.send_line(r#"{"op":"query","graph":"mm"}"#).unwrap();
+        client
+            .send_line(&with_scheduler(r#"{"op":"query","graph":"mm"}"#, scheduler(sched)))
+            .unwrap();
         if cancel_id {
             client.send_line(r#"{"op":"cancel","id":1}"#).unwrap();
         } else {
@@ -201,7 +197,6 @@ proptest! {
     ) {
         let server = TestServer::start(ServeConfig {
             default_threads: 2,
-            scheduler: scheduler(sched),
             max_sessions: 8,
             ..ServeConfig::default()
         }).unwrap();
@@ -223,7 +218,10 @@ proptest! {
                         if i % 2 == 1 {
                             client.roundtrip(&load_request("g", &text))?;
                         }
-                        responses.push(client.roundtrip(r#"{"op":"query","graph":"g"}"#)?);
+                        responses.push(client.roundtrip(&with_scheduler(
+                            r#"{"op":"query","graph":"g"}"#,
+                            scheduler(sched),
+                        ))?);
                     }
                     Ok(responses)
                 })
@@ -267,7 +265,6 @@ proptest! {
     ) {
         let server = TestServer::start(ServeConfig {
             default_threads: 2,
-            scheduler: scheduler(sched),
             max_sessions: 8,
             ..ServeConfig::default()
         }).unwrap();
@@ -280,8 +277,9 @@ proptest! {
             let mut client = TestClient::connect(addr)?;
             let mut responses = Vec::new();
             for _ in 0..4 {
-                responses.push(client.roundtrip(&format!(
-                    r#"{{"op":"query","graph":"g","deadline_ms":{deadline_ms}}}"#
+                responses.push(client.roundtrip(&with_scheduler(
+                    &format!(r#"{{"op":"query","graph":"g","deadline_ms":{deadline_ms}}}"#),
+                    scheduler(sched),
                 ))?);
             }
             Ok(responses)

@@ -7,11 +7,11 @@
 //! * **`max_cliques`** — stop after this many cliques have been emitted to
 //!   the caller's reporter. Enforced at the *ordered output point* (after the
 //!   deterministic sequencer), so a capped run emits exactly the first `N`
-//!   cliques of the deterministic stream regardless of thread count or
-//!   scheduler — an exact byte-prefix of the unbudgeted run.
+//!   cliques of the deterministic stream regardless of thread count — an
+//!   exact byte-prefix of the unbudgeted run.
 //! * **`max_steps`** — abort after this many branch steps summed across all
 //!   workers. A branch step is one iteration of a branching loop (the same
-//!   granularity the splitting scheduler's donation check uses), so the bound
+//!   granularity the parallel engine's donation check uses), so the bound
 //!   tracks actual work, not wall clock.
 //! * **`cancel`** — a cooperative [`CancelToken`] that any thread may trip.
 //!   Workers observe it between branch steps and unwind promptly.

@@ -75,39 +75,6 @@ pub enum InitialBranching {
     },
 }
 
-/// How the parallel driver distributes root branches over worker threads.
-///
-/// Root branches are heavily skewed: a handful of hub vertices/edges dominate
-/// the work, so assigning every `k`-th branch to worker `k` (static) leaves
-/// most workers idle while one grinds through the hubs. The dynamic scheduler
-/// instead lets workers *pull* the next chunk of root ranks from a shared
-/// atomic counter as they finish — a work-stealing queue degenerate case that
-/// needs no deques because root tasks are already materialised in the
-/// ordering. Both pulling schedulers remain bounded below by the *largest
-/// single root branch*: once the rank queue drains, whoever holds the biggest
-/// subtree finishes alone. The splitting scheduler removes that bound by
-/// donating unexplored sub-branches mid-recursion (see
-/// [`parallel`](crate::parallel) for the task-pool protocol). Sequential runs
-/// ignore this setting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum RootScheduler {
-    /// Workers claim chunks of root ranks from a shared atomic counter in
-    /// ordering order (degeneracy/truss order, heaviest roots first).
-    #[default]
-    Dynamic,
-    /// Worker `k` of `p` processes the fixed ranks `{r : r ≡ k (mod p)}`
-    /// (the ordered driver stripes whole chunks of ranks the same way).
-    Static,
-    /// Adaptive subtree splitting: workers pull root ranks from a shared
-    /// task pool (grouped into per-connected-component shards) and, when the
-    /// pool starves while they grind a long root, package the unexplored
-    /// sibling branches of their shallowest recursion frame into
-    /// self-contained tasks that idle workers steal and resume. Parallelism
-    /// is no longer bounded by the largest root branch; ordered output stays
-    /// byte-identical to the sequential stream at any thread count.
-    Splitting,
-}
-
 /// Full configuration of a maximal clique enumeration run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SolverConfig {
@@ -121,8 +88,6 @@ pub struct SolverConfig {
     pub early_termination_t: usize,
     /// Whether to apply the graph-reduction (GR) preprocessing of Deng et al.
     pub graph_reduction: bool,
-    /// Root-branch scheduling policy of the parallel driver.
-    pub scheduler: RootScheduler,
 }
 
 impl Default for SolverConfig {
@@ -167,7 +132,6 @@ impl SolverConfig {
             recursion: RecursionStrategy::Pivoting(PivotStrategy::Classic),
             early_termination_t: 3,
             graph_reduction: true,
-            scheduler: RootScheduler::Dynamic,
         }
     }
 
@@ -218,7 +182,6 @@ impl SolverConfig {
             recursion: RecursionStrategy::Pivoting(PivotStrategy::Classic),
             early_termination_t: 0,
             graph_reduction: false,
-            scheduler: RootScheduler::Dynamic,
         }
     }
 
@@ -233,7 +196,6 @@ impl SolverConfig {
             recursion: RecursionStrategy::Pivoting(PivotStrategy::Refined),
             early_termination_t: 0,
             graph_reduction: true,
-            scheduler: RootScheduler::Dynamic,
         }
     }
 
@@ -244,7 +206,6 @@ impl SolverConfig {
             recursion: RecursionStrategy::Pivoting(PivotStrategy::Classic),
             early_termination_t: 0,
             graph_reduction: true,
-            scheduler: RootScheduler::Dynamic,
         }
     }
 
@@ -255,7 +216,6 @@ impl SolverConfig {
             recursion: RecursionStrategy::Rcd,
             early_termination_t: 0,
             graph_reduction: true,
-            scheduler: RootScheduler::Dynamic,
         }
     }
 
@@ -266,7 +226,6 @@ impl SolverConfig {
             recursion: RecursionStrategy::Pivoting(PivotStrategy::Factor),
             early_termination_t: 0,
             graph_reduction: true,
-            scheduler: RootScheduler::Dynamic,
         }
     }
 
@@ -277,7 +236,6 @@ impl SolverConfig {
             recursion: RecursionStrategy::Pivoting(PivotStrategy::Classic),
             early_termination_t: 0,
             graph_reduction: false,
-            scheduler: RootScheduler::Dynamic,
         }
     }
 
@@ -288,7 +246,6 @@ impl SolverConfig {
             recursion: RecursionStrategy::Pivoting(PivotStrategy::None),
             early_termination_t: 0,
             graph_reduction: false,
-            scheduler: RootScheduler::Dynamic,
         }
     }
 
@@ -299,7 +256,6 @@ impl SolverConfig {
             recursion: RecursionStrategy::Pivoting(PivotStrategy::Classic),
             early_termination_t: 0,
             graph_reduction: false,
-            scheduler: RootScheduler::Dynamic,
         }
     }
 
@@ -431,14 +387,6 @@ mod tests {
     #[test]
     fn default_is_hbbmc_pp() {
         assert_eq!(SolverConfig::default(), SolverConfig::hbbmc_pp());
-    }
-
-    #[test]
-    fn every_preset_defaults_to_dynamic_scheduling() {
-        for (name, cfg) in SolverConfig::named_presets() {
-            assert_eq!(cfg.scheduler, RootScheduler::Dynamic, "{name}");
-        }
-        assert_eq!(RootScheduler::default(), RootScheduler::Dynamic);
     }
 
     #[test]

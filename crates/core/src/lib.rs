@@ -63,9 +63,7 @@ pub mod stats;
 pub mod verify;
 
 pub use budget::{Budget, CancelToken, Outcome, TruncationReason};
-pub use config::{
-    ConfigError, InitialBranching, PivotStrategy, RecursionStrategy, RootScheduler, SolverConfig,
-};
+pub use config::{ConfigError, InitialBranching, PivotStrategy, RecursionStrategy, SolverConfig};
 pub use kclique::{
     count_k_cliques, for_each_k_clique, for_each_k_clique_budgeted, k_clique_census, list_k_cliques,
 };
@@ -75,9 +73,8 @@ pub use maxclique::{
 };
 pub use naive::{naive_count, naive_maximal_cliques, naive_maximal_cliques_budgeted};
 pub use parallel::{
-    par_count_maximal_cliques, par_count_with_worker_stats, par_enumerate_collect,
-    par_enumerate_ordered, par_enumerate_ordered_budgeted, par_enumerate_ordered_observed,
-    par_enumerate_streaming, EngineError, ProgressCounters,
+    par_count_maximal_cliques, par_enumerate_ordered, par_enumerate_ordered_budgeted, EngineError,
+    ProgressCounters,
 };
 pub use query::{run_query, ExecSession, Query, QueryError, QueryResult, QuerySpec, QueryValue};
 pub use report::{

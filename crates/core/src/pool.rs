@@ -1,32 +1,42 @@
-//! The shared task pool behind [`RootScheduler::Splitting`]: self-contained
-//! sub-branch tasks, their deterministic sequence keys, and the std-only
-//! injector that moves them between workers.
+//! The shared task pool of the parallel engine: self-contained sub-branch
+//! tasks, their deterministic sequence keys, and the std-only injector that
+//! hands out donated tasks and chunks of root ranks.
 //!
-//! The pulling schedulers distribute whole *root* branches, so a run can
-//! never finish faster than its largest root subtree. The splitting scheduler
-//! removes that bound with **mid-branch work donation**: a worker that has
-//! been grinding one root for a while (and observes starving peers) packages
-//! the unexplored sibling candidates of its shallowest recursion frame into a
-//! [`BranchTask`] — the `R` prefix, the `(C, X)` bitsets, the remaining
-//! branch list and a snapshot of the root's [`LocalGraph`] — and pushes it to
-//! the shared [`TaskPool`]. Idle workers steal those tasks and resume them
-//! through the same allocation-free recursion (and may split them again).
+//! Workers claim from one [`TaskPool`]: donated tasks first (FIFO), then
+//! chunks of [`CHUNK`] consecutive root ranks in rank order. Root branches are
+//! heavily skewed, and a run that only hands out whole roots can never finish
+//! faster than its largest root subtree. Every chunk therefore runs with
+//! **mid-branch work donation** armed: a worker that has been grinding one
+//! root for a while, and observes starving peers, packages the unexplored
+//! sibling candidates of its shallowest recursion frame into a
+//! [`BranchTask`] — the `R` prefix, the `(C, X)` bitsets, the remaining branch
+//! list and a snapshot of the root's [`LocalGraph`] — and pushes it to the
+//! pool. Idle workers steal those tasks and resume them through the same
+//! allocation-free recursion (and may split them again). Without starving
+//! peers the donation check costs a counter increment per branch step, plus
+//! one relaxed load once a root has passed the step threshold.
+//!
+//! Backpressure is applied at the claim, never at a deposit: while more than
+//! [`PoolConfig::parked_cap`] cliques are parked out of order in the ordered
+//! sequencer, the pool holds back new chunks (donated tasks are still handed
+//! out). A held-back worker counts as starving, so the slow root at the head
+//! of the stream donates to it.
 //!
 //! Everything here is `std`-only by design: the pool is a `Mutex<VecDeque>`
-//! plus a `Condvar`, with one relaxed atomic (`starving`) that lets the
-//! donation check in the enumeration hot loop stay a single load. The build
-//! environment vendors no lock-free queue crates, and donations are rare
-//! enough (one per [`PoolConfig::step_threshold`] branch steps at most) that
-//! a mutex injector is nowhere near the bottleneck.
+//! plus a `Condvar`. The build environment vendors no lock-free queue crates,
+//! and the pool is touched once per chunk of roots or donated task, so a
+//! mutex injector is nowhere near the bottleneck.
 //!
 //! # Why donated output can still be ordered deterministically
 //!
 //! [`par_enumerate_ordered`](crate::par_enumerate_ordered) must emit a byte
-//! stream that is independent of the thread count. Root ranks provide the
-//! coarse order; within one root, every task carries a [`SeqKey`] that
-//! linearises the donation tree:
+//! stream that is independent of the thread count. The sequencer's slots —
+//! runs of consecutive root ranks keyed by their first rank — provide the
+//! coarse order. A rank that donates ends its slot, so donated work always
+//! belongs to the last rank of a slot, and within that slot every part carries
+//! a [`SeqKey`] that linearises the donation tree:
 //!
-//! * the root's own task has the empty key;
+//! * the slot's own part (its ranks' retained output) has the empty key;
 //! * a donor's `i`-th donation (counting from 0) gets the donor's key with
 //!   `u32::MAX - i` appended.
 //!
@@ -37,27 +47,36 @@
 //! donor keeps, and a *later* donation is always carved from *deeper* in the
 //! tree than an earlier one — i.e. it precedes the earlier donation in
 //! sequential order, which the decreasing counter encodes. Sorting a
-//! completed rank's task buffers by key therefore reproduces the sequential
-//! stream exactly; see the sequencer in [`parallel`](crate::parallel).
+//! completed slot's parts by key therefore reproduces the sequential stream
+//! exactly; see the sequencer in [`parallel`](crate::parallel).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
+use std::thread;
 
 use mce_graph::{BitSet, VertexId};
 
 use crate::local::LocalGraph;
 
-/// Default number of branch steps a worker invests in its current chunk
-/// before it considers donating (see [`PoolConfig::step_threshold`]).
+/// Root ranks per claimed chunk. Each chunk is one solver call into one clique
+/// block and (unless a rank donates) one sequencer deposit, so the per-claim
+/// lock hand-offs are paid once per chunk; small enough that a chunk of
+/// skewed roots still spreads over the workers.
+pub(crate) const CHUNK: usize = 16;
+
+/// Default number of branch steps a worker invests in one root (or donated
+/// task) before it considers donating (see [`PoolConfig::step_threshold`]).
 pub(crate) const DEFAULT_STEP_THRESHOLD: u32 = 512;
 
-/// Root ranks claimed per pool chunk. Smaller than the dynamic scheduler's
-/// chunk because the splitting pool takes a lock per claim and donation
-/// already smooths intra-chunk imbalance.
-pub(crate) const SPLIT_CHUNK: usize = 8;
+/// Out-of-order cliques the ordered sequencer may park before the pool holds
+/// back new chunks. Bounds the ordered run's memory at roughly this many
+/// cliques (plus one in-flight chunk per worker) instead of the full result
+/// set when one early root branch is much slower than the rest.
+pub(crate) const SEQUENCER_BUFFER_CAP: usize = 1 << 16;
 
-/// Position of a task's output within its root rank's sequential stream.
+/// Position of a part's output within its sequencer slot.
 ///
 /// Compares lexicographically (shorter prefix first), which matches the
 /// sequential emission order of the donation tree — see the module docs.
@@ -65,29 +84,18 @@ pub(crate) const SPLIT_CHUNK: usize = 8;
 pub(crate) struct SeqKey(Vec<u32>);
 
 impl SeqKey {
-    /// The key of a root's own task: the empty sequence.
+    /// The key of a slot's own part: the empty sequence.
     pub fn root() -> Self {
         SeqKey(Vec::new())
     }
 
-    /// The key of a donation made by the task holding `self`, given the
+    /// The key of a donation made by the part holding `self`, given the
     /// donor's decreasing donation counter.
     pub fn child(&self, counter: u32) -> Self {
         let mut path = Vec::with_capacity(self.0.len() + 1);
         path.extend_from_slice(&self.0);
         path.push(counter);
         SeqKey(path)
-    }
-
-    /// Resets this key to the root key in place (buffer reuse across ranks).
-    pub fn reset(&mut self) {
-        self.0.clear();
-    }
-
-    /// Copies `other` into this key in place.
-    pub fn clone_from_key(&mut self, other: &SeqKey) {
-        self.0.clear();
-        self.0.extend_from_slice(&other.0);
     }
 }
 
@@ -99,9 +107,10 @@ impl SeqKey {
 /// cross threads and outlive the donor's frames.
 #[derive(Clone, Debug)]
 pub(crate) struct BranchTask {
-    /// Root rank the donated work belongs to (coarse sequencing key).
-    pub rank: usize,
-    /// Position of this task's output within the rank (fine sequencing key).
+    /// First root rank of the sequencer slot the donated work belongs to
+    /// (coarse sequencing key).
+    pub slot: usize,
+    /// Position of this task's output within the slot (fine sequencing key).
     pub key: SeqKey,
     /// The partial clique `R` at the donated frame (original vertex ids).
     pub partial: Vec<VertexId>,
@@ -115,20 +124,20 @@ pub(crate) struct BranchTask {
     pub lg: LocalGraph,
 }
 
-/// Where a donating solver pushes split-off work. Implemented by the plain
-/// pool (unordered drivers) and by the ordered driver's wrapper that also
-/// registers the donation with the output sequencer.
+/// Where a donating solver pushes split-off work: the ordered engine's sink,
+/// which registers each donation with the output sequencer before the task
+/// enters the pool.
 pub(crate) trait DonationSink: Sync {
     /// Cheap check consulted once per branch step: is anyone starving?
     fn hungry(&self) -> bool;
-    /// Branch steps a worker invests in its chunk before donating.
+    /// Branch steps a worker invests in one root or task before donating.
     fn step_threshold(&self) -> u32;
     /// Hands a packaged task over to the pool.
     fn donate(&self, task: BranchTask);
 }
 
 /// Tunables of a [`TaskPool`], separated out so tests can force aggressive
-/// splitting on tiny graphs.
+/// splitting, tight backpressure and perturbed interleavings on tiny graphs.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PoolConfig {
     /// Branch steps between donation attempts.
@@ -136,6 +145,12 @@ pub(crate) struct PoolConfig {
     /// Ignore the starvation signal and donate at every opportunity
     /// (test-only: maximises task fragmentation).
     pub always_hungry: bool,
+    /// Seed of the interleaving hook (test-only): when set, the claim,
+    /// deposit, donate and budget-check points yield the thread on a
+    /// pseudo-random schedule drawn from it. See [`TaskPool::interleave`].
+    pub yield_seed: Option<u64>,
+    /// Parked out-of-order cliques above which no new chunk is handed out.
+    pub parked_cap: usize,
 }
 
 impl Default for PoolConfig {
@@ -143,58 +158,70 @@ impl Default for PoolConfig {
         PoolConfig {
             step_threshold: DEFAULT_STEP_THRESHOLD,
             always_hungry: false,
+            yield_seed: None,
+            parked_cap: SEQUENCER_BUFFER_CAP,
         }
     }
 }
 
-/// One unit of work handed to a splitting worker.
+/// One unit of work handed to a worker.
 pub(crate) enum PoolWork {
-    /// Process the root-rank chunk with this index (see
-    /// [`RootShards::chunk`](crate::solver::RootShards)).
-    Chunk(usize),
+    /// Run these consecutive root ranks.
+    Chunk(Range<usize>),
     /// Resume a donated sub-branch.
     Task(Box<BranchTask>),
 }
 
 struct PoolState {
     /// Donated tasks, stolen FIFO (oldest donations carry the shallowest —
-    /// largest — subtrees and belong to the earliest ranks).
+    /// largest — subtrees and belong to the earliest slots).
     tasks: VecDeque<BranchTask>,
-    /// Next unclaimed root chunk index.
-    next_chunk: usize,
+    /// First root rank not yet handed out.
+    next_rank: usize,
     /// Workers currently executing claimed work (a donor counts as active,
     /// so the pool can only drain once every potential producer is done).
     active: usize,
 }
 
-/// The shared injector of the splitting scheduler.
+/// The shared injector of the parallel engine.
 ///
 /// Claiming prefers donated tasks over fresh root chunks: donated work
-/// belongs to already-started (earliest) ranks, so finishing it first keeps
+/// belongs to already-started (earliest) slots, so finishing it first keeps
 /// the ordered sequencer's head moving and bounds buffering.
 pub(crate) struct TaskPool {
     state: Mutex<PoolState>,
-    /// Signalled when work arrives or the pool drains.
+    /// Signalled when work arrives, a claimed item completes while someone
+    /// waits, or the pool drains.
     ready: Condvar,
-    /// Number of workers currently blocked in [`TaskPool::claim`]. Read with
-    /// a relaxed load by the donation check in the enumeration hot loop.
+    /// Number of workers currently blocked in [`TaskPool::claim`]. Changed
+    /// under the state lock; read with a relaxed load by the donation check
+    /// in the enumeration hot loop.
     starving: AtomicUsize,
-    chunk_count: usize,
+    /// Cliques parked in the ordered sequencer, stored after every deposit
+    /// under the sequencer's lock. Claims read it under the state lock, and
+    /// the depositor's next [`TaskPool::complete`] takes that lock before it
+    /// wakes held-back workers, so no wake-up is lost.
+    parked: AtomicUsize,
+    /// Calls of the interleaving hook so far (its schedule position).
+    ticks: AtomicU64,
+    total: usize,
     config: PoolConfig,
 }
 
 impl TaskPool {
-    /// A pool over `chunk_count` root chunks.
-    pub fn new(chunk_count: usize, config: PoolConfig) -> Self {
+    /// A pool over the root ranks `0..total`.
+    pub fn new(total: usize, config: PoolConfig) -> Self {
         TaskPool {
             state: Mutex::new(PoolState {
                 tasks: VecDeque::new(),
-                next_chunk: 0,
+                next_rank: 0,
                 active: 0,
             }),
             ready: Condvar::new(),
             starving: AtomicUsize::new(0),
-            chunk_count,
+            parked: AtomicUsize::new(0),
+            ticks: AtomicU64::new(0),
+            total,
             config,
         }
     }
@@ -202,21 +229,29 @@ impl TaskPool {
     /// Blocks until work is available or the run is complete. Returns `None`
     /// exactly once per worker, when no work remains *and* no active worker
     /// could still donate more.
+    ///
+    /// New chunks are held back while the sequencer parks more than the cap
+    /// and some worker is active — that worker's deposit is what drains the
+    /// buffer, so with nobody active a chunk is handed out regardless and the
+    /// run always progresses.
     pub fn claim(&self) -> Option<PoolWork> {
+        self.interleave();
         // Poison recovery throughout: worker panics are caught and contained
-        // by the drivers in [`parallel`](crate::parallel), and the drain
-        // protocol they run after a fault needs the pool to stay usable.
+        // by the engine in [`parallel`](crate::parallel), and the drain
+        // protocol it runs after a fault needs the pool to stay usable.
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(task) = state.tasks.pop_front() {
                 state.active += 1;
                 return Some(PoolWork::Task(Box::new(task)));
             }
-            if state.next_chunk < self.chunk_count {
-                let chunk = state.next_chunk;
-                state.next_chunk += 1;
+            let held_back =
+                state.active > 0 && self.parked.load(Ordering::Relaxed) > self.config.parked_cap;
+            if state.next_rank < self.total && !held_back {
+                let start = state.next_rank;
+                state.next_rank = (start + CHUNK).min(self.total);
                 state.active += 1;
-                return Some(PoolWork::Chunk(chunk));
+                return Some(PoolWork::Chunk(start..state.next_rank));
             }
             if state.active == 0 {
                 // Termination: every chunk claimed, every task executed, no
@@ -230,14 +265,15 @@ impl TaskPool {
         }
     }
 
-    /// Marks one previously claimed unit of work as finished.
+    /// Marks one previously claimed unit of work as finished, waking the
+    /// waiting workers: the pool may have drained, or the deposit that
+    /// preceded this call may have released the backpressure.
     pub fn complete(&self) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.active -= 1;
-        let drained =
-            state.active == 0 && state.tasks.is_empty() && state.next_chunk >= self.chunk_count;
+        let waiting = self.starving.load(Ordering::Relaxed) > 0;
         drop(state);
-        if drained {
+        if waiting {
             self.ready.notify_all();
         }
     }
@@ -249,29 +285,61 @@ impl TaskPool {
         drop(state);
         self.ready.notify_one();
     }
-}
 
-impl DonationSink for TaskPool {
-    fn hungry(&self) -> bool {
+    /// Whether any worker is starving (or the test override says so): the
+    /// donation check of the enumeration hot loop.
+    pub fn hungry(&self) -> bool {
         self.config.always_hungry || self.starving.load(Ordering::Relaxed) > 0
     }
 
-    fn step_threshold(&self) -> u32 {
+    /// Branch steps a worker invests in one root or task before donating.
+    pub fn step_threshold(&self) -> u32 {
         self.config.step_threshold
     }
 
-    fn donate(&self, task: BranchTask) {
-        self.push(task);
+    /// Records how many cliques the sequencer now parks (called under the
+    /// sequencer's lock, so the last store is the current count).
+    pub fn set_parked(&self, cliques: usize) {
+        self.parked.store(cliques, Ordering::Relaxed);
     }
+
+    /// Hands out no further root chunks: the ordered stream was cut, so
+    /// nothing a later chunk produces could be emitted. Donated tasks still
+    /// drain, keeping the sequencer's part accounting exact.
+    pub fn close(&self) {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.next_rank = self.total;
+    }
+
+    /// The interleaving hook: with [`PoolConfig::yield_seed`] set, yields the
+    /// calling thread zero to three times on a schedule drawn from the seed,
+    /// so tests can drive claims, deposits, donations and budget checks
+    /// through orders a quiet run rarely takes. One branch otherwise.
+    pub fn interleave(&self) {
+        if let Some(seed) = self.config.yield_seed {
+            let tick = self.ticks.fetch_add(1, Ordering::Relaxed);
+            for _ in 0..splitmix64(seed ^ tick.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % 4 {
+                thread::yield_now();
+            }
+        }
+    }
+}
+
+/// One step of the SplitMix64 generator: a well-mixed 64-bit value per input.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn task(rank: usize) -> BranchTask {
+    fn task(slot: usize) -> BranchTask {
         BranchTask {
-            rank,
+            slot,
             key: SeqKey::root(),
             partial: Vec::new(),
             c: BitSet::with_capacity(0),
@@ -300,25 +368,15 @@ mod tests {
     }
 
     #[test]
-    fn seq_key_reuse_helpers() {
-        let mut k = SeqKey::root().child(7);
-        k.reset();
-        assert_eq!(k, SeqKey::root());
-        let other = SeqKey::root().child(3).child(9);
-        k.clone_from_key(&other);
-        assert_eq!(k, other);
-    }
-
-    #[test]
     fn pool_hands_out_chunks_then_terminates() {
-        let pool = TaskPool::new(2, PoolConfig::default());
+        let pool = TaskPool::new(CHUNK + 3, PoolConfig::default());
         let Some(PoolWork::Chunk(a)) = pool.claim() else {
             panic!("expected a chunk")
         };
         let Some(PoolWork::Chunk(b)) = pool.claim() else {
             panic!("expected a chunk")
         };
-        assert_eq!((a, b), (0, 1));
+        assert_eq!((a, b), (0..CHUNK, CHUNK..CHUNK + 3));
         pool.complete();
         pool.complete();
         assert!(pool.claim().is_none());
@@ -330,11 +388,11 @@ mod tests {
         pool.push(task(3));
         pool.push(task(5));
         match pool.claim() {
-            Some(PoolWork::Task(t)) => assert_eq!(t.rank, 3),
+            Some(PoolWork::Task(t)) => assert_eq!(t.slot, 3),
             _ => panic!("expected the oldest donated task"),
         }
         match pool.claim() {
-            Some(PoolWork::Task(t)) => assert_eq!(t.rank, 5),
+            Some(PoolWork::Task(t)) => assert_eq!(t.slot, 5),
             _ => panic!("expected the second donated task"),
         }
     }
@@ -343,17 +401,54 @@ mod tests {
     fn starving_workers_wake_on_donation() {
         let pool = TaskPool::new(1, PoolConfig::default());
         // A "donor" holds the only chunk, keeping the pool active.
-        assert!(matches!(pool.claim(), Some(PoolWork::Chunk(0))));
+        assert!(matches!(pool.claim(), Some(PoolWork::Chunk(r)) if r == (0..1)));
         std::thread::scope(|scope| {
             let consumer = scope.spawn(|| pool.claim());
             // Give the consumer a moment to block on the condvar, then donate.
             std::thread::sleep(std::time::Duration::from_millis(10));
             pool.push(task(1));
             let got = consumer.join().expect("consumer panicked");
-            assert!(matches!(got, Some(PoolWork::Task(t)) if t.rank == 1));
+            assert!(matches!(got, Some(PoolWork::Task(t)) if t.slot == 1));
         });
         pool.complete(); // the stolen task
         pool.complete(); // the donor's chunk
+        assert!(pool.claim().is_none());
+    }
+
+    #[test]
+    fn over_the_cap_new_chunks_wait_but_tasks_do_not() {
+        let config = PoolConfig {
+            parked_cap: 1,
+            ..PoolConfig::default()
+        };
+        let pool = TaskPool::new(3 * CHUNK, config);
+        assert!(matches!(pool.claim(), Some(PoolWork::Chunk(_))));
+        pool.set_parked(2);
+        pool.push(task(0));
+        assert!(matches!(pool.claim(), Some(PoolWork::Task(_))));
+        std::thread::scope(|scope| {
+            let held_back = scope.spawn(|| pool.claim());
+            // A held-back worker counts as starving; wait until it blocks.
+            while !pool.hungry() {
+                std::thread::yield_now();
+            }
+            assert!(
+                !held_back.is_finished(),
+                "over the cap, no chunk is handed out"
+            );
+            pool.set_parked(1);
+            pool.complete();
+            let got = held_back.join().expect("claimer panicked");
+            assert!(matches!(got, Some(PoolWork::Chunk(r)) if r == (CHUNK..2 * CHUNK)));
+        });
+    }
+
+    #[test]
+    fn closed_pool_hands_out_no_more_chunks() {
+        let pool = TaskPool::new(4 * CHUNK, PoolConfig::default());
+        assert!(matches!(pool.claim(), Some(PoolWork::Chunk(_))));
+        pool.close();
+        pool.complete();
         assert!(pool.claim().is_none());
     }
 
@@ -372,6 +467,7 @@ mod tests {
             PoolConfig {
                 always_hungry: true,
                 step_threshold: 0,
+                ..PoolConfig::default()
             },
         );
         assert!(aggressive.hungry());

@@ -272,9 +272,9 @@ impl SearchScratch {
 
 /// Donation bookkeeping for one in-progress branch loop: which frame it owns,
 /// how much of the partial clique belongs to it, and where its next
-/// unexplored sibling sits in the frame's branch list. The splitting
-/// scheduler walks these entries shallowest-first to find the largest
-/// donatable remainder; see [`pool`](crate::pool).
+/// unexplored sibling sits in the frame's branch list. The donation check
+/// walks these entries shallowest-first to find the largest donatable
+/// remainder; see [`pool`](crate::pool).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SplitFrame {
     /// Recursion depth of the loop (index into the scratch arena).
@@ -309,6 +309,9 @@ pub(crate) struct WorkerState {
     pub common: Vec<VertexId>,
     /// The growing partial clique `S` (original vertex ids).
     pub partial: Vec<VertexId>,
+    /// The splittable branch loops of the current work item, lent to its
+    /// donor so a warm worker allocates nothing per chunk or stolen task.
+    pub split_stack: Vec<SplitFrame>,
 }
 
 impl WorkerState {

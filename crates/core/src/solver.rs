@@ -35,22 +35,22 @@
 //! pivot scan, and reduction-removed vertices act as permanent exclusion
 //! members of every branch they touch.
 
+use std::mem;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use mce_graph::ordering::{edge_ordering, vertex_ordering, EdgeOrdering};
-use mce_graph::{
-    connected_components, degeneracy_ordering, BitsRef, Graph, GraphTopology, VertexId,
-};
+use mce_graph::{degeneracy_ordering, BitsRef, Graph, GraphTopology, VertexId};
 
 use crate::budget::BudgetState;
 use crate::config::{
-    ConfigError, InitialBranching, PivotStrategy, RecursionStrategy, RootScheduler, SolverConfig,
+    ConfigError, InitialBranching, PivotStrategy, RecursionStrategy, SolverConfig,
 };
 use crate::early_term::enumerate_plex_branch;
 use crate::local::LocalGraph;
 use crate::maxclique::{greedy_clique, TopKBound};
 use crate::pivot::{plex_condition, scan_branch};
-use crate::pool::{BranchTask, DonationSink, SeqKey, SPLIT_CHUNK};
+use crate::pool::{BranchTask, DonationSink, SeqKey};
 use crate::reduction::{reduce, Reduction};
 use crate::report::{CliqueReporter, CollectReporter, CountReporter};
 use crate::scratch::{Frame, SearchScratch, SplitFrame, WorkerState};
@@ -77,9 +77,6 @@ pub(crate) struct RootPlan {
     pub reduction: Reduction,
     pub kind: RootKind,
     pub ordering_time: Duration,
-    /// Component-grouped claim chunks for the splitting scheduler; `None`
-    /// under the pulling schedulers (which claim plain rank ranges).
-    pub shards: Option<RootShards>,
 }
 
 /// Which initial branching the plan's root tasks follow.
@@ -103,81 +100,6 @@ impl RootPlan {
     }
 }
 
-/// Root ranks grouped into per-connected-component claim chunks.
-///
-/// Components never share a clique, so each component's roots form an
-/// independent, trivially parallel shard: a claim chunk never straddles a
-/// component boundary, small components are claimed whole, and large ones
-/// are cut into [`SPLIT_CHUNK`]-sized runs. Groups are ordered by each
-/// component's first root rank (rank-ascending inside a group), so claim
-/// order tracks rank order closely and the ordered sequencer's out-of-order
-/// buffering stays small.
-pub(crate) struct RootShards {
-    /// Root ranks in claim order.
-    claim_order: Vec<u32>,
-    /// `(start, end)` index pairs into `claim_order`, one per chunk.
-    chunks: Vec<(u32, u32)>,
-    /// Number of connected components owning at least one root.
-    shard_count: usize,
-}
-
-impl RootShards {
-    /// Groups `root_component[rank]` assignments into claim chunks.
-    fn build(root_component: &[usize]) -> Self {
-        let total = root_component.len();
-        let mut first_rank: Vec<usize> = Vec::new();
-        for (rank, &c) in root_component.iter().enumerate() {
-            if c >= first_rank.len() {
-                first_rank.resize(c + 1, usize::MAX);
-            }
-            if first_rank[c] == usize::MAX {
-                first_rank[c] = rank;
-            }
-        }
-        let shard_count = first_rank.iter().filter(|&&r| r != usize::MAX).count();
-        let mut claim_order: Vec<u32> = (0..total as u32).collect();
-        claim_order.sort_unstable_by_key(|&r| (first_rank[root_component[r as usize]], r));
-        let mut chunks = Vec::new();
-        let mut start = 0usize;
-        while start < total {
-            let component = root_component[claim_order[start] as usize];
-            let mut end = start + 1;
-            while end < total
-                && end - start < SPLIT_CHUNK
-                && root_component[claim_order[end] as usize] == component
-            {
-                end += 1;
-            }
-            chunks.push((start as u32, end as u32));
-            start = end;
-        }
-        RootShards {
-            claim_order,
-            chunks,
-            shard_count,
-        }
-    }
-
-    /// Number of claim chunks.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// The root ranks of chunk `i`, in rank-ascending order.
-    pub fn chunk(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        let (start, end) = self.chunks[i];
-        self.claim_order[start as usize..end as usize]
-            .iter()
-            .map(|&r| r as usize)
-    }
-
-    /// Number of independent component shards.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-}
-
 /// Reusable enumeration state: the scratch arena, local-graph buffers and
 /// root-phase vectors of one worker.
 ///
@@ -197,49 +119,43 @@ impl EnumerationState {
     }
 }
 
-/// Donation state of one in-flight work item (a root branch or a resumed
-/// [`BranchTask`]): the sink to push split-off work to, the item's sequence
-/// key, its decreasing donation counter, the branch-step budget and the
-/// stack of currently splittable loops.
+/// Donation state of one in-flight work item (a run of root ranks or a
+/// resumed [`BranchTask`]): the sink to push split-off work to, the item's
+/// sequencer slot and key, its decreasing donation counter, the branch-step
+/// budget and the stack of currently splittable loops.
 pub(crate) struct Donor<'a> {
     sink: &'a dyn DonationSink,
-    rank: usize,
-    key: SeqKey,
+    slot: usize,
+    key: &'a SeqKey,
     next_donation: u32,
     steps: u32,
     threshold: u32,
+    /// The worker's split stack, lent for the item's duration.
     stack: Vec<SplitFrame>,
 }
 
 impl<'a> Donor<'a> {
-    fn new(sink: &'a dyn DonationSink) -> Self {
+    fn new(
+        sink: &'a dyn DonationSink,
+        slot: usize,
+        key: &'a SeqKey,
+        mut stack: Vec<SplitFrame>,
+    ) -> Self {
+        stack.clear();
         Donor {
             sink,
-            rank: 0,
-            key: SeqKey::root(),
+            slot,
+            key,
             next_donation: u32::MAX,
             steps: 0,
             threshold: sink.step_threshold(),
-            stack: Vec::new(),
+            stack,
         }
     }
 
-    /// Rearms the donor for a fresh root branch (buffers reused).
-    fn reset_for_root(&mut self, rank: usize) {
-        self.rank = rank;
-        self.key.reset();
-        self.next_donation = u32::MAX;
-        self.steps = 0;
-        self.stack.clear();
-    }
-
-    /// Rearms the donor for a resumed task (inherits the task's key).
-    fn reset_for_task(&mut self, task: &BranchTask) {
-        self.rank = task.rank;
-        self.key.clone_from_key(&task.key);
-        self.next_donation = u32::MAX;
-        self.steps = 0;
-        self.stack.clear();
+    /// Whether any work was donated.
+    fn donated(&self) -> bool {
+        self.next_donation != u32::MAX
     }
 }
 
@@ -247,7 +163,7 @@ struct Ctx<'a> {
     config: SolverConfig,
     stats: EnumerationStats,
     reporter: &'a mut dyn CliqueReporter,
-    /// `Some` only when running under the splitting scheduler.
+    /// `Some` only when a parallel worker runs with donation armed.
     donor: Option<Donor<'a>>,
     /// `Some` only when running inside a budgeted session.
     budget: Option<&'a BudgetState>,
@@ -381,36 +297,13 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
         let plan = self.prepare();
         self.run_on_plan(
             &plan,
-            0..plan.root_count(),
+            &mut (0..plan.root_count()),
             true,
             &mut state.worker,
             None,
+            None,
             reporter,
         )
-    }
-
-    /// Processes only the root branches whose rank `r` satisfies
-    /// `r % parts == part` (plus, for `part == 0`, the cliques emitted by graph
-    /// reduction and by isolated vertices). Running every part exactly once
-    /// over the same graph and configuration — in any order or in parallel —
-    /// reports every maximal clique exactly once. Used by the parallel driver
-    /// when [static scheduling](crate::config::RootScheduler::Static) is
-    /// requested.
-    pub fn run_partition(
-        &self,
-        part: usize,
-        parts: usize,
-        reporter: &mut dyn CliqueReporter,
-    ) -> EnumerationStats {
-        assert!(
-            parts > 0 && part < parts,
-            "invalid partition {part}/{parts}"
-        );
-        let plan = self.prepare();
-        let mut worker = WorkerState::new();
-        let count = plan.root_count();
-        let ranks = (part..count).step_by(parts);
-        self.run_on_plan(&plan, ranks, part == 0, &mut worker, None, reporter)
     }
 
     // ------------------------------------------------------------------
@@ -440,50 +333,54 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
                 depth,
             },
         };
-        // The splitting scheduler claims roots in per-connected-component
-        // chunks (components are independent shards); the pulling schedulers
-        // claim plain rank ranges and skip the O(n + m) component pass.
-        let shards = (self.config.scheduler == RootScheduler::Splitting).then(|| {
-            let cc = connected_components(g);
-            let root_component: Vec<usize> = match &kind {
-                RootKind::Vertex { order, .. } => {
-                    order.iter().map(|&v| cc.component_of[v as usize]).collect()
-                }
-                RootKind::Edge { eo, .. } => eo
-                    .order
-                    .iter()
-                    .map(|&e| cc.component_of[eo.index.endpoints(e).0 as usize])
-                    .collect(),
-            };
-            RootShards::build(&root_component)
-        });
         RootPlan {
             reduction,
             kind,
             ordering_time: ordering_start.elapsed(),
-            shards,
         }
     }
 
-    /// Runs the given root ranks over a prepared plan. `with_static` selects
-    /// whether this worker also emits the rank-independent output (graph
-    /// reduction cliques, isolated vertices) — exactly one worker of a run
-    /// must do so.
+    /// Runs root ranks from the front of `ranks` over a prepared plan,
+    /// advancing `ranks.start` past every rank it starts. `with_static`
+    /// selects whether this call also emits the rank-independent output
+    /// (graph reduction cliques, isolated vertices) — exactly one call of a
+    /// run must do so.
+    ///
+    /// With a `sink`, donation is armed: whenever the sink reports starving
+    /// workers and this worker has invested at least the sink's step
+    /// threshold in the current root, the unexplored siblings of the
+    /// shallowest splittable frame are packaged into a [`BranchTask`] keyed by
+    /// the run's first rank and pushed to `sink`. The call then returns right
+    /// after the donating rank, so that rank's donations are sequenced after
+    /// its own output and before the next rank's. The run also stops early
+    /// when the budget stops the session; the ranks left in `ranks` were not
+    /// started.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_on_plan(
         &self,
         plan: &RootPlan,
-        ranks: impl IntoIterator<Item = usize>,
+        ranks: &mut Range<usize>,
         with_static: bool,
         worker: &mut WorkerState,
+        sink: Option<&dyn DonationSink>,
         budget: Option<&BudgetState>,
         reporter: &mut dyn CliqueReporter,
     ) -> EnumerationStats {
         let start = Instant::now();
+        let root_key = SeqKey::root();
+        let donor = sink.map(|sink| {
+            Donor::new(
+                sink,
+                ranks.start,
+                &root_key,
+                mem::take(&mut worker.split_stack),
+            )
+        });
         let mut ctx = Ctx {
             config: self.config,
             stats: EnumerationStats::default(),
             reporter,
-            donor: None,
+            donor,
             budget,
             topk: None,
         };
@@ -492,49 +389,19 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
             ctx.stats.ordering_time = plan.ordering_time;
             self.emit_static(plan, &mut ctx);
         }
-        for rank in ranks {
-            if ctx.budget_stopped() {
-                break;
-            }
-            self.run_root(plan, rank, worker, &mut ctx);
-        }
-        ctx.stats.elapsed = start.elapsed();
-        ctx.stats.busy_time = ctx.stats.elapsed;
-        ctx.stats
-    }
-
-    /// Runs the given root ranks with donation enabled: whenever the shared
-    /// pool reports starving workers and this worker has invested at least
-    /// the sink's step threshold in its chunk, the unexplored siblings of the
-    /// shallowest splittable frame are packaged into a [`BranchTask`] and
-    /// pushed to `sink`. Used by the splitting scheduler only.
-    pub(crate) fn run_ranks_donating(
-        &self,
-        plan: &RootPlan,
-        ranks: impl IntoIterator<Item = usize>,
-        worker: &mut WorkerState,
-        sink: &dyn DonationSink,
-        budget: Option<&BudgetState>,
-        reporter: &mut dyn CliqueReporter,
-    ) -> EnumerationStats {
-        let start = Instant::now();
-        let mut ctx = Ctx {
-            config: self.config,
-            stats: EnumerationStats::default(),
-            reporter,
-            donor: Some(Donor::new(sink)),
-            budget,
-            topk: None,
-        };
-        worker.prepare_for(self.graph.n());
-        for rank in ranks {
-            if ctx.budget_stopped() {
-                break;
-            }
+        while ranks.start < ranks.end && !ctx.budget_stopped() {
+            let rank = ranks.start;
+            ranks.start += 1;
             if let Some(donor) = ctx.donor.as_mut() {
-                donor.reset_for_root(rank);
+                donor.steps = 0;
             }
             self.run_root(plan, rank, worker, &mut ctx);
+            if ctx.donor.as_ref().is_some_and(Donor::donated) {
+                break;
+            }
+        }
+        if let Some(donor) = ctx.donor.take() {
+            worker.split_stack = donor.stack;
         }
         ctx.stats.elapsed = start.elapsed();
         ctx.stats.busy_time = ctx.stats.elapsed;
@@ -545,10 +412,12 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
     /// recursion (further splits included): loads the task's `(C, X)` sets
     /// and branch list into frame 0 of the worker's arena, adopts its
     /// [`LocalGraph`] snapshot and partial clique, and re-enters the branch
-    /// loop the donor abandoned.
+    /// loop the donor abandoned. `key` is the task's sequence key (taken out
+    /// of the task by the caller, which deposits the output under it).
     pub(crate) fn run_branch_task(
         &self,
         task: BranchTask,
+        key: &SeqKey,
         worker: &mut WorkerState,
         sink: &dyn DonationSink,
         budget: Option<&BudgetState>,
@@ -558,8 +427,16 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
         let RecursionStrategy::Pivoting(strategy) = self.config.recursion else {
             unreachable!("donated tasks only exist under pivoting recursion")
         };
-        let mut donor = Donor::new(sink);
-        donor.reset_for_task(&task);
+        let BranchTask {
+            slot,
+            partial: prefix,
+            c,
+            x,
+            branch,
+            lg: task_lg,
+            ..
+        } = task;
+        let donor = Donor::new(sink, slot, key, mem::take(&mut worker.split_stack));
         let mut ctx = Ctx {
             config: self.config,
             stats: EnumerationStats::default(),
@@ -568,14 +445,6 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
             budget,
             topk: None,
         };
-        let BranchTask {
-            partial: prefix,
-            c,
-            x,
-            branch,
-            lg: task_lg,
-            ..
-        } = task;
         worker.lg = task_lg;
         worker.scratch.load_root(&c, &x, &branch);
         worker.partial.clear();
@@ -584,9 +453,13 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
             scratch,
             lg,
             partial,
+            split_stack,
             ..
         } = worker;
         self.branch_on(lg, partial, 0, strategy, &mut ctx, scratch);
+        if let Some(donor) = ctx.donor.take() {
+            *split_stack = donor.stack;
+        }
         ctx.stats.steals = 1;
         ctx.stats.elapsed = start.elapsed();
         ctx.stats.busy_time = ctx.stats.elapsed;
@@ -768,7 +641,7 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
             let mut x = f.x().to_bitset();
             x.insert(cur);
             let task = BranchTask {
-                rank: donor.rank,
+                slot: donor.slot,
                 key: donor.key.child(donor.next_donation),
                 partial: partial[..entry.partial_len].to_vec(),
                 c,
@@ -1140,7 +1013,7 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
     /// Branches on every vertex of the frame's branch list, moving each to
     /// `X` afterwards.
     ///
-    /// This loop is the splitting scheduler's donation point: it registers
+    /// This loop is the parallel engine's donation point: it registers
     /// itself as a splittable frame, each iteration counts as one branch
     /// step, and when a (possibly deeper) [`Solver::maybe_donate`] gives this
     /// loop's remaining siblings away the loop stops after its current child
@@ -1700,12 +1573,27 @@ mod tests {
         )
         .unwrap();
         let expected = naive_maximal_cliques(&g);
+        let solver = Solver::new(&g, SolverConfig::hbbmc_pp()).unwrap();
+        let plan = solver.prepare();
+        let total = plan.root_count();
+        let mut worker = WorkerState::new();
         for parts in [1usize, 2, 3, 5] {
-            let solver = Solver::new(&g, SolverConfig::hbbmc_pp()).unwrap();
+            // Contiguous rank runs in reverse order, the first run carrying
+            // the rank-independent output.
             let mut all = Vec::new();
-            for part in 0..parts {
+            for part in (0..parts).rev() {
+                let mut ranks = part * total / parts..(part + 1) * total / parts;
                 let mut collector = CollectReporter::new();
-                solver.run_partition(part, parts, &mut collector);
+                solver.run_on_plan(
+                    &plan,
+                    &mut ranks,
+                    part == 0,
+                    &mut worker,
+                    None,
+                    None,
+                    &mut collector,
+                );
+                assert!(ranks.is_empty(), "an unbudgeted run starts every rank");
                 all.extend(collector.cliques);
             }
             all.sort();
@@ -1760,62 +1648,5 @@ mod tests {
         let mut cfg = SolverConfig::hbbmc_pp();
         cfg.early_termination_t = 9;
         assert!(Solver::new(&g, cfg).is_err());
-    }
-
-    #[test]
-    fn pulling_plans_skip_component_shards() {
-        let g = Graph::complete(4);
-        let solver = Solver::new(&g, SolverConfig::hbbmc_pp()).unwrap();
-        assert!(solver.prepare().shards.is_none());
-    }
-
-    #[test]
-    fn splitting_plan_builds_component_shards() {
-        // Two triangles in separate components plus a pendant.
-        let g =
-            Graph::from_edges(8, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (4, 6), (6, 7)]).unwrap();
-        let mut cfg = SolverConfig::hbbmc_bare();
-        cfg.scheduler = RootScheduler::Splitting;
-        let solver = Solver::new(&g, cfg).unwrap();
-        let plan = solver.prepare();
-        let shards = plan.shards.as_ref().expect("splitting plan has shards");
-        assert_eq!(shards.shard_count(), 2);
-        // Every rank is claimed exactly once across all chunks.
-        let mut seen = vec![0usize; plan.root_count()];
-        for chunk in 0..shards.chunk_count() {
-            for rank in shards.chunk(chunk) {
-                seen[rank] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1), "{seen:?}");
-    }
-
-    #[test]
-    fn root_shards_group_by_component_and_cap_chunks() {
-        // Interleaved component assignment: component 1 first appears at
-        // rank 0, component 0 at rank 1.
-        let shards = RootShards::build(&[1, 0, 1, 0, 0, 1]);
-        assert_eq!(shards.shard_count(), 2);
-        let claimed: Vec<Vec<usize>> = (0..shards.chunk_count())
-            .map(|c| shards.chunk(c).collect())
-            .collect();
-        // Component 1's ranks (first seen at rank 0) come first, in rank
-        // order; then component 0's.
-        assert_eq!(claimed.concat(), vec![0, 2, 5, 1, 3, 4]);
-        for chunk in &claimed {
-            assert!(chunk.len() <= crate::pool::SPLIT_CHUNK);
-        }
-        // A chunk never straddles components.
-        assert!(claimed.iter().all(|chunk| {
-            let comps: Vec<usize> = chunk.iter().map(|&r| [1, 0, 1, 0, 0, 1][r]).collect();
-            comps.windows(2).all(|w| w[0] == w[1])
-        }));
-
-        // A big single component is cut into SPLIT_CHUNK-sized runs.
-        let big = RootShards::build(&[0; 20]);
-        assert_eq!(big.shard_count(), 1);
-        assert!(big.chunk_count() >= 20 / crate::pool::SPLIT_CHUNK);
-        let all: Vec<usize> = (0..big.chunk_count()).flat_map(|c| big.chunk(c)).collect();
-        assert_eq!(all, (0..20).collect::<Vec<_>>());
     }
 }

@@ -25,8 +25,8 @@ pub struct EnumerationStats {
     pub gr_cliques: u64,
     /// Vertices removed by the graph-reduction preprocessing.
     pub gr_removed_vertices: u64,
-    /// Sub-branch tasks donated to the shared pool by the splitting scheduler
-    /// (0 unless [`RootScheduler::Splitting`](crate::RootScheduler) ran).
+    /// Sub-branch tasks donated to the shared pool by parallel workers (0 on
+    /// a sequential run).
     pub splits: u64,
     /// Donated tasks stolen from the pool and resumed by a worker (equals
     /// `splits` after a completed run — every donated task is eventually

@@ -3,9 +3,8 @@
 //! invariants of the output (clique-ness, maximality, uniqueness) must hold.
 
 use hbbmc::{
-    enumerate_collect, naive_maximal_cliques, par_count_maximal_cliques, par_enumerate_collect,
-    par_enumerate_ordered, verify_cliques, CliqueLineFormat, RootScheduler, SolverConfig,
-    WriterReporter,
+    enumerate_collect, naive_maximal_cliques, par_count_maximal_cliques, par_enumerate_ordered,
+    verify_cliques, CliqueLineFormat, CollectReporter, SolverConfig, WriterReporter,
 };
 use mce_gen::{
     barabasi_albert, erdos_renyi, erdos_renyi_gnp, moon_moser, planted_communities, planted_hub,
@@ -73,8 +72,9 @@ proptest! {
     #[test]
     fn parallel_enumeration_matches_sequential(g in arb_graph(), threads in 1usize..5) {
         let (seq, _) = enumerate_collect(&g, &SolverConfig::hbbmc_pp());
-        let (par, _) = par_enumerate_collect(&g, &SolverConfig::hbbmc_pp(), threads);
-        prop_assert_eq!(seq, par);
+        let mut par = CollectReporter::new();
+        par_enumerate_ordered(&g, &SolverConfig::hbbmc_pp(), threads, &mut par).unwrap();
+        prop_assert_eq!(seq, par.into_sorted());
     }
 
     #[test]
@@ -137,22 +137,13 @@ proptest! {
 
     #[test]
     fn thread_counts_are_deterministic(n in 10usize..50, density in 1usize..6, seed in 0u64..500) {
-        // The same clique count must come out of 1/2/4/8 workers, under the
-        // dynamic (work-stealing), static and subtree-splitting schedulers.
+        // The same clique count must come out of 1/2/4/8 workers.
         let g = erdos_renyi(n, n * density, seed);
         let expected = naive_maximal_cliques(&g).len() as u64;
-        for scheduler in [
-            RootScheduler::Dynamic,
-            RootScheduler::Static,
-            RootScheduler::Splitting,
-        ] {
-            let mut cfg = SolverConfig::hbbmc_pp();
-            cfg.scheduler = scheduler;
-            for threads in [1usize, 2, 4, 8] {
-                let (count, stats) = par_count_maximal_cliques(&g, &cfg, threads);
-                prop_assert_eq!(count, expected, "{:?} x{}", scheduler, threads);
-                prop_assert_eq!(stats.maximal_cliques, expected);
-            }
+        for threads in [1usize, 2, 4, 8] {
+            let (count, stats) = par_count_maximal_cliques(&g, &SolverConfig::hbbmc_pp(), threads);
+            prop_assert_eq!(count, expected, "x{}", threads);
+            prop_assert_eq!(stats.maximal_cliques, expected);
         }
     }
 
@@ -165,10 +156,8 @@ proptest! {
         // The ordered stream must be byte-identical to the sequential one at
         // any thread count, even when sub-branches are donated mid-recursion.
         let g = barabasi_albert(n, k, seed);
-        for preset in [SolverConfig::hbbmc_pp(), SolverConfig::r_degen()] {
-            let baseline = ordered_text(&g, &preset, 1);
-            let mut cfg = preset;
-            cfg.scheduler = RootScheduler::Splitting;
+        for cfg in [SolverConfig::hbbmc_pp(), SolverConfig::r_degen()] {
+            let baseline = ordered_text(&g, &cfg, 1);
             for threads in [1usize, 2, 4, 8] {
                 prop_assert_eq!(
                     ordered_text(&g, &cfg, threads),
@@ -185,14 +174,12 @@ proptest! {
         part_size in 2usize..5,
     ) {
         // Planted-hub graphs put the whole recursion tree under one root —
-        // the maximum-skew case where the splitting scheduler does the most
-        // donation work and must still resequence exactly.
+        // the maximum-skew case where the engine does the most donation work
+        // and must still resequence exactly.
         let g = planted_hub(1 + parts * part_size, part_size);
         let expected = planted_hub_clique_count(g.n(), part_size);
-        for preset in [SolverConfig::bk_pivot(), SolverConfig::hbbmc_plus()] {
-            let baseline = ordered_text(&g, &preset, 1);
-            let mut cfg = preset;
-            cfg.scheduler = RootScheduler::Splitting;
+        for cfg in [SolverConfig::bk_pivot(), SolverConfig::hbbmc_plus()] {
+            let baseline = ordered_text(&g, &cfg, 1);
             for threads in [1usize, 2, 4, 8] {
                 prop_assert_eq!(
                     ordered_text(&g, &cfg, threads),

@@ -1,11 +1,11 @@
 //! Property tests for the unified query engine: anchored queries against the
 //! naive enumerate-then-filter reference, and the budget layer's byte-prefix
-//! contract under every scheduler.
+//! contract at every thread count, with edge- and vertex-oriented roots.
 
 use hbbmc::{
     naive_maximal_cliques, run_query, Budget, CancelToken, CliqueLineFormat, CollectReporter,
-    CountReporter, Outcome, Query, QuerySpec, QueryValue, RootScheduler, SolverConfig,
-    TopKReporter, WriterReporter,
+    CountReporter, Outcome, Query, QuerySpec, QueryValue, SolverConfig, TopKReporter,
+    WriterReporter,
 };
 use mce_gen::{
     barabasi_albert, erdos_renyi, erdos_renyi_gnp, moon_moser, planted_communities, turan_graph,
@@ -46,12 +46,10 @@ fn query_text(g: &Graph, query: Query) -> (Vec<u8>, Outcome) {
     (reporter.finish().expect("in-memory sink"), result.outcome)
 }
 
-fn schedulers() -> [RootScheduler; 3] {
-    [
-        RootScheduler::Dynamic,
-        RootScheduler::Static,
-        RootScheduler::Splitting,
-    ]
+/// The default edge-rooted preset and a vertex-rooted one, whose larger
+/// roots give the parallel engine sub-branches to donate.
+fn presets() -> [SolverConfig; 2] {
+    [SolverConfig::hbbmc_pp(), SolverConfig::r_degen()]
 }
 
 proptest! {
@@ -104,7 +102,7 @@ proptest! {
     }
 
     /// (b) A clique-limit truncation is the exact N-clique byte-prefix of the
-    /// unbudgeted ordered stream under all three schedulers at 1/2/4 threads.
+    /// unbudgeted ordered stream at 1/2/4 threads, for edge and vertex roots.
     #[test]
     fn clique_limit_is_an_exact_prefix_under_all_schedulers(
         n in 8usize..28,
@@ -113,22 +111,20 @@ proptest! {
         limit in 1u64..12,
     ) {
         let g = erdos_renyi_gnp(n, p, seed);
-        let (full, _) = query_text(&g, Query::new(QuerySpec::Enumerate));
-        let total = full.iter().filter(|&&b| b == b'\n').count() as u64;
-        let expected_lines = limit.min(total) as usize;
-        let prefix_end = if expected_lines == 0 {
-            0
-        } else {
-            full.iter()
-                .enumerate()
-                .filter(|(_, &b)| b == b'\n')
-                .nth(expected_lines - 1)
-                .map(|(i, _)| i + 1)
-                .unwrap()
-        };
-        for scheduler in schedulers() {
-            let mut cfg = SolverConfig::hbbmc_pp();
-            cfg.scheduler = scheduler;
+        for cfg in presets() {
+            let (full, _) = query_text(&g, Query::new(QuerySpec::Enumerate).with_config(cfg));
+            let total = full.iter().filter(|&&b| b == b'\n').count() as u64;
+            let expected_lines = limit.min(total) as usize;
+            let prefix_end = if expected_lines == 0 {
+                0
+            } else {
+                full.iter()
+                    .enumerate()
+                    .filter(|(_, &b)| b == b'\n')
+                    .nth(expected_lines - 1)
+                    .map(|(i, _)| i + 1)
+                    .unwrap()
+            };
             for threads in [1usize, 2, 4] {
                 let (bytes, outcome) = query_text(
                     &g,
@@ -141,7 +137,7 @@ proptest! {
                     &bytes[..],
                     &full[..prefix_end],
                     "{:?} x{}: limit {} of {} cliques",
-                    scheduler, threads, limit, total
+                    cfg.initial, threads, limit, total
                 );
                 prop_assert_eq!(outcome.is_truncated(), limit < total);
             }
@@ -149,7 +145,7 @@ proptest! {
     }
 
     /// (b) A step-limit or cancellation truncation still yields an exact
-    /// byte-prefix (of a priori unknown length) under every scheduler.
+    /// byte-prefix (of a priori unknown length) at every thread count.
     #[test]
     fn step_limit_truncation_is_a_byte_prefix_under_all_schedulers(
         n in 8usize..26,
@@ -158,10 +154,8 @@ proptest! {
         max_steps in 0u64..40,
     ) {
         let g = erdos_renyi_gnp(n, p, seed);
-        let (full, _) = query_text(&g, Query::new(QuerySpec::Enumerate));
-        for scheduler in schedulers() {
-            let mut cfg = SolverConfig::hbbmc_pp();
-            cfg.scheduler = scheduler;
+        for cfg in presets() {
+            let (full, _) = query_text(&g, Query::new(QuerySpec::Enumerate).with_config(cfg));
             for threads in [1usize, 2, 4] {
                 let (bytes, outcome) = query_text(
                     &g,
@@ -173,7 +167,7 @@ proptest! {
                 prop_assert!(
                     bytes.len() <= full.len() && full[..bytes.len()] == bytes[..],
                     "{:?} x{}: steps={} output must be a prefix",
-                    scheduler, threads, max_steps
+                    cfg.initial, threads, max_steps
                 );
                 if outcome == Outcome::Complete {
                     prop_assert_eq!(&bytes, &full);
@@ -311,10 +305,8 @@ fn bounded_top_k_makes_strictly_fewer_calls_on_dense_graphs() {
 #[test]
 fn pre_cancelled_sessions_truncate_under_every_scheduler() {
     let g = erdos_renyi_gnp(20, 0.4, 7);
-    let (full, _) = query_text(&g, Query::new(QuerySpec::Enumerate));
-    for scheduler in schedulers() {
-        let mut cfg = SolverConfig::hbbmc_pp();
-        cfg.scheduler = scheduler;
+    for cfg in presets() {
+        let (full, _) = query_text(&g, Query::new(QuerySpec::Enumerate).with_config(cfg));
         let token = CancelToken::new();
         token.cancel();
         let (bytes, outcome) = query_text(
@@ -324,7 +316,7 @@ fn pre_cancelled_sessions_truncate_under_every_scheduler() {
                 .with_threads(4)
                 .with_budget(Budget::unlimited().with_cancel(token)),
         );
-        assert!(outcome.is_truncated(), "{scheduler:?}");
-        assert_eq!(&full[..bytes.len()], &bytes[..], "{scheduler:?}");
+        assert!(outcome.is_truncated(), "{:?}", cfg.initial);
+        assert_eq!(&full[..bytes.len()], &bytes[..], "{:?}", cfg.initial);
     }
 }

@@ -1,8 +1,8 @@
 //! Planted-hub graphs: the worst case for root-level parallel scheduling.
 //!
 //! Real clique workloads are skewed — a few hub vertices sit in a huge share
-//! of the maximal cliques — and schedulers that only distribute whole *root
-//! branches* are bounded below by the largest root subtree. This generator
+//! of the maximal cliques — and a parallel run that only distributes whole
+//! *root branches* is bounded below by the largest root subtree. This generator
 //! produces the extreme point of that regime on purpose: a **hub** vertex
 //! adjacent to every other vertex, over a complete multipartite "community
 //! core" `K_{s,s,…}` (each maximal clique picks one vertex per part, so a
@@ -13,15 +13,15 @@
 //!
 //! * Under natural-order vertex branching (`BK_Pivot`), the hub is vertex 0,
 //!   so its root branch owns the **entire** recursion tree and every other
-//!   root is empty — a pulling scheduler degenerates to sequential execution
-//!   regardless of thread count, while the splitting scheduler spreads the
-//!   hub subtree over all workers.
+//!   root is empty — handing out whole roots degenerates to sequential
+//!   execution regardless of thread count, while mid-branch work donation
+//!   spreads the hub subtree over all workers.
 //! * Parts of size ≥ 4 keep the core's complement degree ≥ 3, so the paper's
 //!   early termination (`t ≤ 3`) cannot collapse the subtree and the full
 //!   branching recursion is exercised.
 //!
-//! The `mce-bench` scheduler benchmark and the splitting-scheduler property
-//! tests are the intended consumers.
+//! The parallel engine's donation tests and property tests are the intended
+//! consumers.
 
 use mce_graph::Graph;
 

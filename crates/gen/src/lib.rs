@@ -16,7 +16,7 @@
 //! * [`planted`] — overlapping planted communities, a clique-rich model that
 //!   mimics the social-network datasets of Table I at laptop scale,
 //! * [`hub`] — planted-hub graphs whose entire recursion tree hangs off one
-//!   root branch, the stress case for the parallel schedulers.
+//!   root branch, the stress case for the parallel engine.
 //!
 //! All generators are deterministic given a seed (`rand::rngs::StdRng`).
 

@@ -156,7 +156,7 @@ pub const GEN_PRESETS: &[GenPreset] = &[
     },
     GenPreset {
         name: "planted-hub",
-        description: "hub vertex over a K_{4,4,…} core: every maximal clique contains the hub (scheduler stress case)",
+        description: "hub vertex over a K_{4,4,…} core: every maximal clique contains the hub (parallel-engine stress case)",
         build: build_planted_hub,
     },
     GenPreset {
