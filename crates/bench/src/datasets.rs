@@ -64,8 +64,8 @@ impl Dataset {
     }
 
     /// Instantiates a scaled-down version of the surrogate (`scale ≤ 1`
-    /// shrinks the vertex count); used by the Criterion benches to keep
-    /// per-iteration times manageable.
+    /// shrinks the vertex count); `experiments --quick` uses it to keep
+    /// smoke runs short.
     pub fn build_scaled(&self, scale: f64) -> Graph {
         build_scaled(self, scale)
     }
@@ -252,15 +252,6 @@ pub fn dataset_by_name(short: &str) -> Option<Dataset> {
         .find(|d| d.short.eq_ignore_ascii_case(short))
 }
 
-/// A small subset of datasets used by the Criterion benches (kept small so a
-/// full `cargo bench` pass stays in the minutes range).
-pub fn bench_datasets() -> Vec<Dataset> {
-    ["NA", "FB", "DB", "WE"]
-        .iter()
-        .filter_map(|s| dataset_by_name(s))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,13 +290,6 @@ mod tests {
         let a = d.build_scaled(0.1);
         let b = d.build_scaled(0.1);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn bench_subset_is_nonempty_and_small() {
-        let b = bench_datasets();
-        assert!(!b.is_empty());
-        assert!(b.len() <= 6);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! which the `experiments` binary prints.
 
 use hbbmc::SolverConfig;
-use mce_gen::{barabasi_albert, erdos_renyi};
+use mce_gen::{barabasi_albert, erdos_renyi, gen_preset_by_name};
 use mce_graph::{Graph, GraphStats};
 
 use crate::algorithms::{ablation_algorithms, baseline_algorithms, ordering_algorithms};
@@ -23,6 +23,8 @@ pub struct ExperimentScale {
     pub fig5_densities: &'static [usize],
     /// Vertex count for the density sweep.
     pub fig5_density_n: usize,
+    /// Vertex counts for the `er-scale` memory-wall table.
+    pub memwall_vertex_counts: &'static [usize],
 }
 
 impl ExperimentScale {
@@ -33,6 +35,7 @@ impl ExperimentScale {
             fig5_vertex_counts: &[1_000, 2_000, 4_000, 8_000, 16_000],
             fig5_densities: &[5, 10, 20, 30, 40],
             fig5_density_n: 4_000,
+            memwall_vertex_counts: &[100_000, 1_000_000],
         }
     }
 
@@ -43,6 +46,7 @@ impl ExperimentScale {
             fig5_vertex_counts: &[500, 1_000, 2_000],
             fig5_densities: &[5, 10, 20],
             fig5_density_n: 1_000,
+            memwall_vertex_counts: &[5_000],
         }
     }
 
@@ -320,6 +324,67 @@ pub fn fig5_density(model: SyntheticModel, scale: &ExperimentScale) -> Table {
     table
 }
 
+/// Bytes of the graph's live CSR arrays (offsets plus adjacency).
+fn csr_bytes(g: &Graph) -> u64 {
+    (std::mem::size_of_val(g.csr_offsets()) + std::mem::size_of_val(g.csr_adjacency())) as u64
+}
+
+/// Bytes a dense `n × n` adjacency bitmap with 64-bit words would need.
+fn dense_bytes(n: usize) -> u64 {
+    (n as u64) * (n as u64).div_ceil(64) * 8
+}
+
+/// The process's peak resident set (`VmHWM`) in bytes, where
+/// `/proc/self/status` exists.
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
+const MIB: f64 = 1024.0 * 1024.0;
+
+/// Memory wall (not a paper table): `er-scale` graphs (`m = 10n`) held in
+/// the CSR global layer, against the analytic size of the dense bitmap the
+/// layer replaces, with an `HBBMC++` run and the process's peak RSS.
+pub fn memwall(scale: &ExperimentScale) -> Table {
+    let preset = gen_preset_by_name("er-scale").expect("er-scale is a registered preset");
+    let mut table = Table::new(
+        "Memory wall — er-scale (m = 10n) in the CSR global layer",
+        &[
+            "n",
+            "m",
+            "CSR MiB",
+            "dense MiB",
+            "dense/CSR",
+            "HBBMC++ s",
+            "#cliques",
+            "VmHWM MiB",
+        ],
+    );
+    table.set_note(
+        "VmHWM is the peak resident set of the whole process so far: the generator, \
+         the graph, the solver and every earlier row or experiment of the run.",
+    );
+    for &n in scale.memwall_vertex_counts {
+        let g = preset.build(n, 7);
+        let (csr, dense) = (csr_bytes(&g), dense_bytes(g.n()));
+        let m = measure(&g, &SolverConfig::hbbmc_pp());
+        table.add_row(vec![
+            g.n().to_string(),
+            g.m().to_string(),
+            format!("{:.1}", csr as f64 / MIB),
+            format!("{:.0}", dense as f64 / MIB),
+            format!("{:.0}×", dense as f64 / csr as f64),
+            format!("{:.3}", m.seconds),
+            m.cliques.to_string(),
+            peak_rss_bytes().map_or_else(|| "n/a".into(), |b| format!("{:.0}", b as f64 / MIB)),
+        ]);
+    }
+    table
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,6 +395,7 @@ mod tests {
             fig5_vertex_counts: &[400, 800],
             fig5_densities: &[5, 10],
             fig5_density_n: 500,
+            memwall_vertex_counts: &[1_000],
         }
     }
 
@@ -359,5 +425,30 @@ mod tests {
         let s = tiny_scale();
         assert_eq!(fig5_scalability(SyntheticModel::ErdosRenyi, &s).len(), 2);
         assert_eq!(fig5_density(SyntheticModel::BarabasiAlbert, &s).len(), 2);
+    }
+
+    #[test]
+    fn byte_accounting_matches_formulas() {
+        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
+        // 5 offsets × 8 bytes + 6 directed entries × 4 bytes.
+        assert_eq!(csr_bytes(&g), 5 * 8 + 6 * 4);
+        assert_eq!(dense_bytes(64), 64 * 8);
+        assert_eq!(dense_bytes(65), 65 * 2 * 8);
+        assert_eq!(dense_bytes(0), 0);
+    }
+
+    #[test]
+    fn memwall_has_one_row_per_size_with_csr_below_dense() {
+        let t = memwall(&tiny_scale());
+        assert_eq!(t.len(), 1);
+        let text = t.render();
+        assert!(text.contains("VmHWM MiB"));
+        assert!(text.contains("whole process"));
+        let g = gen_preset_by_name("er-scale").unwrap().build(1_000, 7);
+        assert_eq!(g.m(), 10 * g.n());
+        assert!(
+            csr_bytes(&g) < dense_bytes(g.n()),
+            "CSR must beat dense at m=10n"
+        );
     }
 }

@@ -11,6 +11,7 @@
 //! | Early-termination level | Table V | [`experiments::table5`] |
 //! | Truss-based edge ordering | Table VI | [`experiments::table6`] |
 //! | Synthetic scalability / density | Fig. 5(a)–(d) | [`experiments::fig5_scalability`], [`experiments::fig5_density`] |
+//! | CSR memory wall (not a paper table) | — | [`experiments::memwall`] |
 //!
 //! The paper's 16 real-world graphs (networkrepository.com, up to 106M edges)
 //! are not redistributable and far exceed laptop scale, so each is replaced by
@@ -19,29 +20,21 @@
 //! the degeneracy δ and the truss parameter τ, and a clique-rich community
 //! structure. `EXPERIMENTS.md` at the workspace root records paper-vs-measured
 //! results for every experiment.
+//!
+//! Wall-clock timing of the commands users run (`mce enumerate`, `mce serve`)
+//! and the per-layer breakdown live in the end-to-end benchmark under
+//! `perfbench/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algorithms;
-pub mod csr;
 pub mod datasets;
 pub mod experiments;
-pub mod hotpath;
-pub mod json;
-pub mod maxclique;
-pub mod query;
 pub mod runner;
-pub mod serve;
 pub mod table;
 
 pub use algorithms::{algorithm, baseline_algorithms, Algorithm};
-pub use csr::{run_csr_bench, CsrBenchOptions, CsrRecord};
 pub use datasets::{all_datasets, dataset_by_name, Dataset, DatasetSpec};
-pub use hotpath::{run_hotpath, HotpathOptions, HotpathRecord};
-pub use json::JsonValue;
-pub use maxclique::{run_maxclique_bench, MaxCliqueBenchOptions, MaxCliqueRecord};
-pub use query::{run_query_bench, QueryBenchOptions, QueryRecord};
 pub use runner::{measure, Measurement};
-pub use serve::{run_serve_bench, ServeBenchOptions, ServeRecord};
 pub use table::Table;

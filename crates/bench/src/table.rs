@@ -1,11 +1,13 @@
 //! Minimal fixed-width table formatter for the `experiments` binary output.
 
-/// A simple text table with a header row and aligned columns.
+/// A simple text table with a header row, aligned columns and an optional
+/// note printed under the rows.
 #[derive(Clone, Debug, Default)]
 pub struct Table {
     title: String,
     header: Vec<String>,
     rows: Vec<Vec<String>>,
+    note: String,
 }
 
 impl Table {
@@ -15,7 +17,13 @@ impl Table {
             title: title.to_string(),
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            note: String::new(),
         }
+    }
+
+    /// Sets the note printed under the rows.
+    pub fn set_note(&mut self, note: &str) {
+        self.note = note.to_string();
     }
 
     /// Appends a data row (must have the same arity as the header).
@@ -62,6 +70,10 @@ impl Table {
         out.push('\n');
         for row in &self.rows {
             out.push_str(&fmt_row(row, &widths));
+        }
+        if !self.note.is_empty() {
+            out.push_str(&self.note);
+            out.push('\n');
         }
         out
     }

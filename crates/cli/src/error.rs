@@ -77,7 +77,7 @@ mod tests {
 
     #[test]
     fn conversions_preserve_messages() {
-        let e: CliError = GraphError::TooManyVertices(7).into();
+        let e: CliError = GraphError::TooManyVertices { n: 7, limit: 5 }.into();
         assert!(e.to_string().contains('7'));
         assert_eq!(e.exit_code(), 1);
         let io = std::io::Error::new(std::io::ErrorKind::NotFound, "gone");

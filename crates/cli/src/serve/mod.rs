@@ -18,8 +18,7 @@
 //! - [`metrics`]: server-wide aggregate counters;
 //! - [`server`]: listener, connection threads, admission control, graceful
 //!   shutdown;
-//! - [`testkit`]: in-process harness for the integration tests and
-//!   `bench_serve`.
+//! - [`testkit`]: in-process harness for the integration tests.
 
 pub mod json;
 pub mod metrics;

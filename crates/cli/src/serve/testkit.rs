@@ -2,9 +2,8 @@
 //! ephemeral loopback port and talk to it over real sockets.
 //!
 //! Used by the integration tests (`serve_golden`, `serve_property`,
-//! `serve_fuzz`, `serve_chaos`) and the `bench_serve` benchmark, so the
-//! exercised path is byte-for-byte the production one — only the port and
-//! the process boundary differ.
+//! `serve_fuzz`, `serve_chaos`), so the exercised path is byte-for-byte the
+//! production one — only the port and the process boundary differ.
 //!
 //! # Fault injection
 //!

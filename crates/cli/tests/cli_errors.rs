@@ -97,6 +97,43 @@ fn malformed_graph_is_runtime() {
 }
 
 #[test]
+fn oversized_dimacs_header_is_a_typed_error() {
+    let dir = std::env::temp_dir().join("mce_cli_errors_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    // 26 bytes that once made `mce` abort while allocating for 3e9 vertices.
+    for n in ["3000000000", "5000000000"] {
+        let path = dir.join(format!("huge-{n}.col"));
+        std::fs::write(&path, format!("p edge {n} 1\ne 1 2\n")).unwrap();
+        let args = ["enumerate", path.to_str().unwrap(), "--format", "dimacs"];
+        assert_clean_failure(&args, 1);
+        let stderr = String::from_utf8_lossy(&mce(&args).stderr).into_owned();
+        assert!(stderr.contains(n), "message must name n: {stderr}");
+        assert!(
+            stderr.contains("33554432"),
+            "message must name the cap: {stderr}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        std::fs::remove_file(&path).ok();
+    }
+    // Below the cap a header may still declare isolated vertices.
+    let path = dir.join("isolated-1m.col");
+    std::fs::write(&path, "p edge 1000000 0\n").unwrap();
+    let out = mce(&[
+        "enumerate",
+        path.to_str().unwrap(),
+        "--format",
+        "dimacs",
+        "--output",
+        "count",
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("cliques 1000000\n"), "{stdout}");
+    assert!(stdout.contains("max_size 1\n"), "{stdout}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn out_of_range_thread_count_is_usage() {
     assert_clean_failure(&["enumerate", "--threads", "0", "/dev/null"], 2);
     assert_clean_failure(&["enumerate", "--threads", "1025", "/dev/null"], 2);

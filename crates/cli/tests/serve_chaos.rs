@@ -10,10 +10,13 @@
 
 use std::time::Duration;
 
+use mce_cli::serve::json::{self, Value};
 use mce_cli::serve::testkit::{
     load_request, with_scheduler, FaultSchedule, TestClient, TestServer,
 };
 use mce_cli::serve::ServeConfig;
+use mce_gen::{planted_communities, PlantedConfig};
+use mce_graph::io::write_edge_list;
 
 /// K_{3,3,...} with `classes` fully interconnected 3-vertex classes:
 /// 3^classes maximal cliques, guaranteed branching work on every worker.
@@ -279,6 +282,111 @@ fn idle_connection_is_reaped_and_the_server_keeps_serving() {
         "{}",
         metrics[0]
     );
+}
+
+/// Fleet accounting: three clients each queue four queries against a
+/// four-session admission gate, alternating complete and clique-limited
+/// streams. Every queued session is admitted and finishes, so the `metrics`
+/// counters add up exactly.
+#[test]
+fn queued_fleet_sessions_are_all_accounted_for() {
+    let g = planted_communities(&PlantedConfig {
+        n: 60,
+        communities: 5,
+        min_size: 4,
+        max_size: 9,
+        intra_probability: 1.0,
+        background_edges: 120,
+        seed: 5,
+    });
+    let mut text = Vec::new();
+    write_edge_list(&g, &mut text).expect("in-memory write");
+    let text = String::from_utf8(text).expect("edge lists are ASCII");
+    let server = TestServer::start(ServeConfig {
+        max_sessions: 4,
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    let mut admin = server.connect().expect("connect admin");
+    let loaded = admin.roundtrip(&load_request("g", &text)).expect("load");
+    assert!(loaded[0].starts_with(r#"{"type":"loaded""#), "{loaded:?}");
+
+    let addr = server.addr();
+    let fleet: Vec<_> = (0..3)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut client = TestClient::connect(addr).expect("connect client");
+                for slot in 0..4 {
+                    let request = if slot % 2 == 0 {
+                        r#"{"op":"query","graph":"g","queue":true}"#
+                    } else {
+                        r#"{"op":"query","graph":"g","queue":true,"limit":5}"#
+                    };
+                    let frames = client.roundtrip(request).expect("query");
+                    let (_, end) = split(&frames);
+                    assert!(end.starts_with(r#"{"type":"end""#), "{end}");
+                }
+            })
+        })
+        .collect();
+    for client in fleet {
+        client.join().expect("fleet client panicked");
+    }
+
+    let metrics = admin.roundtrip(r#"{"op":"metrics"}"#).expect("metrics");
+    let value = json::parse(&metrics[0]).expect("metrics frame parses");
+    let counter = |key: &str| {
+        value
+            .get(key)
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("no '{key}' in {}", metrics[0]))
+    };
+    assert_eq!(counter("sessions_started"), 12, "{}", metrics[0]);
+    assert_eq!(
+        counter("sessions_completed") + counter("sessions_truncated"),
+        12,
+        "{}",
+        metrics[0]
+    );
+    assert!(counter("sessions_truncated") >= 1, "{}", metrics[0]);
+    assert_eq!(counter("sessions_rejected"), 0, "{}", metrics[0]);
+    let peak = counter("peak_sessions");
+    assert!((1..=4).contains(&peak), "peak_sessions {peak}");
+}
+
+/// A 26-byte DIMACS header declaring 3e9 vertices once aborted the daemon
+/// while it allocated for them. Now the load gets a typed `load-failed`
+/// answer naming the count, and the server keeps serving.
+#[test]
+fn oversized_dimacs_load_fails_and_the_server_keeps_serving() {
+    let server = TestServer::start(ServeConfig::default()).expect("start server");
+    let mut loader = server.connect().expect("connect loader");
+    for n in ["3000000000", "5000000000"] {
+        let request = load_request("x", &format!("p edge {n} 1\ne 1 2\n")).replacen(
+            r#"{"op":"load","#,
+            r#"{"op":"load","format":"dimacs","#,
+            1,
+        );
+        let frames = loader.roundtrip(&request).expect("load");
+        assert_eq!(frames.len(), 1, "{frames:?}");
+        assert!(
+            frames[0].contains(r#""code":"load-failed""#),
+            "{}",
+            frames[0]
+        );
+        assert!(frames[0].contains(n), "{}", frames[0]);
+    }
+
+    let mut client = server.connect().expect("connect client");
+    client
+        .roundtrip(&load_request("g", &moon_moser_text(3)))
+        .expect("load");
+    let frames = client
+        .roundtrip(r#"{"op":"query","graph":"g"}"#)
+        .expect("query");
+    let (cliques, end) = split(&frames);
+    assert_eq!(cliques.len(), 27);
+    assert!(end.contains(r#""outcome":"complete""#), "{end}");
 }
 
 /// Graceful degradation: past the high-water mark sessions are admitted

@@ -12,11 +12,13 @@ use mce_graph::{AdjMatrix, Graph};
 use proptest::prelude::*;
 
 /// The enumeration-derived reference: the canonical maximum clique the
-/// [`MaximumCliqueReporter`] extracts from the full deterministic stream.
-fn enumeration_winner(g: &Graph) -> Vec<u32> {
+/// [`MaximumCliqueReporter`] extracts from the full deterministic stream,
+/// with the recursive calls that stream took.
+fn enumeration_winner(g: &Graph) -> (Vec<u32>, u64) {
     let mut best = MaximumCliqueReporter::new();
-    run_query(g, Query::new(QuerySpec::Enumerate), &mut best).expect("valid enumeration");
-    best.best
+    let result =
+        run_query(g, Query::new(QuerySpec::Enumerate), &mut best).expect("valid enumeration");
+    (best.best, result.stats.recursive_calls)
 }
 
 /// Dense (adjacency-matrix) copy of `g` — the second [`GraphTopology`].
@@ -31,9 +33,10 @@ fn dense_copy(g: &Graph) -> AdjMatrix {
 }
 
 /// Asserts the B&B engine agrees with the enumeration reference on both
-/// topologies and through the query layer at 1/2/4 threads.
-fn assert_bb_matches_enumeration(g: &Graph, label: &str) {
-    let expected = enumeration_winner(g);
+/// topologies and through the query layer at 1/2/4 threads. Returns the
+/// recursive calls of the B&B search and of the enumeration.
+fn assert_bb_matches_enumeration(g: &Graph, label: &str) -> (u64, u64) {
+    let (expected, enumeration_calls) = enumeration_winner(g);
     let (via_csr, stats) = maximum_clique_bb(g);
     assert_eq!(via_csr, expected, "{label}: CSR B&B vs enumeration winner");
     assert_eq!(stats.max_clique_size, expected.len(), "{label}: size stat");
@@ -55,6 +58,7 @@ fn assert_bb_matches_enumeration(g: &Graph, label: &str) {
         );
         assert_ne!(result.terminating_bound(), TerminatingBound::Budget);
     }
+    (stats.recursive_calls, enumeration_calls)
 }
 
 proptest! {
@@ -67,6 +71,8 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let g = erdos_renyi_gnp(n, p, seed);
+        // No call bound here: on sparse G(n, p) the reductions can finish
+        // the enumeration with zero recursive calls, while B&B opens one.
         assert_bb_matches_enumeration(&g, "gnp");
     }
 
@@ -77,7 +83,13 @@ proptest! {
         seed in 0u64..500,
     ) {
         let g = barabasi_albert(n, k, seed);
-        assert_bb_matches_enumeration(&g, "ba");
+        let (bb, enumeration) = assert_bb_matches_enumeration(&g, "ba");
+        prop_assert!(
+            bb <= enumeration,
+            "ba: B&B made {} calls, enumeration {}",
+            bb,
+            enumeration
+        );
     }
 
     #[test]
@@ -95,7 +107,13 @@ proptest! {
             background_edges: n,
             seed,
         });
-        assert_bb_matches_enumeration(&g, "planted");
+        let (bb, enumeration) = assert_bb_matches_enumeration(&g, "planted");
+        prop_assert!(
+            bb <= enumeration,
+            "planted: B&B made {} calls, enumeration {}",
+            bb,
+            enumeration
+        );
     }
 
     #[test]
@@ -104,7 +122,13 @@ proptest! {
         part_size in 2usize..5,
     ) {
         let g = planted_hub(parts * part_size + 1, part_size);
-        assert_bb_matches_enumeration(&g, "planted-hub");
+        let (bb, enumeration) = assert_bb_matches_enumeration(&g, "planted-hub");
+        prop_assert!(
+            bb <= enumeration,
+            "planted-hub: B&B made {} calls, enumeration {}",
+            bb,
+            enumeration
+        );
     }
 
     /// A step-budgeted search never claims optimality it cannot prove: a
@@ -119,7 +143,7 @@ proptest! {
         max_steps in 0u64..60,
     ) {
         let g = erdos_renyi_gnp(n, p, seed);
-        let expected = enumeration_winner(&g);
+        let (expected, _) = enumeration_winner(&g);
         let mut sink = CountReporter::new();
         let result = run_query(
             &g,

@@ -23,8 +23,9 @@ fn naive_filter(g: &Graph, anchor: &[VertexId]) -> Vec<Vec<VertexId>> {
         .collect()
 }
 
-/// Runs an anchored query and returns the canonically sorted result.
-fn anchored(g: &Graph, anchor: &[VertexId], config: &SolverConfig) -> Vec<Vec<VertexId>> {
+/// Runs an anchored query and returns the canonically sorted result with
+/// the recursive calls it took.
+fn anchored(g: &Graph, anchor: &[VertexId], config: &SolverConfig) -> (Vec<Vec<VertexId>>, u64) {
     let mut collector = CollectReporter::new();
     let result = run_query(
         g,
@@ -36,7 +37,7 @@ fn anchored(g: &Graph, anchor: &[VertexId], config: &SolverConfig) -> Vec<Vec<Ve
     )
     .expect("valid anchored query");
     assert_eq!(result.outcome, Outcome::Complete);
-    collector.into_sorted()
+    (collector.into_sorted(), result.stats.recursive_calls)
 }
 
 /// Renders the full ordered stream of `g` under `query` to text bytes.
@@ -67,7 +68,7 @@ proptest! {
         let g = erdos_renyi_gnp(n, p, seed);
         let anchor: Vec<VertexId> = raw_anchor.into_iter().map(|v| v % n as u32).collect();
         let expected = naive_filter(&g, &anchor);
-        let got = anchored(&g, &anchor, &SolverConfig::hbbmc_pp());
+        let (got, _) = anchored(&g, &anchor, &SolverConfig::hbbmc_pp());
         prop_assert_eq!(got, expected, "anchor {:?} on G({}, {:.2})", anchor, n, p);
     }
 
@@ -96,8 +97,23 @@ proptest! {
             SolverConfig::r_degen(),
             SolverConfig::r_rcd(),
         ] {
-            let got = anchored(&g, &anchor, &config);
+            let (got, calls) = anchored(&g, &anchor, &config);
             prop_assert_eq!(&got, &expected, "anchor {:?} on planted n={}", anchor, n);
+            // The anchored branch makes no more recursive calls than
+            // enumerating the whole graph with the same preset.
+            let full = run_query(
+                &g,
+                Query::new(QuerySpec::Count).with_config(config),
+                &mut CountReporter::new(),
+            )
+            .expect("valid count query");
+            prop_assert!(
+                calls <= full.stats.recursive_calls,
+                "anchor {:?}: {} calls, full enumeration {}",
+                anchor,
+                calls,
+                full.stats.recursive_calls
+            );
         }
     }
 

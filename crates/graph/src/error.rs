@@ -21,8 +21,14 @@ pub enum GraphError {
     },
     /// An underlying I/O error.
     Io(std::io::Error),
-    /// The graph is too large for the 32-bit vertex id space.
-    TooManyVertices(usize),
+    /// A graph or header declares more vertices than a limit allows: the
+    /// 32-bit vertex id space, or a loader's cap on declared counts.
+    TooManyVertices {
+        /// The vertex count that was asked for.
+        n: u64,
+        /// The largest vertex count allowed.
+        limit: u64,
+    },
     /// A binary `.mcg` input did not start with the format magic.
     BadMagic,
     /// A binary `.mcg` input declares a format version this build cannot read.
@@ -58,8 +64,11 @@ impl fmt::Display for GraphError {
                 write!(f, "parse error on line {line}: {message}")
             }
             GraphError::Io(e) => write!(f, "i/o error: {e}"),
-            GraphError::TooManyVertices(n) => {
-                write!(f, "graph with {n} vertices exceeds the u32 vertex id space")
+            GraphError::TooManyVertices { n, limit } => {
+                write!(
+                    f,
+                    "graph with {n} vertices exceeds the limit of {limit} vertices"
+                )
             }
             GraphError::BadMagic => {
                 write!(f, "not an mcg file: bad magic bytes")
@@ -127,8 +136,12 @@ mod tests {
 
     #[test]
     fn too_many_vertices_display() {
-        let e = GraphError::TooManyVertices(5_000_000_000);
+        let e = GraphError::TooManyVertices {
+            n: 5_000_000_000,
+            limit: u32::MAX as u64,
+        };
         assert!(e.to_string().contains("5000000000"));
+        assert!(e.to_string().contains("4294967295"));
     }
 
     #[test]

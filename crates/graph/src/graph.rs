@@ -41,7 +41,10 @@ impl Graph {
         I: IntoIterator<Item = (VertexId, VertexId)>,
     {
         if n > u32::MAX as usize {
-            return Err(GraphError::TooManyVertices(n));
+            return Err(GraphError::TooManyVertices {
+                n: n as u64,
+                limit: u32::MAX as u64,
+            });
         }
         let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
         for (u, v) in edges {
@@ -106,7 +109,10 @@ impl Graph {
             });
         };
         if n > u32::MAX as usize {
-            return Err(GraphError::TooManyVertices(n));
+            return Err(GraphError::TooManyVertices {
+                n: n as u64,
+                limit: u32::MAX as u64,
+            });
         }
         if offsets[0] != 0 {
             return Err(GraphError::InvalidData {

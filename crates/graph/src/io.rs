@@ -15,7 +15,7 @@ use std::path::Path;
 
 use crate::builder::GraphBuilder;
 use crate::error::GraphError;
-use crate::graph::Graph;
+use crate::graph::{Graph, VertexId};
 use crate::mcg;
 
 /// The graph file formats understood by this module.
@@ -130,8 +130,20 @@ pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<Graph, GraphError>
     read_edge_list(File::open(path)?)
 }
 
+/// The largest vertex count a DIMACS `p edge n m` header may declare: 2^25.
+///
+/// A header may declare isolated vertices, so `n` is not bounded by the
+/// input's size. Building the graph allocates about 32 bytes per declared
+/// vertex, so this cap keeps that allocation near 1 GiB.
+pub const MAX_DIMACS_VERTICES: u64 = 1 << 25;
+
 /// Reads a DIMACS `.col` / `.clq` graph (`p edge n m` header, `e u v` edges,
 /// 1-based vertex ids).
+///
+/// # Errors
+/// [`GraphError::TooManyVertices`] if the header declares more than
+/// [`MAX_DIMACS_VERTICES`] vertices; [`GraphError::VertexOutOfRange`] for an
+/// edge endpoint above the declared count.
 pub fn read_dimacs<R: Read>(reader: R) -> Result<Graph, GraphError> {
     let buf = BufReader::new(reader);
     let mut n: Option<usize> = None;
@@ -146,8 +158,14 @@ pub fn read_dimacs<R: Read>(reader: R) -> Result<Graph, GraphError> {
         match it.next() {
             Some("p") => {
                 let _format = it.next();
-                let nv = parse_token(it.next(), lineno + 1)? as usize;
-                n = Some(nv);
+                let nv = parse_token(it.next(), lineno + 1)?;
+                if nv > MAX_DIMACS_VERTICES {
+                    return Err(GraphError::TooManyVertices {
+                        n: nv,
+                        limit: MAX_DIMACS_VERTICES,
+                    });
+                }
+                n = Some(nv as usize);
             }
             Some("e") => {
                 let u = parse_token(it.next(), lineno + 1)?;
@@ -173,17 +191,21 @@ pub fn read_dimacs<R: Read>(reader: R) -> Result<Graph, GraphError> {
         line: 0,
         message: "missing 'p edge n m' header".into(),
     })?;
-    let mut builder = GraphBuilder::with_num_vertices(n);
-    for (u, v) in edges {
-        if u as usize >= n || v as usize >= n {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: u.max(v),
-                n,
-            });
-        }
-        builder.add_edge(u, v);
+    // The ids are already dense after the `- 1`, so no relabelling is
+    // needed; check the range before narrowing to `VertexId`.
+    if let Some(vertex) = edges
+        .iter()
+        .map(|&(u, v)| u.max(v))
+        .find(|&w| w >= n as u64)
+    {
+        return Err(GraphError::VertexOutOfRange { vertex, n });
     }
-    builder.build()
+    Graph::from_edges(
+        n,
+        edges
+            .into_iter()
+            .map(|(u, v)| (u as VertexId, v as VertexId)),
+    )
 }
 
 /// Reads a DIMACS graph from a file path. See [`read_dimacs`].
@@ -313,6 +335,32 @@ mod tests {
     fn dimacs_rejects_out_of_range_vertex() {
         let err = read_dimacs("p edge 2 1\ne 1 5\n".as_bytes()).unwrap_err();
         assert!(matches!(err, GraphError::VertexOutOfRange { .. }));
+        // An id past the u32 range is rejected, not narrowed into range.
+        let err = read_dimacs("p edge 2 1\ne 1 4294967297\n".as_bytes()).unwrap_err();
+        assert!(matches!(
+            err,
+            GraphError::VertexOutOfRange {
+                vertex: 4294967296,
+                n: 2
+            }
+        ));
+    }
+
+    #[test]
+    fn dimacs_header_above_the_cap_is_rejected_before_allocating() {
+        for n in [MAX_DIMACS_VERTICES + 1, 3_000_000_000, 5_000_000_000] {
+            let text = format!("p edge {n} 1\ne 1 2\n");
+            let err = read_dimacs(text.as_bytes()).unwrap_err();
+            match &err {
+                GraphError::TooManyVertices { n: got, limit } => {
+                    assert_eq!((*got, *limit), (n, MAX_DIMACS_VERTICES));
+                }
+                other => panic!("expected TooManyVertices, got {other:?}"),
+            }
+            let message = err.to_string();
+            assert!(message.contains(&n.to_string()), "{message}");
+            assert!(message.contains("33554432"), "{message}");
+        }
     }
 
     #[test]

@@ -280,7 +280,10 @@ pub fn read_mcg<R: Read>(r: R) -> Result<Graph, GraphError> {
     let m = le_u64(&header[16..24]);
     let section_count = le_u32(&header[24..28]);
     if n > u32::MAX as u64 {
-        return Err(GraphError::TooManyVertices(n as usize));
+        return Err(GraphError::TooManyVertices {
+            n,
+            limit: u32::MAX as u64,
+        });
     }
     if section_count > MAX_SECTIONS {
         return Err(invalid(format!(

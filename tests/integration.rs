@@ -93,7 +93,7 @@ fn io_round_trip_preserves_clique_structure() {
 fn t_plex_generators_trigger_early_termination() {
     // Kept at a modest size: the *reference* enumerator (no pivoting) explores
     // ~2^n branches on near-complete graphs, so n must stay small here; the
-    // optimised frameworks handle much larger plexes (see the benches).
+    // optimised frameworks handle much larger plexes.
     for t in 1..=3usize {
         let g = random_t_plex(18, t, 9);
         assert!(PlexCheck::is_t_plex(&g, t));
