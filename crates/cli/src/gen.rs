@@ -18,7 +18,8 @@ Generates a synthetic graph from a named preset and writes it to stdout or
 always produces the same graph.
 
 options:
-  --n N                            target vertex count (default: 100)
+  --n N                            target vertex count (default: 100; at most
+                                   8192 for presets with ~n^2/2 edges, else 50000000)
   --seed S                         RNG seed (default: 42)
   --format edge-list|dimacs|mcg|auto  output format (default: by --out extension)
   --out FILE                       write to FILE instead of stdout
@@ -48,7 +49,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             names.join(", ")
         ))
     })?;
-    let n = p.usize_value("--n", 100, 1, 50_000_000)?;
+    let n = p.usize_value("--n", 100, 1, preset.max_n)?;
     let seed = p.u64_value("--seed", 42)?;
     let format = FormatArg::parse(p.value("--format"))?;
     let out_spec = p.value("--out");

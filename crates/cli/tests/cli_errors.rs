@@ -152,6 +152,39 @@ fn unknown_gen_preset_is_usage() {
 }
 
 #[test]
+fn gen_above_a_preset_cap_is_usage() {
+    // The presets with about n²/2 edges stop at 8192 vertices; above that
+    // the usage check fires before anything is allocated. Nothing is built
+    // at the cap itself.
+    for preset in [
+        "bipartite",
+        "complete",
+        "moon-moser",
+        "planted-hub",
+        "plex",
+        "turan",
+    ] {
+        let args = ["gen", preset, "--n", "8193"];
+        assert_clean_failure(&args, 2);
+        let stderr = String::from_utf8_lossy(&mce(&args).stderr).into_owned();
+        assert!(
+            stderr.contains("--n must be in 1..=8192 (got 8193)"),
+            "{preset}: {stderr}"
+        );
+    }
+    // Once an abort under a 2 GB address-space limit.
+    let args = ["gen", "complete", "--n", "200000"];
+    assert_clean_failure(&args, 2);
+    let stderr = String::from_utf8_lossy(&mce(&args).stderr).into_owned();
+    assert!(
+        stderr.contains("8192"),
+        "message must name the cap: {stderr}"
+    );
+    // The linear presets keep the 50,000,000 cap.
+    assert_clean_failure(&["gen", "planted", "--n", "50000001"], 2);
+}
+
+#[test]
 fn verify_requires_distinct_inputs() {
     assert_clean_failure(&["verify", "-"], 2);
     assert_clean_failure(&["verify"], 2);

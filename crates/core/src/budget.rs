@@ -38,6 +38,7 @@ use std::time::{Duration, Instant};
 use mce_graph::VertexId;
 
 use crate::report::CliqueReporter;
+use crate::stats::EnumerationStats;
 
 /// Cooperative cancellation handle for an enumeration session.
 ///
@@ -336,6 +337,19 @@ impl BudgetState {
             },
             _ => Outcome::Complete,
         }
+    }
+
+    /// The session's outcome, with the engine exit rule applied to `stats`:
+    /// a truncated outcome always reports `terminated_by_budget ≥ 1`. When
+    /// the budget tripped between branching frames (between root ranks, or
+    /// at the output gate after the last frame finished), no frame was
+    /// abandoned, so the run itself is charged.
+    pub(crate) fn finish(&self, stats: &mut EnumerationStats) -> Outcome {
+        let outcome = self.outcome();
+        if outcome.is_truncated() && stats.terminated_by_budget == 0 {
+            stats.terminated_by_budget = 1;
+        }
+        outcome
     }
 
     /// Latches the stop signal without a budget reason — used by the fault

@@ -68,8 +68,7 @@ pub use kclique::{
     count_k_cliques, for_each_k_clique, for_each_k_clique_budgeted, k_clique_census, list_k_cliques,
 };
 pub use maxclique::{
-    greedy_lower_bound, maximum_clique_bb, maximum_clique_bb_with_state, MaxCliqueState,
-    TerminatingBound,
+    maximum_clique_bb, maximum_clique_bb_with_state, MaxCliqueState, TerminatingBound,
 };
 pub use naive::{naive_count, naive_maximal_cliques, naive_maximal_cliques_budgeted};
 pub use parallel::{
@@ -81,9 +80,7 @@ pub use report::{
     CallbackReporter, CliqueLineFormat, CliqueReporter, CollectReporter, CountReporter,
     MaximumCliqueReporter, MinSizeFilter, SizeHistogramReporter, TopKReporter, WriterReporter,
 };
-pub use solver::{
-    count_maximal_cliques, enumerate, enumerate_collect, maximum_clique, EnumerationState, Solver,
-};
+pub use solver::{count_maximal_cliques, enumerate, enumerate_collect, EnumerationState, Solver};
 pub use stats::EnumerationStats;
 pub use verify::{
     is_maximal_clique, matches_reference, matches_reference_budgeted, verify_cliques,

@@ -25,7 +25,7 @@
 //! one instance whose matrix buffers are reused across all root branches, so
 //! steady-state root processing does not allocate.
 
-use mce_graph::{AdjMatrix, GraphTopology, VertexId};
+use mce_graph::{AdjMatrix, Graph, VertexId};
 
 /// Dense local view of a branch's vertex universe (`C ∪ X` of the root branch).
 #[derive(Clone, Debug, Default)]
@@ -93,15 +93,14 @@ impl LocalGraph {
     /// Builds the local graph over `vertices` (in the given order) using the
     /// plain graph adjacency for both relations.
     #[cfg_attr(not(test), allow(dead_code))]
-    pub fn from_vertices<G: GraphTopology>(g: &G, vertices: &[VertexId]) -> Self {
+    pub fn from_vertices(g: &Graph, vertices: &[VertexId]) -> Self {
         Self::from_vertices_filtered(g, vertices, |_, _| true)
     }
 
     /// Builds a fresh local graph over `vertices`; see
     /// [`LocalGraph::rebuild_filtered`] for the buffer-reusing variant.
-    pub fn from_vertices_filtered<G, F>(g: &G, vertices: &[VertexId], keep: F) -> Self
+    pub fn from_vertices_filtered<F>(g: &Graph, vertices: &[VertexId], keep: F) -> Self
     where
-        G: GraphTopology,
         F: Fn(VertexId, VertexId) -> bool,
     {
         let mut lg = Self::new();
@@ -119,15 +118,14 @@ impl LocalGraph {
     /// `u32::MAX` outside this call; it maps original ids to local ids so the
     /// rebuild walks adjacency lists (`O(Σ deg)`) instead of testing all
     /// `O(k²)` pairs with binary searches.
-    pub fn rebuild_filtered<G, F>(
+    pub fn rebuild_filtered<F>(
         &mut self,
-        g: &G,
+        g: &Graph,
         vertices: &[VertexId],
         keep: F,
         position: &mut [u32],
     ) -> &mut Self
     where
-        G: GraphTopology,
         F: Fn(VertexId, VertexId) -> bool,
     {
         debug_assert_eq!(position.len(), g.n());
@@ -143,7 +141,7 @@ impl LocalGraph {
             position[v as usize] = i as u32;
         }
         for (i, &v) in vertices.iter().enumerate() {
-            for u in g.neighbors_iter(v) {
+            for &u in g.neighbors(v) {
                 let j = position[u as usize];
                 if j == u32::MAX || (j as usize) <= i {
                     continue; // not local, or the (j, i) direction handles it
@@ -201,7 +199,6 @@ impl LocalGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mce_graph::Graph;
 
     fn diamond() -> Graph {
         // 0-1-2-3 cycle plus chord (0,2).

@@ -5,9 +5,9 @@
 //! exponentially more work than a bounded search needs, since every maximal
 //! clique of the graph was materialised. This module implements the classic
 //! bounded search instead, on the same allocation-free scratch-arena and
-//! local-graph machinery the enumeration uses and generic over
-//! [`GraphTopology`], so it runs unchanged on the dense and the CSR
-//! representation:
+//! local-graph machinery the enumeration uses. Like the enumeration, it
+//! reads the global [`Graph`] only to order the roots and build each root's
+//! dense local graph:
 //!
 //! 1. **Greedy lower bound** — one reverse-degeneracy-order pass builds an
 //!    initial clique; its size seeds the incumbent `lb`.
@@ -39,9 +39,10 @@
 //!
 //! Both phases charge one budget step per branch step, honoring
 //! [`Budget`](crate::Budget)/[`CancelToken`](crate::CancelToken) with the
-//! enumeration's semantics: a truncated run reports
-//! `terminated_by_budget ≥ 1`, returns the best clique found so far and
-//! never claims optimality (the outcome is `Truncated`). For a fixed step
+//! enumeration's semantics: a truncated run returns the best clique found
+//! so far and never claims optimality (the outcome is `Truncated`, and the
+//! query layer reports `terminated_by_budget ≥ 1` for it as for every
+//! truncated outcome). For a fixed step
 //! budget the truncation point — and therefore the returned clique — is
 //! deterministic. The search itself is sequential (like anchored and
 //! k-clique queries); the thread count of a query does not affect it.
@@ -55,7 +56,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use mce_graph::{degeneracy_ordering, BitSet, BitsRef, GraphTopology, VertexId};
+use mce_graph::{degeneracy_ordering, BitSet, BitsRef, Graph, VertexId};
 
 use crate::budget::{BudgetState, Outcome};
 use crate::local::LocalGraph;
@@ -235,7 +236,7 @@ impl std::fmt::Display for TerminatingBound {
 /// Returns the canonical maximum clique of `g` via branch and bound, with
 /// the run's statistics (branch counts and the `branches_pruned_by_*` /
 /// `lb_updates` pruning evidence).
-pub fn maximum_clique_bb<G: GraphTopology>(g: &G) -> (Vec<VertexId>, EnumerationStats) {
+pub fn maximum_clique_bb(g: &Graph) -> (Vec<VertexId>, EnumerationStats) {
     let mut state = MaxCliqueState::new();
     maximum_clique_bb_with_state(g, &mut state)
 }
@@ -243,36 +244,18 @@ pub fn maximum_clique_bb<G: GraphTopology>(g: &G) -> (Vec<VertexId>, Enumeration
 /// [`maximum_clique_bb`] with caller-owned reusable state: repeated searches
 /// reuse every buffer (the allocation-free steady state the counting-
 /// allocator gate checks).
-pub fn maximum_clique_bb_with_state<G: GraphTopology>(
-    g: &G,
+pub fn maximum_clique_bb_with_state(
+    g: &Graph,
     state: &mut MaxCliqueState,
 ) -> (Vec<VertexId>, EnumerationStats) {
     solve(g, state, None)
 }
 
-/// A cheap, valid lower bound on the maximum clique size of `g`: the size of
-/// the greedy clique grown along the reverse degeneracy order. Exposed so
-/// other query paths (the `k = 1` size floor of
-/// [`QuerySpec::TopKBySize`](crate::QuerySpec)) can reuse the bound
-/// machinery without running the full search.
-pub fn greedy_lower_bound<G: GraphTopology>(g: &G) -> usize {
-    if g.n() == 0 {
-        return 0;
-    }
-    let deg = degeneracy_ordering(g);
-    let mut clique = Vec::new();
-    greedy_clique(g, &deg.order, &mut clique);
-    clique.len()
-}
-
 /// Grows a greedy clique along the reverse of `order` into `clique`
-/// (original ids, ascending after the final sort). Deterministic and
-/// representation-independent, since the degeneracy ordering is.
-pub(crate) fn greedy_clique<G: GraphTopology>(
-    g: &G,
-    order: &[VertexId],
-    clique: &mut Vec<VertexId>,
-) {
+/// (original ids, ascending after the final sort): a cheap lower bound on the
+/// maximum clique size. Seeds the incumbent of the branch-and-bound search
+/// and the `k = 1` size floor of [`QuerySpec::TopKBySize`](crate::QuerySpec).
+pub(crate) fn greedy_clique(g: &Graph, order: &[VertexId], clique: &mut Vec<VertexId>) {
     clique.clear();
     for &v in order.iter().rev() {
         if clique.iter().all(|&u| g.has_edge(u, v)) {
@@ -284,8 +267,8 @@ pub(crate) fn greedy_clique<G: GraphTopology>(
 
 /// The budgeted entry point the query engine routes
 /// [`QuerySpec::MaximumClique`](crate::QuerySpec) through.
-pub(crate) fn solve<G: GraphTopology>(
-    g: &G,
+pub(crate) fn solve(
+    g: &Graph,
     state: &mut MaxCliqueState,
     budget: Option<&BudgetState>,
 ) -> (Vec<VertexId>, EnumerationStats) {
@@ -337,7 +320,7 @@ pub(crate) fn solve<G: GraphTopology>(
         }
         worker.candidates.clear();
         worker.excluded.clear();
-        for u in g.neighbors_iter(v) {
+        for &u in g.neighbors(v) {
             if deg.position[u as usize] > rank && deg.core[u as usize] + 1 > lb {
                 worker.candidates.push(u);
             }
@@ -380,7 +363,7 @@ pub(crate) fn solve<G: GraphTopology>(
             }
             worker.candidates.clear();
             worker.excluded.clear();
-            for u in g.neighbors_iter(v) {
+            for &u in g.neighbors(v) {
                 if u > v && deg.core[u as usize] + 1 >= target {
                     worker.candidates.push(u);
                 }
@@ -406,11 +389,6 @@ pub(crate) fn solve<G: GraphTopology>(
         }
     }
 
-    if let Some(b) = budget {
-        if b.outcome().is_truncated() && stats.terminated_by_budget == 0 {
-            stats.terminated_by_budget = 1;
-        }
-    }
     stats.max_clique_size = best.len();
     stats.elapsed = start.elapsed();
     stats.busy_time = stats.elapsed;
@@ -593,7 +571,6 @@ impl Bb<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mce_graph::{AdjMatrix, Graph};
 
     fn two_triangles_and_k4() -> Graph {
         // K4 on {4,5,6,7}, triangle on {0,1,2}, pendant 3.
@@ -625,18 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn csr_and_dense_agree_byte_for_byte() {
-        let g = two_triangles_and_k4();
-        let mut dense = AdjMatrix::new(g.n());
-        for v in g.vertices() {
-            for u in g.neighbors(v) {
-                dense.insert_sym(v as usize, *u as usize);
-            }
-        }
-        assert_eq!(maximum_clique_bb(&g).0, maximum_clique_bb(&dense).0);
-    }
-
-    #[test]
     fn tie_break_is_lexicographic() {
         // Two disjoint triangles; {1, 5, 8} sorts lexicographically before
         // {2, 3, 9} regardless of vertex degrees or stream order.
@@ -656,10 +621,13 @@ mod tests {
     }
 
     #[test]
-    fn greedy_lower_bound_is_a_valid_bound() {
+    fn greedy_clique_is_a_valid_bound() {
         let g = two_triangles_and_k4();
-        let lb = greedy_lower_bound(&g);
-        assert!((1..=4).contains(&lb));
+        let mut clique = Vec::new();
+        greedy_clique(&g, &degeneracy_ordering(&g).order, &mut clique);
+        assert!((1..=4).contains(&clique.len()));
+        assert!(g.is_clique(&clique));
+        assert!(clique.windows(2).all(|w| w[0] < w[1]), "sorted ascending");
     }
 
     #[test]

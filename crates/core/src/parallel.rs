@@ -53,7 +53,7 @@ use std::sync::Mutex;
 use std::thread;
 use std::time::Instant;
 
-use mce_graph::{GraphTopology, VertexId};
+use mce_graph::{Graph, VertexId};
 
 use crate::budget::{Budget, BudgetReporter, BudgetState, Outcome};
 use crate::config::{ConfigError, SolverConfig};
@@ -111,6 +111,15 @@ impl std::error::Error for EngineError {
 impl From<ConfigError> for EngineError {
     fn from(e: ConfigError) -> Self {
         EngineError::Config(e)
+    }
+}
+
+impl EngineError {
+    /// Converts a caught panic payload into [`EngineError::WorkerPanic`].
+    pub(crate) fn from_panic(payload: Box<dyn Any + Send>) -> Self {
+        EngineError::WorkerPanic {
+            detail: panic_detail(payload.as_ref()),
+        }
     }
 }
 
@@ -225,8 +234,8 @@ impl<R: CliqueReporter + ?Sized> CliqueReporter for CountingReporter<'_, R> {
 ///
 /// On an invalid configuration, and with the worker's payload when a worker
 /// panics.
-pub fn par_count_maximal_cliques<G: GraphTopology + Sync>(
-    g: &G,
+pub fn par_count_maximal_cliques(
+    g: &Graph,
     config: &SolverConfig,
     threads: usize,
 ) -> (u64, EnumerationStats) {
@@ -494,8 +503,8 @@ fn run_part(
 /// reaches `reporter`. Memory is bounded: once a fixed cap (currently 2¹⁶) of
 /// out-of-order cliques is parked, no new chunk starts until the stream head
 /// catches up.
-pub fn par_enumerate_ordered<G: GraphTopology + Sync, R: CliqueReporter + Send + ?Sized>(
-    g: &G,
+pub fn par_enumerate_ordered<R: CliqueReporter + Send + ?Sized>(
+    g: &Graph,
     config: &SolverConfig,
     threads: usize,
     reporter: &mut R,
@@ -535,11 +544,8 @@ fn repanic_worker_faults(
 /// optionally attaches live [`ProgressCounters`]. Returns the run statistics
 /// and the [`Outcome`] (`Complete`, or `Truncated` with the first bound that
 /// tripped).
-pub fn par_enumerate_ordered_budgeted<
-    G: GraphTopology + Sync,
-    R: CliqueReporter + Send + ?Sized,
->(
-    g: &G,
+pub fn par_enumerate_ordered_budgeted<R: CliqueReporter + Send + ?Sized>(
+    g: &Graph,
     config: &SolverConfig,
     threads: usize,
     budget: &Budget,
@@ -550,13 +556,7 @@ pub fn par_enumerate_ordered_budgeted<
     let mut stats = repanic_worker_faults(par_enumerate_ordered_with_state(
         g, config, threads, &state, progress, reporter,
     ))?;
-    let outcome = state.outcome();
-    if outcome.is_truncated() && stats.terminated_by_budget == 0 {
-        // The budget tripped between branching frames (between root ranks, or
-        // at the output gate after the last frame finished): charge the run
-        // itself so truncated outcomes always report >= 1 abandoned unit.
-        stats.terminated_by_budget = 1;
-    }
+    let outcome = state.finish(&mut stats);
     Ok((stats, outcome))
 }
 
@@ -564,18 +564,14 @@ pub fn par_enumerate_ordered_budgeted<
 /// [`BudgetState`] (the query layer owns the state so its cancel token can be
 /// handed out before the run starts). Applies the clique-cap gate here —
 /// after the deterministic sequencer — so callers pass their raw reporter.
-pub(crate) fn par_enumerate_ordered_with_state<G, R>(
-    g: &G,
+pub(crate) fn par_enumerate_ordered_with_state<R: CliqueReporter + Send + ?Sized>(
+    g: &Graph,
     config: &SolverConfig,
     threads: usize,
     state: &BudgetState,
     progress: Option<&ProgressCounters>,
     reporter: &mut R,
-) -> Result<EnumerationStats, EngineError>
-where
-    G: GraphTopology + Sync,
-    R: CliqueReporter + Send + ?Sized,
-{
+) -> Result<EnumerationStats, EngineError> {
     let mut gated = BudgetReporter::new(reporter, state);
     par_enumerate_ordered_driver(
         g,
@@ -625,19 +621,15 @@ impl<R: CliqueReporter + Send + ?Sized> DonationSink for OrderedSink<'_, '_, R> 
 /// reporter are caught, the surviving workers drain, the stream keeps the
 /// deterministic prefix emitted before the fault, and the driver returns
 /// [`EngineError::WorkerPanic`] carrying the first panic's payload.
-pub(crate) fn par_enumerate_ordered_driver<G, R>(
-    g: &G,
+pub(crate) fn par_enumerate_ordered_driver<R: CliqueReporter + Send + ?Sized>(
+    g: &Graph,
     config: &SolverConfig,
     threads: usize,
     pool_config: PoolConfig,
     progress: Option<&ProgressCounters>,
     budget: Option<&BudgetState>,
     mut reporter: &mut R,
-) -> Result<EnumerationStats, EngineError>
-where
-    G: GraphTopology + Sync,
-    R: CliqueReporter + Send + ?Sized,
-{
+) -> Result<EnumerationStats, EngineError> {
     let start = Instant::now();
     let threads = threads.max(1);
     let solver = Solver::new(g, *config)?;
@@ -667,9 +659,7 @@ where
                 &mut reporter,
             )
         }))
-        .map_err(|payload| EngineError::WorkerPanic {
-            detail: panic_detail(payload.as_ref()),
-        })?
+        .map_err(EngineError::from_panic)?
     };
     hook.cliques(merged.maximal_cliques);
 
@@ -700,11 +690,7 @@ where
                 }
             }
         }));
-        if let Err(payload) = run {
-            return Err(EngineError::WorkerPanic {
-                detail: panic_detail(payload.as_ref()),
-            });
-        }
+        run.map_err(EngineError::from_panic)?;
         merged.elapsed = start.elapsed();
         merged.busy_time = merged.elapsed;
         return Ok(merged);
@@ -757,8 +743,8 @@ where
 /// answered with an empty truncated part, and `complete()` runs for every
 /// claimed item even when its body panicked (`run_part` catches the panic) —
 /// a claimed-but-never-completed item would hang every sibling's `claim()`.
-fn run_worker<G: GraphTopology + Sync, R: CliqueReporter + Send + ?Sized>(
-    solver: &Solver<'_, G>,
+fn run_worker<R: CliqueReporter + Send + ?Sized>(
+    solver: &Solver<'_>,
     plan: &RootPlan,
     pool: &TaskPool,
     sequencer: &Mutex<Sequencer<'_, R>>,

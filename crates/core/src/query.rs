@@ -304,7 +304,7 @@ impl<'g> ExecSession<'g> {
         let ordered = |out: &mut (dyn CliqueReporter + Send)| {
             par_enumerate_ordered_with_state(g, &config, threads, state, None, out)
         };
-        let (stats, value) = match &self.query.spec {
+        let (mut stats, value) = match &self.query.spec {
             QuerySpec::Enumerate => (ordered(&mut BypassSend(reporter))?, QueryValue::Stream),
             QuerySpec::Anchored { .. } if self.anchor.is_empty() => {
                 (ordered(&mut BypassSend(reporter))?, QueryValue::Stream)
@@ -330,7 +330,7 @@ impl<'g> ExecSession<'g> {
                     let stats = catch_unwind(AssertUnwindSafe(|| {
                         solver.run_anchored(anchor, &mut worker, Some(state), &mut gated)
                     }))
-                    .map_err(engine_panic)?;
+                    .map_err(EngineError::from_panic)?;
                     (stats, QueryValue::Stream)
                 }
             }
@@ -356,7 +356,7 @@ impl<'g> ExecSession<'g> {
                     let mut gated = BudgetReporter::new(&mut top, state);
                     solver.run_topk(*k, &mut worker, Some(state), &mut gated)
                 }))
-                .map_err(engine_panic)?;
+                .map_err(EngineError::from_panic)?;
                 (stats, QueryValue::TopK(top.into_cliques()))
             }
             QuerySpec::MaximumClique => {
@@ -368,7 +368,7 @@ impl<'g> ExecSession<'g> {
                     let mut mc = crate::maxclique::MaxCliqueState::new();
                     crate::maxclique::solve(g, &mut mc, Some(state))
                 }))
-                .map_err(engine_panic)?;
+                .map_err(EngineError::from_panic)?;
                 (stats, QueryValue::Maximum(best))
             }
             QuerySpec::KClique { k } => {
@@ -378,7 +378,7 @@ impl<'g> ExecSession<'g> {
                         reporter.report(clique)
                     })
                 }))
-                .map_err(engine_panic)?;
+                .map_err(EngineError::from_panic)?;
                 let stats = EnumerationStats {
                     recursive_calls: state.steps_taken(),
                     terminated_by_budget: aborted,
@@ -389,15 +389,7 @@ impl<'g> ExecSession<'g> {
                 (stats, QueryValue::Stream)
             }
         };
-        let outcome = self.state.outcome();
-        let mut stats = stats;
-        if outcome.is_truncated() && stats.terminated_by_budget == 0 {
-            // The budget tripped between branching frames (between root
-            // ranks, or at the output gate after the last frame finished):
-            // no individual frame was abandoned, so charge the session
-            // itself. Truncated runs therefore always report >= 1.
-            stats.terminated_by_budget = 1;
-        }
+        let outcome = self.state.finish(&mut stats);
         Ok(QueryResult {
             outcome,
             stats,
@@ -405,18 +397,6 @@ impl<'g> ExecSession<'g> {
             budget_steps: self.state.steps_taken(),
         })
     }
-}
-
-/// Converts a caught panic payload into [`EngineError::WorkerPanic`].
-fn engine_panic(payload: Box<dyn std::any::Any + Send>) -> EngineError {
-    let detail = if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    };
-    EngineError::WorkerPanic { detail }
 }
 
 /// `&mut R` where `R: Send` is itself `Send`; this shim re-borrows the

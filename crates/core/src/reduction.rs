@@ -17,7 +17,7 @@
 //! branch they are adjacent to, which preserves maximality checking against
 //! the *original* graph.
 
-use mce_graph::{GraphTopology, VertexId};
+use mce_graph::{Graph, VertexId};
 
 /// Result of the graph-reduction preprocessing.
 #[derive(Clone, Debug, Default)]
@@ -44,14 +44,11 @@ impl Reduction {
 }
 
 /// Runs the reduction on `g`.
-pub(crate) fn reduce<G: GraphTopology>(g: &G) -> Reduction {
+pub(crate) fn reduce(g: &Graph) -> Reduction {
     let n = g.n();
-    let mut nv: Vec<VertexId> = Vec::new();
     let mut simplicial = vec![false; n];
     for v in 0..n as VertexId {
-        nv.clear();
-        nv.extend(g.neighbors_iter(v));
-        simplicial[v as usize] = is_simplicial(g, &nv);
+        simplicial[v as usize] = g.is_clique(g.neighbors(v));
     }
 
     let mut cliques = Vec::new();
@@ -62,11 +59,14 @@ pub(crate) fn reduce<G: GraphTopology>(g: &G) -> Reduction {
         // Report N[v] only for the smallest simplicial vertex of the clique:
         // two adjacent simplicial vertices necessarily share the same closed
         // neighbourhood.
-        let dominated = g.neighbors_iter(v).any(|u| u < v && simplicial[u as usize]);
+        let dominated = g
+            .neighbors(v)
+            .iter()
+            .any(|&u| u < v && simplicial[u as usize]);
         if dominated {
             continue;
         }
-        let mut clique: Vec<VertexId> = g.neighbors_iter(v).collect();
+        let mut clique = g.neighbors(v).to_vec();
         clique.push(v);
         clique.sort_unstable();
         cliques.push(clique);
@@ -78,22 +78,9 @@ pub(crate) fn reduce<G: GraphTopology>(g: &G) -> Reduction {
     }
 }
 
-/// Whether the vertex set `nv` (a sorted neighbourhood) induces a clique.
-fn is_simplicial<G: GraphTopology>(g: &G, nv: &[VertexId]) -> bool {
-    for (i, &a) in nv.iter().enumerate() {
-        for &b in &nv[i + 1..] {
-            if !g.has_edge(a, b) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mce_graph::Graph;
 
     #[test]
     fn isolated_and_pendant_vertices_are_reduced() {

@@ -230,8 +230,6 @@ pub struct TopKReporter {
     /// descending size then ascending arrival.
     entries: Vec<(usize, u64, Vec<VertexId>)>,
     seen: u64,
-    /// Cliques strictly smaller than this are counted but never retained.
-    min_size: usize,
 }
 
 impl TopKReporter {
@@ -241,29 +239,6 @@ impl TopKReporter {
             k,
             entries: Vec::new(),
             seen: 0,
-            min_size: 0,
-        }
-    }
-
-    /// A reporter keeping the `k` largest cliques, never retaining one with
-    /// fewer than `min_size` members (they still count toward
-    /// [`TopKReporter::seen`]).
-    ///
-    /// The floor is only a *correct* top-k selection when the caller proves
-    /// no retained clique could rank among the k largest below it. The query
-    /// layer uses this for `TopKBySize { k: 1 }` with the greedy clique
-    /// lower bound of [`greedy_lower_bound`](crate::maxclique::greedy_lower_bound):
-    /// the bound witnesses a clique of that size, so every maximal-clique
-    /// stream contains one at least that large and nothing smaller can be
-    /// the single largest. For `k > 1` no such argument holds (the 2nd
-    /// largest may be smaller than the bound), so the query layer never
-    /// applies a floor there.
-    pub fn with_size_floor(k: usize, min_size: usize) -> Self {
-        TopKReporter {
-            k,
-            entries: Vec::new(),
-            seen: 0,
-            min_size,
         }
     }
 
@@ -287,9 +262,6 @@ impl CliqueReporter for TopKReporter {
             return;
         }
         let size = clique.len();
-        if size < self.min_size {
-            return; // below the caller-proven size floor
-        }
         if self.entries.len() == self.k && size <= self.entries.last().map(|e| e.0).unwrap_or(0) {
             return; // ties keep the earlier clique
         }

@@ -40,7 +40,7 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use mce_graph::ordering::{edge_ordering, vertex_ordering, EdgeOrdering};
-use mce_graph::{degeneracy_ordering, BitsRef, Graph, GraphTopology, VertexId};
+use mce_graph::{degeneracy_ordering, BitsRef, Graph, VertexId};
 
 use crate::budget::BudgetState;
 use crate::config::{
@@ -58,15 +58,12 @@ use crate::stats::EnumerationStats;
 
 /// Maximal clique enumeration driver for a fixed graph and configuration.
 ///
-/// Generic over the global graph representation: `G` defaults to the sparse
-/// CSR [`Graph`] (the production path, `O(n + m)` global memory) but any
-/// [`GraphTopology`] — e.g. the dense [`mce_graph::AdjMatrix`] — works and
-/// produces byte-identical output, because the engine's global phase only
-/// reads degrees, sorted neighbour lists and adjacency tests through the
-/// trait. The recursive phase never touches the global graph at all: it runs
-/// on the per-root dense `LocalGraph`.
-pub struct Solver<'g, G: GraphTopology = Graph> {
-    graph: &'g G,
+/// The global graph is the sparse CSR [`Graph`] (`O(n + m)` memory): the
+/// root phase reads its degrees, sorted neighbour lists and adjacency. The
+/// recursive phase never touches the global graph at all: it runs on the
+/// per-root dense `LocalGraph`, whose size is bounded by δ or τ.
+pub struct Solver<'g> {
+    graph: &'g Graph,
     config: SolverConfig,
 }
 
@@ -267,9 +264,9 @@ impl Ctx<'_> {
     }
 }
 
-impl<'g, G: GraphTopology> Solver<'g, G> {
+impl<'g> Solver<'g> {
     /// Creates a solver after validating the configuration.
-    pub fn new(graph: &'g G, config: SolverConfig) -> Result<Self, ConfigError> {
+    pub fn new(graph: &'g Graph, config: SolverConfig) -> Result<Self, ConfigError> {
         config.validate()?;
         Ok(Solver { graph, config })
     }
@@ -504,7 +501,7 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
             .expect("anchored queries require a non-empty anchor");
         worker.candidates.clear();
         worker.excluded.clear();
-        for w in g.neighbors_iter(pivot) {
+        for &w in g.neighbors(pivot) {
             if !anchor.contains(&w) && anchor.iter().all(|&a| a == pivot || g.has_edge(a, w)) {
                 worker.candidates.push(w);
             }
@@ -668,7 +665,7 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
             ctx.report(clique);
         }
         if matches!(plan.kind, RootKind::Edge { .. }) {
-            for v in self.graph.vertices_iter() {
+            for v in self.graph.vertices() {
                 if self.graph.degree(v) == 0 && !plan.reduction.removed[v as usize] {
                     ctx.stats.initial_branches += 1;
                     ctx.report(&[v]);
@@ -706,7 +703,7 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
         }
         worker.candidates.clear();
         worker.excluded.clear();
-        for u in g.neighbors_iter(v) {
+        for &u in g.neighbors(v) {
             if reduction.removed[u as usize] || position[u as usize] < rank {
                 worker.excluded.push(u);
             } else {
@@ -1200,9 +1197,8 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
 /// Rebuilds the worker's local graph over `candidates ++ excluded` and fills
 /// frame 0 of the arena with the root's `C`/`X` sets. Reuses every buffer.
 /// Shared with the branch-and-bound engine in [`crate::maxclique`].
-pub(crate) fn build_root_branch<G, F>(g: &G, worker: &mut WorkerState, keep_edge: F)
+pub(crate) fn build_root_branch<F>(g: &Graph, worker: &mut WorkerState, keep_edge: F)
 where
-    G: GraphTopology,
     F: Fn(VertexId, VertexId) -> bool,
 {
     let WorkerState {
@@ -1254,8 +1250,8 @@ fn prune_by_pivot_into(lg: &LocalGraph, f: &mut Frame, pivot: usize) {
 /// Enumerates every maximal clique of `g` under `config`, streaming cliques to
 /// `reporter`. Panics on invalid configurations (use [`Solver::new`] for a
 /// fallible API).
-pub fn enumerate<G: GraphTopology>(
-    g: &G,
+pub fn enumerate(
+    g: &Graph,
     config: &SolverConfig,
     reporter: &mut dyn CliqueReporter,
 ) -> EnumerationStats {
@@ -1265,8 +1261,8 @@ pub fn enumerate<G: GraphTopology>(
 }
 
 /// Enumerates and collects every maximal clique (each sorted ascending).
-pub fn enumerate_collect<G: GraphTopology>(
-    g: &G,
+pub fn enumerate_collect(
+    g: &Graph,
     config: &SolverConfig,
 ) -> (Vec<Vec<VertexId>>, EnumerationStats) {
     let mut reporter = CollectReporter::new();
@@ -1275,21 +1271,10 @@ pub fn enumerate_collect<G: GraphTopology>(
 }
 
 /// Counts the maximal cliques of `g` without materialising them.
-pub fn count_maximal_cliques<G: GraphTopology>(
-    g: &G,
-    config: &SolverConfig,
-) -> (u64, EnumerationStats) {
+pub fn count_maximal_cliques(g: &Graph, config: &SolverConfig) -> (u64, EnumerationStats) {
     let mut reporter = CountReporter::new();
     let stats = enumerate(g, config, &mut reporter);
     (reporter.count, stats)
-}
-
-/// Returns one maximum clique of `g` (largest maximal clique), enumerated with
-/// the given configuration.
-pub fn maximum_clique<G: GraphTopology>(g: &G, config: &SolverConfig) -> Vec<VertexId> {
-    let mut reporter = crate::report::MaximumCliqueReporter::new();
-    enumerate(g, config, &mut reporter);
-    reporter.best
 }
 
 #[cfg(test)]
@@ -1319,76 +1304,6 @@ mod tests {
             );
             assert!(verify_cliques(g, &got).is_empty(), "{name} verification");
         }
-    }
-
-    /// The hybrid-layer equivalence proof: enumeration through the dense
-    /// global [`mce_graph::AdjMatrix`] must produce the *identical* ordered
-    /// clique stream as the sparse CSR path, for every named preset. The
-    /// engine only reads the global graph through [`GraphTopology`], so any
-    /// divergence here means a representation leaked into the output order.
-    fn check_dense_sparse_identical(g: &Graph) {
-        let dense = mce_graph::AdjMatrix::from_topology(g);
-        for (name, config) in all_presets() {
-            let mut sparse_out = crate::report::CollectReporter::new();
-            let sparse_stats = enumerate(g, &config, &mut sparse_out);
-            let mut dense_out = crate::report::CollectReporter::new();
-            let dense_stats = enumerate(&dense, &config, &mut dense_out);
-            // Raw emission order, not sorted: the streams must match
-            // clique-for-clique, which is what makes the byte-level CLI
-            // output representation-independent.
-            assert_eq!(
-                sparse_out.cliques,
-                dense_out.cliques,
-                "{name}: dense and sparse streams diverge on n={}",
-                g.n()
-            );
-            assert_eq!(
-                sparse_stats.maximal_cliques, dense_stats.maximal_cliques,
-                "{name} counts"
-            );
-            assert_eq!(
-                sparse_stats.initial_branches, dense_stats.initial_branches,
-                "{name} root branches"
-            );
-        }
-    }
-
-    #[test]
-    fn dense_and_sparse_global_layers_are_equivalent() {
-        check_dense_sparse_identical(&Graph::empty(0));
-        check_dense_sparse_identical(&Graph::empty(3));
-        check_dense_sparse_identical(&Graph::complete(6));
-        check_dense_sparse_identical(
-            &Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap(),
-        );
-        check_dense_sparse_identical(
-            &Graph::from_edges(
-                8,
-                [
-                    (0, 1),
-                    (0, 2),
-                    (1, 2),
-                    (2, 3),
-                    (3, 4),
-                    (3, 5),
-                    (4, 5),
-                    (5, 6),
-                    (6, 7),
-                    (4, 6),
-                ],
-            )
-            .unwrap(),
-        );
-        // Moon–Moser K(3,3,3): many overlapping maximal cliques.
-        let mut edges = Vec::new();
-        for u in 0..9u32 {
-            for v in (u + 1)..9 {
-                if u / 3 != v / 3 {
-                    edges.push((u, v));
-                }
-            }
-        }
-        check_dense_sparse_identical(&Graph::from_edges(9, edges).unwrap());
     }
 
     #[test]
@@ -1632,14 +1547,6 @@ mod tests {
         let mut third = CountReporter::new();
         solver2.run_with_state(&mut state, &mut third);
         assert_eq!(third.count, 1);
-    }
-
-    #[test]
-    fn maximum_clique_helper() {
-        let g =
-            Graph::from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5)]).unwrap();
-        let best = maximum_clique(&g, &SolverConfig::hbbmc_pp());
-        assert_eq!(best.len(), 3);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Verifies the allocation-free steady state of the enumeration hot path.
+//! Verifies the allocation-free steady state of the enumeration hot path,
+//! and the allocation bound of the graph loaders.
 //!
 //! A counting global allocator wraps the system allocator; the tests run the
 //! solver once to warm an [`EnumerationState`]'s scratch buffers and then
@@ -13,8 +14,8 @@
 //! confined to this test crate.
 //!
 //! Counts are per thread: the allocator counts only on a thread whose
-//! `COUNTING` flag [`allocations_of`] has turned on, into that thread's own
-//! counter, so tests running in parallel never add to each other's counts.
+//! `COUNTING` flag [`measure`] has turned on, into that thread's own
+//! counters, so tests running in parallel never add to each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,6 +23,12 @@ use std::cell::Cell;
 use hbbmc::MaxCliqueState;
 use hbbmc::{maximum_clique_bb_with_state, CountReporter, EnumerationState, Solver, SolverConfig};
 use mce_gen::{erdos_renyi, moon_moser};
+use mce_graph::io::MAX_DIMACS_VERTICES;
+use mce_graph::io::{read_dimacs, read_edge_list, write_dimacs, write_edge_list};
+use mce_graph::mcg::{
+    read_mcg, write_mcg, FORMAT_VERSION, MAGIC, SECTION_ADJACENCY, SECTION_OFFSETS,
+};
+use mce_graph::{Graph, GraphError};
 
 struct CountingAllocator;
 
@@ -30,13 +37,18 @@ thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     /// This thread's allocations while `COUNTING` was on.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// The bytes those allocations requested (a `realloc` counts its whole
+    /// new size, so a doubling `Vec` counts about twice its final size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Counts one allocation if this thread is being measured. `try_with`
-/// because the allocator may run while the thread's locals are torn down.
-fn note_allocation() {
+/// Counts one allocation of `bytes` if this thread is being measured.
+/// `try_with` because the allocator may run while the thread's locals are
+/// torn down.
+fn note_allocation(bytes: usize) {
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
     }
 }
 
@@ -45,7 +57,7 @@ fn note_allocation() {
 // const-initialised thread-locals and never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
+        note_allocation(layout.size());
         System.alloc(layout)
     }
 
@@ -55,7 +67,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A growing Vec reallocates; that counts as allocator traffic too.
-        note_allocation();
+        note_allocation(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -64,13 +76,20 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Runs `f` on this thread with counting on and returns its result with the
-/// number of allocations it made.
-fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+/// number of allocations it made and the bytes they requested.
+fn measure<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     ALLOCATIONS.with(|n| n.set(0));
+    BYTES.with(|b| b.set(0));
     COUNTING.with(|on| on.set(true));
     let out = f();
     COUNTING.with(|on| on.set(false));
-    (out, ALLOCATIONS.with(Cell::get))
+    (out, ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get))
+}
+
+/// [`measure`], keeping only the allocation count.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let (out, allocations, _) = measure(f);
+    (out, allocations)
 }
 
 /// Warm-runs `config` on the graph, then measures the allocations of a
@@ -248,4 +267,186 @@ fn allocations_stay_flat_as_recursion_grows() {
         "allocations grew with recursion: {small_allocs} -> {large_allocs} \
          (calls {small_calls} -> {large_calls})"
     );
+}
+
+// ----------------------------------------------------------------------
+// Loader allocation bound
+// ----------------------------------------------------------------------
+
+/// Bytes a loader may request per input byte it was handed. The text
+/// loaders request about 12 (line strings, interned ids, edge buffers and
+/// the CSR arrays, growth included); `.mcg` about 1.
+const BYTES_PER_INPUT_BYTE: u64 = 32;
+/// Bytes a loader may request per vertex that a header declares and the
+/// loader accepts: `Graph::from_edges` keeps a 24-byte list header and an
+/// 8-byte offset per vertex. This is the figure `MAX_DIMACS_VERTICES` caps.
+const BYTES_PER_DECLARED_VERTEX: u64 = 32;
+/// Fixed slack: reader buffers, and the first 64 Ki entries the `.mcg`
+/// loader reserves for each section before it streams the body.
+const LOADER_SLACK: u64 = 1 << 20;
+
+/// Runs `load` on `input` under the counting allocator and asserts the
+/// loader invariant: the bytes requested are at most
+/// `BYTES_PER_INPUT_BYTE · len + BYTES_PER_DECLARED_VERTEX · (n + 1) +
+/// LOADER_SLACK`, where `n` is a header-declared vertex count the loader
+/// accepts (pass 0 when there is none, or the loader must reject it).
+fn load_within_bound(
+    label: &str,
+    input: &[u8],
+    declared_n: u64,
+    load: impl FnOnce(&[u8]) -> Result<Graph, GraphError>,
+) -> Result<Graph, GraphError> {
+    let (result, _, bytes) = measure(|| load(input));
+    let bound = BYTES_PER_INPUT_BYTE * input.len() as u64
+        + BYTES_PER_DECLARED_VERTEX * (declared_n + 1)
+        + LOADER_SLACK;
+    assert!(
+        bytes <= bound,
+        "{label}: requested {bytes} bytes for {} input bytes (bound {bound})",
+        input.len()
+    );
+    result
+}
+
+/// A forged `.mcg` file: a valid magic and header declaring `n` and `m`,
+/// a section table whose lengths match them, and a 256-byte body.
+fn forged_mcg(n: u64, m: u64, adjacency_first: bool) -> Vec<u8> {
+    let offsets_len = n.wrapping_add(1).wrapping_mul(8);
+    let adjacency_len = m.wrapping_mul(8);
+    let start = 8 + 32 + 2 * 32u64;
+    let mut sections = [
+        (SECTION_OFFSETS, offsets_len),
+        (SECTION_ADJACENCY, adjacency_len),
+    ];
+    if adjacency_first {
+        sections.swap(0, 1);
+    }
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes()); // flags
+    bytes.extend_from_slice(&n.to_le_bytes());
+    bytes.extend_from_slice(&m.to_le_bytes());
+    bytes.extend_from_slice(&2u32.to_le_bytes()); // section count
+    bytes.extend_from_slice(&0u32.to_le_bytes()); // reserved
+    let mut offset = start;
+    for (id, len) in sections {
+        bytes.extend_from_slice(&id.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&offset.to_le_bytes());
+        bytes.extend_from_slice(&len.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // checksum
+        offset = offset.wrapping_add(len);
+    }
+    bytes.extend((0..256u32).map(|i| i as u8));
+    bytes
+}
+
+#[test]
+fn dimacs_loader_allocation_is_bounded_by_input_and_capped_n() {
+    // A header may declare isolated vertices, so the loader may spend per
+    // declared vertex, but only up to MAX_DIMACS_VERTICES.
+    let n = 1u64 << 20;
+    let header = format!("p edge {n} 0\n");
+    let g = load_within_bound("dimacs 2^20", header.as_bytes(), n, |b| read_dimacs(b))
+        .expect("a header within the cap loads");
+    assert_eq!(g.n() as u64, n);
+
+    // Above the cap, nothing per vertex may be spent before the typed error.
+    for declared in [MAX_DIMACS_VERTICES + 1, 1 << 40, u64::MAX] {
+        let header = format!("p edge {declared} 1\ne 1 2\n");
+        let err = load_within_bound("dimacs above cap", header.as_bytes(), 0, |b| read_dimacs(b))
+            .expect_err("a header above the cap is rejected");
+        assert!(
+            matches!(err, GraphError::TooManyVertices { n, limit }
+                if n == declared && limit == MAX_DIMACS_VERTICES),
+            "{declared}: {err}"
+        );
+    }
+
+    // Edge ids near u64::MAX are a typed error, not an allocation.
+    let text = format!("p edge 10 1\ne {} 1\n", u64::MAX);
+    let err = load_within_bound("dimacs huge id", text.as_bytes(), 10, |b| read_dimacs(b))
+        .expect_err("an id above n is rejected");
+    assert!(matches!(err, GraphError::VertexOutOfRange { .. }), "{err}");
+
+    // The bound holds for the bytes of an actual graph too.
+    let g = erdos_renyi(2_000, 8_000, 3);
+    let mut text = Vec::new();
+    write_dimacs(&g, &mut text).unwrap();
+    let loaded = load_within_bound("dimacs sample", &text, g.n() as u64, |b| read_dimacs(b))
+        .expect("round trip");
+    assert_eq!(loaded, g);
+}
+
+#[test]
+fn mcg_loader_allocation_is_bounded_by_bytes_read() {
+    // Headers may claim up to u32::MAX vertices and 2^61 edges over a body
+    // of a few hundred bytes: each is a typed error, and the loader's
+    // allocation follows the bytes it actually read, not the claim. The
+    // declared n never earns a per-vertex allowance here.
+    let u32_max = u32::MAX as u64;
+    for (n, m, adjacency_first) in [
+        (u32_max, 0, false),
+        (u32_max, (1 << 61) - 1, false),
+        (u32_max, (1 << 61) - 1, true),
+        (1 << 20, 1 << 40, true),
+        (0, 1 << 61, false),
+        (u32_max + 1, 1, false),
+        (u64::MAX, u64::MAX, false),
+    ] {
+        let bytes = forged_mcg(n, m, adjacency_first);
+        let label = format!("mcg n={n} m={m} adjacency_first={adjacency_first}");
+        let err = load_within_bound(&label, &bytes, 0, |b| read_mcg(b))
+            .expect_err("a forged header never loads");
+        assert!(
+            matches!(
+                err,
+                GraphError::InvalidData { .. } | GraphError::TooManyVertices { .. }
+            ),
+            "{label}: {err}"
+        );
+    }
+
+    let g = erdos_renyi(2_000, 8_000, 3);
+    let mut bytes = Vec::new();
+    write_mcg(&g, &mut bytes).unwrap();
+    let loaded = load_within_bound("mcg sample", &bytes, 0, |b| read_mcg(b)).expect("round trip");
+    assert_eq!(loaded, g);
+}
+
+#[test]
+fn edge_list_loader_allocation_is_bounded_by_input() {
+    // Edge lists declare nothing: ids are interned, so even ids near
+    // u64::MAX cost only what the lines that name them cost.
+    let mut text = String::new();
+    for i in 0..500u64 {
+        let u = u64::MAX - 2 * i;
+        text.push_str(&format!(
+            "{u} {}\n{} {}\n",
+            u - 1,
+            u - 1,
+            u64::MAX - 1_000 - i
+        ));
+    }
+    let g = load_within_bound("edge list huge ids", text.as_bytes(), 0, |b| {
+        read_edge_list(b)
+    })
+    .expect("huge ids load");
+    assert_eq!(g.m(), 1_000);
+
+    let err = load_within_bound(
+        "edge list overflowing id",
+        b"18446744073709551616 1\n",
+        0,
+        |b| read_edge_list(b),
+    )
+    .expect_err("an id above u64::MAX is a parse error");
+    assert!(matches!(err, GraphError::Parse { .. }), "{err}");
+
+    let g = erdos_renyi(2_000, 8_000, 3);
+    let mut text = Vec::new();
+    write_edge_list(&g, &mut text).unwrap();
+    let loaded =
+        load_within_bound("edge list sample", &text, 0, |b| read_edge_list(b)).expect("load");
+    assert_eq!(loaded.m(), g.m());
 }

@@ -1,6 +1,6 @@
 //! Property tests for the branch-and-bound maximum-clique engine: the B&B
 //! winner must be byte-identical to the enumeration-derived canonical winner
-//! on every generator family and topology, at every thread count, and a
+//! on every generator family, at every thread count, and a
 //! budget-truncated search must never claim optimality.
 
 use hbbmc::{
@@ -8,7 +8,7 @@ use hbbmc::{
     MaxCliqueState, MaximumCliqueReporter, Query, QuerySpec, QueryValue, TerminatingBound,
 };
 use mce_gen::{barabasi_albert, erdos_renyi_gnp, planted_communities, planted_hub, PlantedConfig};
-use mce_graph::{AdjMatrix, Graph};
+use mce_graph::Graph;
 use proptest::prelude::*;
 
 /// The enumeration-derived reference: the canonical maximum clique the
@@ -21,27 +21,14 @@ fn enumeration_winner(g: &Graph) -> (Vec<u32>, u64) {
     (best.best, result.stats.recursive_calls)
 }
 
-/// Dense (adjacency-matrix) copy of `g` — the second [`GraphTopology`].
-fn dense_copy(g: &Graph) -> AdjMatrix {
-    let mut dense = AdjMatrix::new(g.n());
-    for v in g.vertices() {
-        for &u in g.neighbors(v) {
-            dense.insert_sym(v as usize, u as usize);
-        }
-    }
-    dense
-}
-
-/// Asserts the B&B engine agrees with the enumeration reference on both
-/// topologies and through the query layer at 1/2/4 threads. Returns the
-/// recursive calls of the B&B search and of the enumeration.
+/// Asserts the B&B engine agrees with the enumeration reference, directly
+/// and through the query layer at 1/2/4 threads. Returns the recursive calls
+/// of the B&B search and of the enumeration.
 fn assert_bb_matches_enumeration(g: &Graph, label: &str) -> (u64, u64) {
     let (expected, enumeration_calls) = enumeration_winner(g);
     let (via_csr, stats) = maximum_clique_bb(g);
     assert_eq!(via_csr, expected, "{label}: CSR B&B vs enumeration winner");
     assert_eq!(stats.max_clique_size, expected.len(), "{label}: size stat");
-    let (via_dense, _) = maximum_clique_bb(&dense_copy(g));
-    assert_eq!(via_dense, expected, "{label}: dense B&B vs enumeration");
     for threads in [1usize, 2, 4] {
         let mut sink = CountReporter::new();
         let result = run_query(

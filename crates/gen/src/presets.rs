@@ -17,12 +17,25 @@ use crate::planted::{planted_communities, PlantedConfig};
 use crate::plex::random_t_plex;
 use crate::structured::{complete_bipartite, cycle_graph, path_graph, star_graph, turan_graph};
 
+/// The largest `n` a preset with `O(n)` edges accepts.
+pub const LINEAR_MAX_N: usize = 50_000_000;
+
+/// The largest `n` a preset with about n²/2 edges accepts. At this size such
+/// a graph has up to 33.5M edges, and building it peaks at a few hundred MiB,
+/// inside the budget that `mce_graph::io::MAX_DIMACS_VERTICES` sets for a
+/// loaded graph.
+pub const QUADRATIC_MAX_N: usize = 8_192;
+
 /// A named graph generator with a uniform `(n, seed)` interface.
 pub struct GenPreset {
     /// Stable lookup name (lowercase, hyphenated).
     pub name: &'static str,
     /// One-line human description shown by `mce gen --list`.
     pub description: &'static str,
+    /// The largest `n` the preset accepts: [`LINEAR_MAX_N`], or
+    /// [`QUADRATIC_MAX_N`] when the edge count grows as n². Drivers reject a
+    /// larger `n` before building anything.
+    pub max_n: usize,
     build: fn(usize, u64) -> Graph,
 }
 
@@ -107,71 +120,85 @@ pub const GEN_PRESETS: &[GenPreset] = &[
     GenPreset {
         name: "ba",
         description: "Barabási–Albert preferential attachment, 4 edges per new vertex",
+        max_n: LINEAR_MAX_N,
         build: build_ba,
     },
     GenPreset {
         name: "bipartite",
         description: "complete bipartite graph K_{n/2,n-n/2}",
+        max_n: QUADRATIC_MAX_N,
         build: build_bipartite,
     },
     GenPreset {
         name: "complete",
         description: "complete graph K_n (one maximal clique)",
+        max_n: QUADRATIC_MAX_N,
         build: build_complete,
     },
     GenPreset {
         name: "cycle",
         description: "cycle graph C_n",
+        max_n: LINEAR_MAX_N,
         build: build_cycle,
     },
     GenPreset {
         name: "er-dense",
         description: "Erdős–Rényi G(n, m) with m = min(16n, n(n-1)/8)",
+        max_n: LINEAR_MAX_N,
         build: build_er_dense,
     },
     GenPreset {
         name: "er-scale",
         description: "Erdős–Rényi G(n, m) with m = 10n (bounded-memory CSR stress shape)",
+        max_n: LINEAR_MAX_N,
         build: build_er_scale,
     },
     GenPreset {
         name: "er-sparse",
         description: "Erdős–Rényi G(n, m) with m = 4n",
+        max_n: LINEAR_MAX_N,
         build: build_er_sparse,
     },
     GenPreset {
         name: "moon-moser",
         description: "Moon–Moser graph K_{3,3,…,3} on ~n vertices (3^(n/3) maximal cliques)",
+        max_n: QUADRATIC_MAX_N,
         build: build_moon_moser,
     },
     GenPreset {
         name: "path",
         description: "path graph P_n",
+        max_n: LINEAR_MAX_N,
         build: build_path,
     },
     GenPreset {
         name: "planted",
         description: "overlapping planted communities over a sparse background",
+        max_n: LINEAR_MAX_N,
         build: build_planted,
     },
     GenPreset {
         name: "planted-hub",
         description: "hub vertex over a K_{4,4,…} core: every maximal clique contains the hub (parallel-engine stress case)",
+        max_n: QUADRATIC_MAX_N,
         build: build_planted_hub,
     },
     GenPreset {
         name: "plex",
         description: "random 3-plex (complement has max degree 2)",
+        max_n: QUADRATIC_MAX_N,
         build: build_plex,
     },
     GenPreset {
         name: "star",
         description: "star graph S_n (hub plus n-1 leaves)",
+        max_n: LINEAR_MAX_N,
         build: build_star,
     },
     GenPreset {
         name: "turan",
         description: "Turán graph T(n, 4) (complete 4-partite)",
+        max_n: QUADRATIC_MAX_N,
         build: build_turan,
     },
 ];
@@ -213,6 +240,23 @@ mod tests {
     fn lookup_is_case_insensitive() {
         assert_eq!(gen_preset_by_name("ER-SPARSE").unwrap().name, "er-sparse");
         assert!(gen_preset_by_name("nope").is_none());
+    }
+
+    #[test]
+    fn quadratic_presets_carry_the_quadratic_cap() {
+        // At n = 256 the linear presets emit at most 16n edges and the
+        // quadratic ones several times that, so the measured growth decides
+        // which cap each preset must declare.
+        let n = 256;
+        for p in GEN_PRESETS {
+            let quadratic = p.build(n, 7).m() > 16 * n;
+            let expected = if quadratic {
+                QUADRATIC_MAX_N
+            } else {
+                LINEAR_MAX_N
+            };
+            assert_eq!(p.max_n, expected, "{}", p.name);
+        }
     }
 
     #[test]

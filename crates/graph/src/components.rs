@@ -1,11 +1,9 @@
 //! Connected components.
 //!
 //! Enumeration work can be restricted to one component at a time (components
-//! never share a clique), and the examples use the largest component to focus
-//! on the interesting part of sparse synthetic graphs.
+//! never share a clique); `mce stats` reports the component count.
 
 use crate::graph::{Graph, VertexId};
-use crate::topology::GraphTopology;
 
 /// Result of a connected-components computation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,7 +43,7 @@ impl ConnectedComponents {
 }
 
 /// Computes the connected components of `g` with an iterative DFS.
-pub fn connected_components<G: GraphTopology>(g: &G) -> ConnectedComponents {
+pub fn connected_components(g: &Graph) -> ConnectedComponents {
     let n = g.n();
     let mut component_of = vec![usize::MAX; n];
     let mut count = 0usize;
@@ -57,7 +55,7 @@ pub fn connected_components<G: GraphTopology>(g: &G) -> ConnectedComponents {
         component_of[start] = count;
         stack.push(start as VertexId);
         while let Some(v) = stack.pop() {
-            for u in g.neighbors_iter(v) {
+            for &u in g.neighbors(v) {
                 if component_of[u as usize] == usize::MAX {
                     component_of[u as usize] = count;
                     stack.push(u);
@@ -69,17 +67,6 @@ pub fn connected_components<G: GraphTopology>(g: &G) -> ConnectedComponents {
     ConnectedComponents {
         component_of,
         count,
-    }
-}
-
-/// Extracts the subgraph induced by a largest connected component, together
-/// with the mapping from new ids to original ids. Returns the empty graph for
-/// an empty input.
-pub fn largest_component(g: &Graph) -> (Graph, Vec<VertexId>) {
-    let cc = connected_components(g);
-    match cc.largest() {
-        Some(id) => g.induced_subgraph(&cc.members(id)),
-        None => (Graph::empty(0), Vec::new()),
     }
 }
 
@@ -120,18 +107,6 @@ mod tests {
         assert_eq!(cc.count, 3);
         let comp0 = cc.members(cc.component_of[0]);
         assert_eq!(comp0, vec![0, 1]);
-    }
-
-    #[test]
-    fn largest_component_extraction() {
-        let g = Graph::from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3), (5, 6)]).unwrap();
-        let (sub, map) = largest_component(&g);
-        assert_eq!(sub.n(), 4);
-        assert_eq!(sub.m(), 4);
-        assert!(map.contains(&0) && map.contains(&3));
-        let (empty, empty_map) = largest_component(&Graph::empty(0));
-        assert_eq!(empty.n(), 0);
-        assert!(empty_map.is_empty());
     }
 
     #[test]

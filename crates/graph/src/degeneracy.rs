@@ -7,8 +7,7 @@
 //! vertex-oriented baselines in the paper. The implementation is the classic
 //! linear-time bucket-queue peeling (Matula & Beck).
 
-use crate::graph::VertexId;
-use crate::topology::GraphTopology;
+use crate::graph::{Graph, VertexId};
 
 /// Result of the degeneracy computation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -23,23 +22,12 @@ pub struct DegeneracyOrdering {
     pub degeneracy: usize,
 }
 
-impl DegeneracyOrdering {
-    /// Neighbours of `v` that come *after* `v` in the degeneracy ordering.
-    ///
-    /// In the EPS framework each initial branch's candidate set is exactly
-    /// this set, whose size is bounded by δ.
-    pub fn later_neighbors<G: GraphTopology>(&self, g: &G, v: VertexId) -> Vec<VertexId> {
-        g.neighbors_iter(v)
-            .filter(|&u| self.position[u as usize] > self.position[v as usize])
-            .collect()
-    }
-}
-
 /// Computes the degeneracy ordering, core numbers and degeneracy of `g`.
 ///
-/// Generic over [`GraphTopology`], so it runs identically on the sparse CSR
-/// [`crate::Graph`] and the dense [`crate::AdjMatrix`].
-pub fn degeneracy_ordering<G: GraphTopology>(g: &G) -> DegeneracyOrdering {
+/// Every vertex has at most δ neighbours later in the ordering, which is why
+/// a vertex root's candidate set (its later neighbours) has at most δ
+/// members.
+pub fn degeneracy_ordering(g: &Graph) -> DegeneracyOrdering {
     let n = g.n();
     let mut degree: Vec<usize> = (0..n).map(|v| g.degree(v as VertexId)).collect();
     let max_deg = degree.iter().copied().max().unwrap_or(0);
@@ -76,7 +64,7 @@ pub fn degeneracy_ordering<G: GraphTopology>(g: &G) -> DegeneracyOrdering {
         position[v as usize] = step;
         order.push(v);
 
-        for u in g.neighbors_iter(v) {
+        for &u in g.neighbors(v) {
             let ui = u as usize;
             if !removed[ui] && degree[ui] > 0 {
                 degree[ui] -= 1;
@@ -96,20 +84,23 @@ pub fn degeneracy_ordering<G: GraphTopology>(g: &G) -> DegeneracyOrdering {
     }
 }
 
-/// Convenience wrapper returning only the per-vertex core numbers.
-pub fn core_numbers<G: GraphTopology>(g: &G) -> Vec<usize> {
-    degeneracy_ordering(g).core
-}
-
 /// Convenience wrapper returning only the degeneracy δ.
-pub fn degeneracy<G: GraphTopology>(g: &G) -> usize {
+pub fn degeneracy(g: &Graph) -> usize {
     degeneracy_ordering(g).degeneracy
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Graph;
+
+    /// Neighbours of `v` that come after `v` in the ordering `d`: a vertex
+    /// root's candidate set.
+    fn later_neighbor_count(g: &Graph, d: &DegeneracyOrdering, v: VertexId) -> usize {
+        g.neighbors(v)
+            .iter()
+            .filter(|&&u| d.position[u as usize] > d.position[v as usize])
+            .count()
+    }
 
     #[test]
     fn empty_and_edgeless_graphs() {
@@ -186,45 +177,22 @@ mod tests {
     }
 
     #[test]
-    fn later_neighbors_bounded_by_degeneracy() {
+    fn at_most_delta_neighbors_come_later() {
         let g = Graph::complete(5);
         let d = degeneracy_ordering(&g);
         for v in g.vertices() {
-            assert!(d.later_neighbors(&g, v).len() <= d.degeneracy);
+            assert!(later_neighbor_count(&g, &d, v) <= d.degeneracy);
         }
     }
 
     #[test]
-    fn later_neighbors_of_first_vertex_in_path() {
+    fn path_vertices_have_at_most_one_later_neighbor() {
         let g = Graph::from_edges(3, [(0, 1), (1, 2)]).unwrap();
         let d = degeneracy_ordering(&g);
         // Every vertex's later neighbourhood has size <= 1 (degeneracy of a path).
         for v in g.vertices() {
-            assert!(d.later_neighbors(&g, v).len() <= 1);
+            assert!(later_neighbor_count(&g, &d, v) <= 1);
         }
-    }
-
-    #[test]
-    fn dense_and_sparse_orderings_agree() {
-        // The peeling is deterministic given sorted neighbour iteration, so
-        // the CSR graph and its dense mirror must produce identical results.
-        let g = Graph::from_edges(
-            8,
-            [
-                (0, 1),
-                (1, 2),
-                (0, 2),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (5, 6),
-                (6, 4),
-                (1, 7),
-            ],
-        )
-        .unwrap();
-        let dense = crate::AdjMatrix::from_topology(&g);
-        assert_eq!(degeneracy_ordering(&g), degeneracy_ordering(&dense));
     }
 
     #[test]

@@ -5,15 +5,6 @@ use crate::error::GraphError;
 /// Vertex identifier. Kept at 32 bits so adjacency arrays stay compact.
 pub type VertexId = u32;
 
-/// Alias naming the CSR role of [`Graph`] in the hybrid layout.
-///
-/// The engine's hybrid memory layout (ARCHITECTURE.md) keeps the *global*
-/// graph in `O(n + m)` compressed sparse row form and only densifies the
-/// per-root neighbourhood subgraphs into bit matrices. `CsrGraph` is that
-/// global sparse layer; it is the same type as [`Graph`] — use whichever name
-/// reads better at the call site.
-pub type CsrGraph = Graph;
-
 /// An immutable, undirected, simple graph in CSR form.
 ///
 /// * vertices are `0..n()`,

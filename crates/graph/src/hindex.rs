@@ -6,18 +6,18 @@
 //! The h-index always satisfies `δ ≤ h ≤ Δ`, which is why the degeneracy
 //! ordering (bound `δ`) dominates it in the paper's Table VII.
 
-use crate::topology::GraphTopology;
+use crate::graph::Graph;
 
 /// Computes the h-index of `g`'s degree sequence in `O(n)` after an `O(n)`
 /// counting pass (no sort needed).
-pub fn h_index<G: GraphTopology>(g: &G) -> usize {
+pub fn h_index(g: &Graph) -> usize {
     let n = g.n();
     if n == 0 {
         return 0;
     }
     // bucket[d] = number of vertices of degree exactly d (degrees capped at n).
     let mut buckets = vec![0usize; n + 1];
-    for v in g.vertices_iter() {
+    for v in g.vertices() {
         let d = g.degree(v).min(n);
         buckets[d] += 1;
     }
@@ -37,7 +37,6 @@ pub fn h_index<G: GraphTopology>(g: &G) -> usize {
 mod tests {
     use super::*;
     use crate::degeneracy::degeneracy;
-    use crate::graph::Graph;
 
     #[test]
     fn empty_and_edgeless_graphs() {

@@ -5,20 +5,18 @@
 //! Branching and Early Termination"*, ICDE 2025):
 //!
 //! * a compact **CSR (compressed sparse row) undirected graph** with sorted
-//!   adjacency lists ([`Graph`], alias [`CsrGraph`]) and a forgiving
-//!   [`GraphBuilder`] that deduplicates edges and drops self-loops,
-//! * the [`GraphTopology`] **trait** giving the enumeration engine
-//!   representation-independent read access to the global graph — implemented
-//!   by both the sparse CSR [`Graph`] and the dense [`AdjMatrix`]
-//!   ([`topology`]),
+//!   adjacency lists ([`Graph`]) and a forgiving [`GraphBuilder`] that
+//!   deduplicates edges and drops self-loops. It is the one global graph
+//!   type: every ordering, decomposition and statistic here, and every
+//!   engine in `hbbmc`, reads `&Graph`,
 //! * the versioned, checksummed **`.mcg` binary on-disk format** with a
 //!   streamed `O(n + m)` loader for production-scale graphs ([`mcg`]; byte
 //!   spec in `docs/FORMAT.md`),
 //! * a fixed-capacity **bit set** with fused word-parallel kernels
 //!   ([`bitset`]) and a contiguous **bit adjacency matrix** with row stride
-//!   for dense branch subgraphs ([`adjmatrix`]),
+//!   for the dense per-branch local graphs ([`adjmatrix`]),
 //! * **degeneracy ordering / core decomposition** ([`degeneracy`]),
-//! * **triangle listing and per-edge support** ([`triangles`]),
+//! * **triangle counting and per-edge support** ([`triangles`]),
 //! * **truss decomposition and the truss-based edge ordering** π_τ used by
 //!   the edge-oriented branching framework ([`truss`]),
 //! * alternative vertex/edge **orderings** used by the paper's baselines
@@ -49,22 +47,20 @@ pub mod kplex;
 pub mod mcg;
 pub mod ordering;
 pub mod stats;
-pub mod topology;
 pub mod triangles;
 pub mod truss;
 
 pub use adjmatrix::AdjMatrix;
 pub use bitset::{BitSet, BitsMut, BitsRef};
 pub use builder::GraphBuilder;
-pub use components::{connected_components, largest_component, ConnectedComponents};
-pub use degeneracy::{core_numbers, degeneracy_ordering, DegeneracyOrdering};
+pub use components::{connected_components, ConnectedComponents};
+pub use degeneracy::{degeneracy_ordering, DegeneracyOrdering};
 pub use error::GraphError;
-pub use graph::{CsrGraph, Graph, VertexId};
+pub use graph::{Graph, VertexId};
 pub use hindex::h_index;
 pub use io::GraphFormat;
 pub use kplex::{ComplementStructure, PlexCheck};
 pub use ordering::{EdgeOrderingKind, VertexOrderingKind};
 pub use stats::GraphStats;
-pub use topology::GraphTopology;
 pub use triangles::{edge_supports, triangle_count};
 pub use truss::{truss_ordering, TrussOrdering};

@@ -12,8 +12,7 @@
 //!   (`HBBMC-mdg`).
 
 use crate::degeneracy::degeneracy_ordering;
-use crate::graph::VertexId;
-use crate::topology::GraphTopology;
+use crate::graph::{Graph, VertexId};
 use crate::triangles::{EdgeId, EdgeIndex};
 use crate::truss::truss_ordering;
 
@@ -42,7 +41,7 @@ pub enum EdgeOrderingKind {
 }
 
 /// Computes a vertex ordering of `g`. Returns the vertices in order.
-pub fn vertex_ordering<G: GraphTopology>(g: &G, kind: VertexOrderingKind) -> Vec<VertexId> {
+pub fn vertex_ordering(g: &Graph, kind: VertexOrderingKind) -> Vec<VertexId> {
     match kind {
         VertexOrderingKind::Natural => (0..g.n() as VertexId).collect(),
         VertexOrderingKind::Degree => {
@@ -83,7 +82,7 @@ impl EdgeOrdering {
 }
 
 /// Computes an edge ordering of `g` of the requested kind.
-pub fn edge_ordering<G: GraphTopology>(g: &G, kind: EdgeOrderingKind) -> EdgeOrdering {
+pub fn edge_ordering(g: &Graph, kind: EdgeOrderingKind) -> EdgeOrdering {
     match kind {
         EdgeOrderingKind::Truss => {
             let t = truss_ordering(g);
@@ -136,7 +135,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Graph;
 
     fn sample() -> Graph {
         // K4 on {0,1,2,3} plus a tail 3-4-5.

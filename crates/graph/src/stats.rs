@@ -2,8 +2,8 @@
 //! complexity-comparison condition of Theorem 2's remarks.
 
 use crate::degeneracy::degeneracy_ordering;
+use crate::graph::Graph;
 use crate::hindex::h_index;
-use crate::topology::GraphTopology;
 use crate::triangles::triangle_count;
 use crate::truss::truss_ordering;
 
@@ -30,7 +30,7 @@ pub struct GraphStats {
 
 impl GraphStats {
     /// Computes all statistics of `g`.
-    pub fn compute<G: GraphTopology>(g: &G) -> Self {
+    pub fn compute(g: &Graph) -> Self {
         let deg = degeneracy_ordering(g);
         let truss = truss_ordering(g);
         GraphStats {
@@ -87,7 +87,6 @@ impl std::fmt::Display for GraphStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Graph;
 
     #[test]
     fn stats_of_complete_graph() {

@@ -1,4 +1,4 @@
-//! Triangle listing, triangle counting and per-edge support.
+//! Triangle counting and per-edge support.
 //!
 //! The truss decomposition (and hence the truss-based edge ordering of the
 //! paper) is driven by the *support* of an edge `(u, v)`: the number of
@@ -7,10 +7,9 @@
 //!
 //! * [`EdgeIndex`] — a canonical dense numbering of the undirected edges,
 //! * [`edge_supports`] — per-edge supports in `O(Σ_e min(deg u, deg v))`,
-//! * [`triangle_count`] / [`list_triangles`] — global triangle statistics.
+//! * [`triangle_count`] — the global triangle count.
 
-use crate::graph::VertexId;
-use crate::topology::GraphTopology;
+use crate::graph::{Graph, VertexId};
 
 /// Identifier of an undirected edge in an [`EdgeIndex`].
 pub type EdgeId = u32;
@@ -33,14 +32,14 @@ pub struct EdgeIndex {
 
 impl EdgeIndex {
     /// Builds the edge index of `g`.
-    pub fn new<G: GraphTopology>(g: &G) -> Self {
+    pub fn new(g: &Graph) -> Self {
         let n = g.n();
         let mut endpoints = Vec::with_capacity(g.m());
         let mut upper_offsets = Vec::with_capacity(n + 1);
         let mut upper_neighbors = Vec::with_capacity(g.m());
         upper_offsets.push(0);
-        for u in g.vertices_iter() {
-            for v in g.neighbors_iter(u) {
+        for u in g.vertices() {
+            for &v in g.neighbors(u) {
                 if v > u {
                     endpoints.push((u, v));
                     upper_neighbors.push(v);
@@ -94,7 +93,7 @@ impl EdgeIndex {
 /// Computes the support (number of common neighbours) of every edge.
 ///
 /// Returns the [`EdgeIndex`] together with `support[e]` for every edge id.
-pub fn edge_supports<G: GraphTopology>(g: &G) -> (EdgeIndex, Vec<u32>) {
+pub fn edge_supports(g: &Graph) -> (EdgeIndex, Vec<u32>) {
     let index = EdgeIndex::new(g);
     let mut support = vec![0u32; index.len()];
     let mut buf = Vec::new();
@@ -110,7 +109,7 @@ pub fn edge_supports<G: GraphTopology>(g: &G) -> (EdgeIndex, Vec<u32>) {
 ///
 /// Uses forward-neighbourhood intersection over a degree ordering so dense
 /// graphs do not pay a quadratic factor per high-degree vertex.
-pub fn triangle_count<G: GraphTopology>(g: &G) -> u64 {
+pub fn triangle_count(g: &Graph) -> u64 {
     let n = g.n();
     // Rank vertices by (degree, id); forward edges go from lower to higher rank.
     let mut rank = vec![0u32; n];
@@ -122,7 +121,9 @@ pub fn triangle_count<G: GraphTopology>(g: &G) -> u64 {
     let forward: Vec<Vec<VertexId>> = (0..n as VertexId)
         .map(|u| {
             let mut f: Vec<VertexId> = g
-                .neighbors_iter(u)
+                .neighbors(u)
+                .iter()
+                .copied()
                 .filter(|&v| rank[v as usize] > rank[u as usize])
                 .collect();
             f.sort_unstable();
@@ -136,26 +137,6 @@ pub fn triangle_count<G: GraphTopology>(g: &G) -> u64 {
         }
     }
     count
-}
-
-/// Lists every triangle of `g` exactly once as `(a, b, c)` with `a < b < c`.
-pub fn list_triangles<G: GraphTopology>(g: &G) -> Vec<(VertexId, VertexId, VertexId)> {
-    let mut out = Vec::new();
-    let mut buf = Vec::new();
-    for u in g.vertices_iter() {
-        for v in g.neighbors_iter(u) {
-            if v <= u {
-                continue;
-            }
-            g.common_neighbors_into(u, v, &mut buf);
-            for &w in &buf {
-                if w > v {
-                    out.push((u, v, w));
-                }
-            }
-        }
-    }
-    out
 }
 
 fn sorted_intersection_len(a: &[VertexId], b: &[VertexId]) -> usize {
@@ -177,7 +158,6 @@ fn sorted_intersection_len(a: &[VertexId], b: &[VertexId]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Graph;
 
     fn triangle_with_tail() -> Graph {
         // Triangle 0-1-2, tail 2-3.
@@ -224,18 +204,6 @@ mod tests {
         assert_eq!(triangle_count(&triangle_with_tail()), 1);
         let c4 = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
         assert_eq!(triangle_count(&c4), 0);
-    }
-
-    #[test]
-    fn list_triangles_matches_count() {
-        let g = Graph::complete(6);
-        let listed = list_triangles(&g);
-        assert_eq!(listed.len() as u64, triangle_count(&g));
-        assert_eq!(listed.len(), 20);
-        for &(a, b, c) in &listed {
-            assert!(a < b && b < c);
-            assert!(g.has_edge(a, b) && g.has_edge(b, c) && g.has_edge(a, c));
-        }
     }
 
     #[test]

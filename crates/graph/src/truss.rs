@@ -13,8 +13,7 @@
 //! `O(δ·m)`-style running time (`O(Σ_e min(deg u, deg v))` for the support
 //! updates).
 
-use crate::graph::VertexId;
-use crate::topology::GraphTopology;
+use crate::graph::{Graph, VertexId};
 use crate::triangles::{edge_supports, EdgeId, EdgeIndex};
 
 /// The truss-based edge ordering of a graph.
@@ -55,7 +54,7 @@ impl TrussOrdering {
 }
 
 /// Computes the truss-based edge ordering and the truss parameter τ of `g`.
-pub fn truss_ordering<G: GraphTopology>(g: &G) -> TrussOrdering {
+pub fn truss_ordering(g: &Graph) -> TrussOrdering {
     let (index, mut support) = edge_supports(g);
     let m = index.len();
     let max_sup = support.iter().copied().max().unwrap_or(0) as usize;
@@ -123,16 +122,10 @@ pub fn truss_ordering<G: GraphTopology>(g: &G) -> TrussOrdering {
     }
 }
 
-/// Convenience wrapper returning only τ.
-pub fn truss_number<G: GraphTopology>(g: &G) -> usize {
-    truss_ordering(g).tau
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::degeneracy::degeneracy;
-    use crate::graph::Graph;
 
     #[test]
     fn edgeless_graph_has_empty_ordering() {
@@ -154,7 +147,7 @@ mod tests {
     fn complete_graph_tau_is_n_minus_two() {
         for n in 3..8 {
             let g = Graph::complete(n);
-            assert_eq!(truss_number(&g), n - 2, "K_{n}");
+            assert_eq!(truss_ordering(&g).tau, n - 2, "K_{n}");
         }
     }
 
@@ -179,8 +172,9 @@ mod tests {
             .unwrap(),
         ];
         for g in graphs {
-            assert!(truss_number(&g) < degeneracy(&g).max(1) || degeneracy(&g) == 0);
-            assert!(truss_number(&g) <= degeneracy(&g));
+            let (tau, delta) = (truss_ordering(&g).tau, degeneracy(&g));
+            assert!(tau < delta.max(1) || delta == 0);
+            assert!(tau <= delta);
         }
     }
 
