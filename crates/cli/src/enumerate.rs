@@ -12,7 +12,7 @@ use hbbmc::{
 };
 use mce_graph::Graph;
 
-use crate::args::{check_scheduler, ParsedArgs};
+use crate::args::ParsedArgs;
 use crate::error::CliError;
 use crate::io::{load_graph, open_sink, FormatArg};
 
@@ -29,9 +29,6 @@ options:
   --format edge-list|dimacs|mcg|auto  input format (default: auto)
   --preset NAME                    solver preset, e.g. HBBMC++ (default), RDegen
   --threads N                      worker threads, 1..=1024 (default: 1)
-  --scheduler dynamic|static|splitting   accepted, no effect: every parallel
-                                   run shares root chunks and donates
-                                   sub-branches to idle workers
   --min-size K                     only report cliques with >= K vertices
   --limit N                        stop after the first N cliques of the
                                    deterministic stream (exit 0; a truncated
@@ -54,7 +51,6 @@ const VALUE_OPTS: &[&str] = &[
     "--format",
     "--preset",
     "--threads",
-    "--scheduler",
     "--min-size",
     "--limit",
     "--max-steps",
@@ -202,9 +198,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     p.reject_extra_positionals(1)?;
     let mode = parse_output_mode(p.value("--output"))?;
     let config = SolverConfig::preset_by_name(p.value("--preset").unwrap_or("HBBMC++"))?;
-    if let Some(name) = p.value("--scheduler") {
-        check_scheduler(name).map_err(CliError::usage)?;
-    }
     let threads = p.usize_value("--threads", 1, 1, 1024)?;
     let min_size = p.usize_value("--min-size", 1, 1, usize::MAX)?;
     let budget = parse_budget(&p)?;
@@ -378,7 +371,7 @@ mod tests {
     }
 
     #[test]
-    fn output_is_identical_across_thread_counts_and_schedulers() {
+    fn output_is_identical_across_thread_counts() {
         let g = diamond();
         let baseline = emit_to_string(&g, 1, 1, OutputMode::Text);
         for threads in [2, 4] {
@@ -438,12 +431,8 @@ mod tests {
     fn parse_rejects_unknown_mode_and_scheduler() {
         assert!(parse_output_mode(Some("xml")).is_err());
         assert_eq!(parse_output_mode(None).unwrap(), OutputMode::Count);
-        assert_eq!(
-            check_scheduler("magic").unwrap_err(),
-            "unknown scheduler 'magic' (expected dynamic, static or splitting)"
-        );
-        for name in ["dynamic", "static", "splitting"] {
-            assert!(check_scheduler(name).is_ok(), "{name}");
-        }
+        // The removed no-op scheduler option is an unknown option, whatever its value.
+        let args = ["--scheduler".to_owned(), "dynamic".to_owned()];
+        assert!(ParsedArgs::parse(&args, VALUE_OPTS, BOOL_FLAGS).is_err());
     }
 }

@@ -14,7 +14,7 @@ use hbbmc::{
 };
 use mce_graph::Graph;
 
-use crate::args::{check_scheduler, ParsedArgs};
+use crate::args::ParsedArgs;
 use crate::enumerate::{parse_budget, print_stats, write_count_summary};
 use crate::error::CliError;
 use crate::io::{load_graph, open_sink, FormatArg};
@@ -55,8 +55,6 @@ options:
   --preset NAME                    solver preset, e.g. HBBMC++ (default)
   --threads N                      worker threads, 1..=1024 (default: 1;
                                    anchored/kclique queries run sequentially)
-  --scheduler dynamic|static|splitting   accepted, no effect (one parallel
-                                   engine)
   --min-size K                     only report cliques with >= K vertices
                                    (streaming modes; applied after --limit)
   --output text|ndjson|count       streaming output mode (default: text)
@@ -74,7 +72,6 @@ const VALUE_OPTS: &[&str] = &[
     "--format",
     "--preset",
     "--threads",
-    "--scheduler",
     "--min-size",
     "--output",
     "--out",
@@ -201,9 +198,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     p.reject_extra_positionals(1)?;
     let spec = parse_spec(&p)?;
     let config = SolverConfig::preset_by_name(p.value("--preset").unwrap_or("HBBMC++"))?;
-    if let Some(name) = p.value("--scheduler") {
-        check_scheduler(name).map_err(CliError::usage)?;
-    }
     let threads = p.usize_value("--threads", 1, 1, 1024)?;
     let min_size = p.usize_value("--min-size", 1, 1, usize::MAX)?;
     let budget = parse_budget(&p)?;

@@ -27,7 +27,6 @@ pub mod registry;
 pub mod server;
 pub mod testkit;
 
-use crate::args::check_scheduler;
 use crate::args::ParsedArgs;
 use crate::error::CliError;
 
@@ -53,8 +52,6 @@ options:
   --default-max-steps N    step budget for queries without 'max_steps'
   --client-max-steps N     per-connection branch-step quota
   --client-max-cliques N   per-connection clique quota
-  --scheduler dynamic|static|splitting   accepted, no effect (one parallel
-                           engine; the wire 'scheduler' field likewise)
   --preset NAME            default solver preset (default: HBBMC++)
   --max-line-bytes N       request-line length cap (default: 1048576)
   --idle-timeout-secs N    close connections with no request for N seconds
@@ -79,7 +76,6 @@ const VALUE_OPTS: &[&str] = &[
     "--default-max-steps",
     "--client-max-steps",
     "--client-max-cliques",
-    "--scheduler",
     "--preset",
     "--max-line-bytes",
     "--idle-timeout-secs",
@@ -92,9 +88,6 @@ const BOOL_FLAGS: &[&str] = &[];
 
 /// Builds the [`ServeConfig`] from parsed flags.
 fn parse_config(p: &ParsedArgs) -> Result<ServeConfig, CliError> {
-    if let Some(name) = p.value("--scheduler") {
-        check_scheduler(name).map_err(CliError::usage)?;
-    }
     let defaults = ServeConfig::default();
     // Timeout flags use 0 to mean "disabled" so the CLI has no bool flags.
     let secs_or_off = |value: u64| (value > 0).then(|| std::time::Duration::from_secs(value));
@@ -201,8 +194,6 @@ mod tests {
             "1000",
             "--client-max-cliques",
             "50",
-            "--scheduler",
-            "splitting",
             "--max-line-bytes",
             "4096",
         ])
@@ -218,7 +209,7 @@ mod tests {
     #[test]
     fn bad_flags_are_usage_errors() {
         assert!(parse(&["--max-sessions", "0"]).is_err());
-        assert!(parse(&["--scheduler", "fifo"]).is_err());
+        assert!(parse(&["--scheduler", "dynamic"]).is_err());
         assert!(parse(&["--port", "1"]).is_err());
     }
 }

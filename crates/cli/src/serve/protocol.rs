@@ -13,8 +13,6 @@
 
 use hbbmc::{QuerySpec, VertexId};
 
-use crate::args::check_scheduler;
-
 use super::json::{self, Value};
 
 /// Machine-readable error categories of the `error` frame.
@@ -280,16 +278,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                     "max_steps",
                     "deadline_ms",
                     "threads",
-                    "scheduler",
                     "preset",
                     "queue",
                 ],
             )?;
             let graph = required_str(&v, "graph")?;
             let spec = parse_spec(&v)?;
-            if let Some(s) = v.get("scheduler") {
-                check_scheduler(s.as_str().ok_or("'scheduler' must be a string")?)?;
-            }
             let threads = match optional_u64(&v, "threads")? {
                 None => None,
                 Some(0) => return Err("'threads' must be >= 1".to_string()),
@@ -491,10 +485,8 @@ mod tests {
         let Request::Query(q) = q else { panic!() };
         assert_eq!(q.spec, QuerySpec::TopKBySize { k: 4 });
 
-        let q = parse_request(
-            r#"{"op":"query","graph":"g","mode":"kclique","k":3,"scheduler":"splitting","threads":2}"#,
-        )
-        .unwrap();
+        let q = parse_request(r#"{"op":"query","graph":"g","mode":"kclique","k":3,"threads":2}"#)
+            .unwrap();
         let Request::Query(q) = q else { panic!() };
         assert_eq!(q.spec, QuerySpec::KClique { k: 3 });
         assert_eq!(q.threads, Some(2));
@@ -514,13 +506,27 @@ mod tests {
             r#"{"op":"query","graph":"g","k":3}"#,
             r#"{"op":"query","graph":"g","threads":0}"#,
             r#"{"op":"query","graph":"g","bogus":1}"#,
-            r#"{"op":"query","graph":"g","scheduler":"fifo"}"#,
             r#"{"op":"load","name":"g"}"#,
             r#"{"op":"load","name":"g","path":"a","content":"b"}"#,
             r#"{"op":"load","name":"","content":"0 1"}"#,
             r#"{"op":"ping","extra":true}"#,
         ] {
             assert!(parse_request(bad).is_err(), "{bad} should be rejected");
+        }
+    }
+
+    #[test]
+    fn scheduler_field_is_an_unknown_field() {
+        // The no-op wire field is gone; a query carrying it is a bad request
+        // naming the field, whatever its value.
+        for name in ["dynamic", "static", "splitting", "fifo"] {
+            let line = format!(r#"{{"op":"query","graph":"g","scheduler":"{name}"}}"#);
+            let err = parse_request(&line).unwrap_err();
+            assert_eq!(err, "unknown field 'scheduler'");
+            assert_eq!(
+                error_frame(ErrorCode::BadRequest, &err),
+                r#"{"type":"error","code":"bad-request","message":"unknown field 'scheduler'"}"#
+            );
         }
     }
 

@@ -40,37 +40,30 @@ fn unknown_command_is_usage() {
 #[test]
 fn unknown_option_is_usage() {
     assert_clean_failure(&["enumerate", "--warp", "9"], 2);
-    // `--kernel` (a removed word-kernel backend switch) is rejected like any
-    // other unknown option.
-    for args in [
-        &["enumerate", "--kernel", "scalar", "/dev/null"][..],
-        &["query", "--kernel", "scalar", "/dev/null"],
-        &["serve", "--kernel", "scalar"],
+    // The removed word-kernel backend switch and the removed no-op scheduler
+    // option are rejected like any other unknown option.
+    for (args, option) in [
+        (
+            &["enumerate", "--kernel", "scalar", "/dev/null"][..],
+            "--kernel",
+        ),
+        (&["query", "--kernel", "scalar", "/dev/null"], "--kernel"),
+        (&["serve", "--kernel", "scalar"], "--kernel"),
+        (
+            &["enumerate", "--scheduler", "dynamic", "/dev/null"],
+            "--scheduler",
+        ),
+        (
+            &["query", "--scheduler", "static", "/dev/null"],
+            "--scheduler",
+        ),
+        (&["serve", "--scheduler", "splitting"], "--scheduler"),
     ] {
         let out = mce(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert_eq!(
             String::from_utf8_lossy(&out.stderr),
-            "mce: unknown option '--kernel'\n",
-            "{args:?}"
-        );
-    }
-}
-
-#[test]
-fn unknown_scheduler_is_usage() {
-    // `--scheduler` has no effect, but only its three historical names are
-    // accepted (the golden tests replay all three).
-    for args in [
-        &["enumerate", "--scheduler", "magic", "/dev/null"][..],
-        &["query", "--scheduler", "magic", "/dev/null"],
-        &["serve", "--scheduler", "magic"],
-    ] {
-        let out = mce(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        assert_eq!(
-            String::from_utf8_lossy(&out.stderr),
-            "mce: unknown scheduler 'magic' (expected dynamic, static or splitting)\n",
+            format!("mce: unknown option '{option}'\n"),
             "{args:?}"
         );
     }

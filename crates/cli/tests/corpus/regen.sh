@@ -45,8 +45,7 @@ done
 
 # --- mce query goldens -----------------------------------------------------
 # Anchored enumeration (vertex 27 sits in several planted communities) and
-# the deterministic top-k ranking; the gate replays both at 1/2/4 threads
-# under all three schedulers.
+# the deterministic top-k ranking; the gate replays both at 1/2/4 threads.
 "$MCE" query "$DIR/planted-60.txt" --anchor 27 --output text \
   --out "$DIR/planted-60.anchor27.golden"
 "$MCE" query "$DIR/planted-60.txt" --top 3 --out "$DIR/planted-60.top3.golden"

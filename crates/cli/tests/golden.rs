@@ -1,8 +1,8 @@
 //! The golden-corpus determinism gate.
 //!
 //! Replays `mce enumerate` over every checked-in corpus graph at 1/2/4
-//! threads under each of the three accepted `--scheduler` names (donated
-//! sub-branches must resequence exactly) and asserts the output is
+//! threads (donated sub-branches must resequence exactly) and asserts the
+//! output is
 //! byte-identical to the committed golden file — "same cliques regardless
 //! of parallelism" as an executable contract rather than a test-only
 //! property. Regenerate the goldens with `crates/cli/tests/corpus/regen.sh`
@@ -20,19 +20,12 @@ fn mce() -> Command {
 }
 
 /// Runs `mce enumerate` on a corpus graph and returns stdout bytes.
-fn enumerate(
-    graph: &str,
-    output: &str,
-    preset: Option<&str>,
-    threads: usize,
-    scheduler: &str,
-) -> Vec<u8> {
+fn enumerate(graph: &str, output: &str, preset: Option<&str>, threads: usize) -> Vec<u8> {
     let mut cmd = mce();
     cmd.arg("enumerate")
         .arg(corpus_dir().join(graph))
         .args(["--output", output])
-        .args(["--threads", &threads.to_string()])
-        .args(["--scheduler", scheduler]);
+        .args(["--threads", &threads.to_string()]);
     if let Some(p) = preset {
         cmd.args(["--preset", p]);
     }
@@ -51,19 +44,17 @@ fn replay(graph: &str, output: &str, preset: Option<&str>, golden: &str) {
         .unwrap_or_else(|e| panic!("reading {golden}: {e}"));
     assert!(!expected.is_empty(), "{golden} must not be empty");
     for threads in [1usize, 2, 4] {
-        for scheduler in ["dynamic", "static", "splitting"] {
-            let got = enumerate(graph, output, preset, threads, scheduler);
-            assert_eq!(
-                got, expected,
-                "{graph} --output {output} (preset {preset:?}) differs from {golden} \
-                 at {threads} threads, {scheduler} scheduler"
-            );
-        }
+        let got = enumerate(graph, output, preset, threads);
+        assert_eq!(
+            got, expected,
+            "{graph} --output {output} (preset {preset:?}) differs from {golden} \
+             at {threads} threads"
+        );
     }
 }
 
 #[test]
-fn text_outputs_match_goldens_across_threads_and_schedulers() {
+fn text_outputs_match_goldens_across_threads() {
     for stem in [
         "planted-60",
         "er-sparse-48",
@@ -81,7 +72,7 @@ fn text_outputs_match_goldens_across_threads_and_schedulers() {
 }
 
 #[test]
-fn count_outputs_match_goldens_across_threads_and_schedulers() {
+fn count_outputs_match_goldens_across_threads() {
     for stem in [
         "planted-60",
         "er-sparse-48",
@@ -132,65 +123,51 @@ fn run_mce(args: &[&str]) -> Vec<u8> {
 }
 
 #[test]
-fn query_anchored_golden_matches_across_threads_and_schedulers() {
+fn query_anchored_golden_matches_across_threads() {
     let graph = corpus_dir().join("planted-60.txt");
     let graph = graph.to_str().unwrap();
     let expected = std::fs::read(corpus_dir().join("planted-60.anchor27.golden")).unwrap();
     assert!(!expected.is_empty());
     for threads in [1usize, 2, 4] {
-        for scheduler in ["dynamic", "static", "splitting"] {
-            let got = run_mce(&[
-                "query",
-                graph,
-                "--anchor",
-                "27",
-                "--output",
-                "text",
-                "--threads",
-                &threads.to_string(),
-                "--scheduler",
-                scheduler,
-            ]);
-            assert_eq!(
-                got, expected,
-                "anchored query differs at {threads} threads, {scheduler}"
-            );
-        }
+        let got = run_mce(&[
+            "query",
+            graph,
+            "--anchor",
+            "27",
+            "--output",
+            "text",
+            "--threads",
+            &threads.to_string(),
+        ]);
+        assert_eq!(got, expected, "anchored query differs at {threads} threads");
     }
 }
 
 #[test]
-fn query_top_k_golden_matches_across_threads_and_schedulers() {
+fn query_top_k_golden_matches_across_threads() {
     let graph = corpus_dir().join("planted-60.txt");
     let graph = graph.to_str().unwrap();
     let expected = std::fs::read(corpus_dir().join("planted-60.top3.golden")).unwrap();
     assert_eq!(expected.iter().filter(|&&b| b == b'\n').count(), 3);
     for threads in [1usize, 2, 4] {
-        for scheduler in ["dynamic", "static", "splitting"] {
-            let got = run_mce(&[
-                "query",
-                graph,
-                "--top",
-                "3",
-                "--threads",
-                &threads.to_string(),
-                "--scheduler",
-                scheduler,
-            ]);
-            assert_eq!(
-                got, expected,
-                "top-3 query differs at {threads} threads, {scheduler}"
-            );
-        }
+        let got = run_mce(&[
+            "query",
+            graph,
+            "--top",
+            "3",
+            "--threads",
+            &threads.to_string(),
+        ]);
+        assert_eq!(got, expected, "top-3 query differs at {threads} threads");
     }
 }
 
 #[test]
-fn query_max_clique_goldens_match_across_threads_and_schedulers() {
+fn query_max_clique_goldens_match_across_threads() {
     // The branch-and-bound search is sequential, but the winner is part of
     // the determinism contract: the canonical (lex-smallest sorted) maximum
-    // clique must come back byte-identical at every thread count and
-    // scheduler, on a dense text graph and on a binary .mcg one — and on
+    // clique must come back byte-identical at every thread count, on a
+    // dense text graph and on a binary .mcg one — and on
     // moon-moser-12 it must equal the enumeration-riding `--output max`
     // golden, which ranks ties by the same canonical rule.
     for (graph, golden) in [
@@ -203,21 +180,17 @@ fn query_max_clique_goldens_match_across_threads_and_schedulers() {
             .unwrap_or_else(|e| panic!("reading {golden}: {e}"));
         assert!(!expected.is_empty(), "{golden} must not be empty");
         for threads in [1usize, 2, 4] {
-            for scheduler in ["dynamic", "static", "splitting"] {
-                let got = run_mce(&[
-                    "query",
-                    path.to_str().unwrap(),
-                    "--max-clique",
-                    "--threads",
-                    &threads.to_string(),
-                    "--scheduler",
-                    scheduler,
-                ]);
-                assert_eq!(
-                    got, expected,
-                    "{graph} --max-clique differs from {golden} at {threads} threads, {scheduler}"
-                );
-            }
+            let got = run_mce(&[
+                "query",
+                path.to_str().unwrap(),
+                "--max-clique",
+                "--threads",
+                &threads.to_string(),
+            ]);
+            assert_eq!(
+                got, expected,
+                "{graph} --max-clique differs from {golden} at {threads} threads"
+            );
         }
     }
 }
@@ -240,48 +213,35 @@ fn query_count_matches_the_count_golden() {
 }
 
 /// The golden-corpus prefix gate: `--limit N` must emit exactly the first N
-/// lines of the committed full text golden, at 1/2/4 threads under every
-/// scheduler, for both `enumerate` and `query`.
+/// lines of the committed full text golden, at 1/2/4 threads, for both
+/// `enumerate` and `query`.
 #[test]
-fn limit_emits_the_exact_golden_prefix_across_threads_and_schedulers() {
+fn limit_emits_the_exact_golden_prefix_across_threads() {
     let graph = corpus_dir().join("planted-60.txt");
     let graph = graph.to_str().unwrap();
     let full = std::fs::read_to_string(corpus_dir().join("planted-60.text.golden")).unwrap();
     let prefix: String = full.lines().take(10).map(|l| format!("{l}\n")).collect();
     assert_eq!(prefix.lines().count(), 10, "corpus graph has > 10 cliques");
     for threads in [1usize, 2, 4] {
-        for scheduler in ["dynamic", "static", "splitting"] {
-            let threads_s = threads.to_string();
-            let enumerate_args = [
-                "enumerate",
-                graph,
-                "--output",
-                "text",
-                "--limit",
-                "10",
-                "--threads",
-                &threads_s,
-                "--scheduler",
-                scheduler,
-            ];
-            let query_args = [
-                "query",
-                graph,
-                "--limit",
-                "10",
-                "--threads",
-                &threads_s,
-                "--scheduler",
-                scheduler,
-            ];
-            for args in [&enumerate_args[..], &query_args[..]] {
-                let got = run_mce(args);
-                assert_eq!(
-                    String::from_utf8(got).unwrap(),
-                    prefix,
-                    "{args:?}: --limit 10 must be the exact 10-line golden prefix"
-                );
-            }
+        let threads_s = threads.to_string();
+        let enumerate_args = [
+            "enumerate",
+            graph,
+            "--output",
+            "text",
+            "--limit",
+            "10",
+            "--threads",
+            &threads_s,
+        ];
+        let query_args = ["query", graph, "--limit", "10", "--threads", &threads_s];
+        for args in [&enumerate_args[..], &query_args[..]] {
+            let got = run_mce(args);
+            assert_eq!(
+                String::from_utf8(got).unwrap(),
+                prefix,
+                "{args:?}: --limit 10 must be the exact 10-line golden prefix"
+            );
         }
     }
 }

@@ -5,15 +5,12 @@
 //! session: the server stays up, unaffected concurrent sessions' responses
 //! stay byte-identical to their golden, the faulted session gets a typed
 //! `internal-error` frame, and deadline-truncated responses remain exact
-//! byte-prefixes of complete ones at every thread count × wire `scheduler`
-//! name (accepted and ignored).
+//! byte-prefixes of complete ones at every thread count.
 
 use std::time::Duration;
 
 use mce_cli::serve::json::{self, Value};
-use mce_cli::serve::testkit::{
-    load_request, with_scheduler, FaultSchedule, TestClient, TestServer,
-};
+use mce_cli::serve::testkit::{load_request, FaultSchedule, TestClient, TestServer};
 use mce_cli::serve::ServeConfig;
 use mce_gen::{planted_communities, PlantedConfig};
 use mce_graph::io::write_edge_list;
@@ -32,8 +29,6 @@ fn moon_moser_text(classes: u32) -> String {
     }
     text
 }
-
-const SCHEDULERS: [&str; 3] = ["dynamic", "static", "splitting"];
 
 /// On mismatch, writes both frame streams under `SERVE_REPLAY_DIR` (when
 /// set — the CI chaos job uploads that directory as an artifact) and then
@@ -92,7 +87,7 @@ fn without_ids(frames: &[String]) -> Vec<String> {
 
 /// The acceptance scenario: one session's pool worker panics
 /// mid-enumeration and another client disconnects mid-stream, concurrently
-/// with healthy sessions, at every thread count × scheduler name. The healthy
+/// with healthy sessions, at every thread count. The healthy
 /// sessions' bytes never change, the faulted session ends in a typed
 /// `internal-error` frame on a connection that stays usable, and the server
 /// keeps accepting.
@@ -100,158 +95,135 @@ fn without_ids(frames: &[String]) -> Vec<String> {
 fn worker_panic_and_disconnect_leave_neighbours_byte_identical() {
     let text = moon_moser_text(4); // 81 maximal cliques
     for threads in [1usize, 2, 4] {
-        for scheduler in SCHEDULERS {
-            let server = TestServer::start(ServeConfig {
-                default_threads: threads,
-                max_sessions: 8,
-                chaos_panic_graph: Some("bad".to_string()),
-                chaos_panic_after: 5,
-                ..ServeConfig::default()
-            })
-            .expect("start server");
+        let server = TestServer::start(ServeConfig {
+            default_threads: threads,
+            max_sessions: 8,
+            chaos_panic_graph: Some("bad".to_string()),
+            chaos_panic_after: 5,
+            ..ServeConfig::default()
+        })
+        .expect("start server");
 
-            let mut admin = server.connect().expect("connect admin");
-            admin
-                .roundtrip(&load_request("good", &text))
-                .expect("load good");
-            admin
-                .roundtrip(&load_request("bad", &text))
-                .expect("load bad");
-            let golden = admin
-                .roundtrip(r#"{"op":"query","graph":"good"}"#)
-                .expect("golden query");
-            let (golden_cliques, golden_end) = split(&golden);
-            assert!(
-                golden_end.contains(r#""outcome":"complete""#),
-                "{golden_end}"
-            );
-            assert_eq!(golden_cliques.len(), 81);
+        let mut admin = server.connect().expect("connect admin");
+        admin
+            .roundtrip(&load_request("good", &text))
+            .expect("load good");
+        admin
+            .roundtrip(&load_request("bad", &text))
+            .expect("load bad");
+        let golden = admin
+            .roundtrip(r#"{"op":"query","graph":"good"}"#)
+            .expect("golden query");
+        let (golden_cliques, golden_end) = split(&golden);
+        assert!(
+            golden_end.contains(r#""outcome":"complete""#),
+            "{golden_end}"
+        );
+        assert_eq!(golden_cliques.len(), 81);
 
-            // Three concurrent clients: healthy, panicking, disconnecting.
-            let addr = server.addr();
-            let healthy = std::thread::spawn(move || -> std::io::Result<Vec<String>> {
-                let mut c = TestClient::connect(addr)?;
-                c.roundtrip(&with_scheduler(
-                    r#"{"op":"query","graph":"good"}"#,
-                    scheduler,
-                ))
-            });
-            let faulted =
-                std::thread::spawn(move || -> std::io::Result<(Vec<String>, Vec<String>)> {
-                    let mut c = TestClient::connect(addr)?;
-                    let frames = c.roundtrip(&with_scheduler(
-                        r#"{"op":"query","graph":"bad"}"#,
-                        scheduler,
-                    ))?;
-                    let ping = c.roundtrip(r#"{"op":"ping"}"#)?;
-                    Ok((frames, ping))
-                });
-            let vanished = std::thread::spawn(move || -> std::io::Result<()> {
-                let mut c = TestClient::connect(addr)?;
-                c.send_line(&with_scheduler(
-                    r#"{"op":"query","graph":"good"}"#,
-                    scheduler,
-                ))?;
-                // Read a couple of frames, then vanish mid-stream.
-                c.recv_line()?;
-                c.recv_line()?;
-                c.disconnect()
-            });
+        // Three concurrent clients: healthy, panicking, disconnecting.
+        let addr = server.addr();
+        let healthy = std::thread::spawn(move || -> std::io::Result<Vec<String>> {
+            let mut c = TestClient::connect(addr)?;
+            c.roundtrip(r#"{"op":"query","graph":"good"}"#)
+        });
+        let faulted = std::thread::spawn(move || -> std::io::Result<(Vec<String>, Vec<String>)> {
+            let mut c = TestClient::connect(addr)?;
+            let frames = c.roundtrip(r#"{"op":"query","graph":"bad"}"#)?;
+            let ping = c.roundtrip(r#"{"op":"ping"}"#)?;
+            Ok((frames, ping))
+        });
+        let vanished = std::thread::spawn(move || -> std::io::Result<()> {
+            let mut c = TestClient::connect(addr)?;
+            c.send_line(r#"{"op":"query","graph":"good"}"#)?;
+            // Read a couple of frames, then vanish mid-stream.
+            c.recv_line()?;
+            c.recv_line()?;
+            c.disconnect()
+        });
 
-            // The unaffected session is byte-identical to its golden.
-            let frames = healthy.join().expect("healthy thread").expect("healthy io");
-            assert_same_bytes(&frames, &golden, &format!("healthy.t{threads}.{scheduler}"));
+        // The unaffected session is byte-identical to its golden.
+        let frames = healthy.join().expect("healthy thread").expect("healthy io");
+        assert_same_bytes(&frames, &golden, &format!("healthy.t{threads}"));
 
-            // The faulted session: its prefix is deterministic, the terminal
-            // frame is the typed internal error, and the connection survived.
-            let (frames, ping) = faulted.join().expect("faulted thread").expect("faulted io");
-            let (cliques, terminal) = split(&frames);
-            assert_eq!(cliques.len(), 5, "chaos fuse emits exactly 5 cliques");
-            assert_eq!(
-                cliques,
-                golden_cliques[..5].to_vec(),
-                "faulted session's prefix diverged at {threads} threads / {scheduler}"
-            );
-            assert!(
-                terminal.contains(r#""code":"internal-error""#),
-                "terminal frame: {terminal}"
-            );
-            assert!(terminal.contains("injected chaos fault"), "{terminal}");
-            assert_eq!(ping, vec![r#"{"type":"pong"}"#.to_string()]);
+        // The faulted session: its prefix is deterministic, the terminal
+        // frame is the typed internal error, and the connection survived.
+        let (frames, ping) = faulted.join().expect("faulted thread").expect("faulted io");
+        let (cliques, terminal) = split(&frames);
+        assert_eq!(cliques.len(), 5, "chaos fuse emits exactly 5 cliques");
+        assert_eq!(
+            cliques,
+            golden_cliques[..5].to_vec(),
+            "faulted session's prefix diverged at {threads} threads"
+        );
+        assert!(
+            terminal.contains(r#""code":"internal-error""#),
+            "terminal frame: {terminal}"
+        );
+        assert!(terminal.contains("injected chaos fault"), "{terminal}");
+        assert_eq!(ping, vec![r#"{"type":"pong"}"#.to_string()]);
 
-            vanished
-                .join()
-                .expect("vanished thread")
-                .expect("vanished io");
+        vanished
+            .join()
+            .expect("vanished thread")
+            .expect("vanished io");
 
-            // The server is still accepting and still byte-deterministic.
-            let mut after = server.connect().expect("connect after faults");
-            let replay = after
-                .roundtrip(&with_scheduler(
-                    r#"{"op":"query","graph":"good"}"#,
-                    scheduler,
-                ))
-                .expect("replay");
-            assert_same_bytes(&replay, &golden, &format!("replay.t{threads}.{scheduler}"));
-            let metrics = after.roundtrip(r#"{"op":"metrics"}"#).expect("metrics");
-            assert!(
-                metrics[0].contains(r#""panics_contained":1"#),
-                "{}",
-                metrics[0]
-            );
-        }
+        // The server is still accepting and still byte-deterministic.
+        let mut after = server.connect().expect("connect after faults");
+        let replay = after
+            .roundtrip(r#"{"op":"query","graph":"good"}"#)
+            .expect("replay");
+        assert_same_bytes(&replay, &golden, &format!("replay.t{threads}"));
+        let metrics = after.roundtrip(r#"{"op":"metrics"}"#).expect("metrics");
+        assert!(
+            metrics[0].contains(r#""panics_contained":1"#),
+            "{}",
+            metrics[0]
+        );
     }
 }
 
 /// A `deadline_ms` truncated response is an exact byte-prefix of the
-/// complete response at 1/2/4 server threads under all three scheduler names,
-/// and carries the deadline outcome.
+/// complete response at 1/2/4 server threads, and carries the deadline
+/// outcome.
 #[test]
 fn deadline_truncated_response_is_byte_prefix_at_every_thread_count() {
     let text = moon_moser_text(4);
     for threads in [1usize, 2, 4] {
-        for scheduler in SCHEDULERS {
-            let server = TestServer::start(ServeConfig {
-                default_threads: threads,
-                ..ServeConfig::default()
-            })
-            .expect("start server");
-            let mut client = server.connect().expect("connect");
-            client.roundtrip(&load_request("g", &text)).expect("load");
-            let full = client
-                .roundtrip(r#"{"op":"query","graph":"g"}"#)
-                .expect("full");
-            let (full_cliques, full_end) = split(&full);
-            assert!(full_end.contains(r#""outcome":"complete""#), "{full_end}");
+        let server = TestServer::start(ServeConfig {
+            default_threads: threads,
+            ..ServeConfig::default()
+        })
+        .expect("start server");
+        let mut client = server.connect().expect("connect");
+        client.roundtrip(&load_request("g", &text)).expect("load");
+        let full = client
+            .roundtrip(r#"{"op":"query","graph":"g"}"#)
+            .expect("full");
+        let (full_cliques, full_end) = split(&full);
+        assert!(full_end.contains(r#""outcome":"complete""#), "{full_end}");
 
-            // An already-expired deadline: the strictest truncation point.
-            let cut = client
-                .roundtrip(&with_scheduler(
-                    r#"{"op":"query","graph":"g","deadline_ms":0}"#,
-                    scheduler,
-                ))
-                .expect("expired deadline");
-            let (cut_cliques, cut_end) = split(&cut);
-            assert!(
-                cut_end.contains(r#""outcome":"truncated (deadline exceeded)""#),
-                "{threads} threads / {scheduler}: {cut_end}"
-            );
-            assert!(cut_end.contains(r#""budget_terminated":true"#), "{cut_end}");
-            assert_eq!(
-                cut_cliques,
-                full_cliques[..cut_cliques.len()].to_vec(),
-                "deadline truncation is not a byte-prefix at {threads} threads / {scheduler}"
-            );
+        // An already-expired deadline: the strictest truncation point.
+        let cut = client
+            .roundtrip(r#"{"op":"query","graph":"g","deadline_ms":0}"#)
+            .expect("expired deadline");
+        let (cut_cliques, cut_end) = split(&cut);
+        assert!(
+            cut_end.contains(r#""outcome":"truncated (deadline exceeded)""#),
+            "{threads} threads: {cut_end}"
+        );
+        assert!(cut_end.contains(r#""budget_terminated":true"#), "{cut_end}");
+        assert_eq!(
+            cut_cliques,
+            full_cliques[..cut_cliques.len()].to_vec(),
+            "deadline truncation is not a byte-prefix at {threads} threads"
+        );
 
-            // A generous deadline changes nothing at all.
-            let generous = client
-                .roundtrip(&with_scheduler(
-                    r#"{"op":"query","graph":"g","deadline_ms":3600000}"#,
-                    scheduler,
-                ))
-                .expect("generous deadline");
-            assert_eq!(without_ids(&generous), without_ids(&full));
-        }
+        // A generous deadline changes nothing at all.
+        let generous = client
+            .roundtrip(r#"{"op":"query","graph":"g","deadline_ms":3600000}"#)
+            .expect("generous deadline");
+        assert_eq!(without_ids(&generous), without_ids(&full));
     }
 }
 

@@ -31,6 +31,8 @@ fn malformed_json_gets_bad_request_and_connection_survives() {
         r#"{"op":"ping"} trailing"#,
         r#"{"op":"query"}"#,
         r#"{"op":"load","name":"g"}"#,
+        // The wire `scheduler` field was removed; it is an unknown field now.
+        r#"{"op":"query","graph":"g","scheduler":"dynamic"}"#,
         "\"just a string\"",
         "null",
         // Deeply nested input exercises the parser's depth cap instead of

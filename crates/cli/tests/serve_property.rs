@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use mce_cli::serve::testkit::{load_request, with_scheduler, TestClient, TestServer};
+use mce_cli::serve::testkit::{load_request, TestClient, TestServer};
 use mce_cli::serve::ServeConfig;
 
 /// Renders a deduplicated edge list (self-loops dropped) as edge-list text.
@@ -37,10 +37,6 @@ fn moon_moser_text(classes: u32) -> String {
         }
     }
     text
-}
-
-fn scheduler(index: usize) -> &'static str {
-    ["dynamic", "static", "splitting"][index % 3]
 }
 
 /// Splits a response into (begin?, clique lines, terminal frame), panicking
@@ -74,13 +70,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// A clique-limited response's clique bytes are an exact prefix of the
-    /// unbudgeted response's, at every server thread count and scheduler.
+    /// unbudgeted response's, at every server thread count.
     #[test]
     fn truncated_response_is_byte_prefix_of_full_stream(
         pairs in proptest::collection::vec((0u32..20, 0u32..20), 1..120),
         limit in 1u64..12,
         threads in 1usize..4,
-        sched in 0usize..3,
         anchored in any::<bool>(),
     ) {
         let server = TestServer::start(ServeConfig {
@@ -103,10 +98,7 @@ proptest! {
             .roundtrip(&format!(r#"{{"op":"query","graph":"g"{mode}}}"#))
             .unwrap();
         let truncated = client
-            .roundtrip(&with_scheduler(
-                &format!(r#"{{"op":"query","graph":"g","limit":{limit}{mode}}}"#),
-                scheduler(sched),
-            ))
+            .roundtrip(&format!(r#"{{"op":"query","graph":"g","limit":{limit}{mode}}}"#))
             .unwrap();
         // Anchored queries on a graph without vertex 0 are admission errors
         // on both sides; nothing to compare beyond equality.
@@ -141,7 +133,6 @@ proptest! {
     fn cancellation_yields_well_formed_terminal_frames(
         classes in 3u32..6,
         threads in 1usize..4,
-        sched in 0usize..3,
         cancel_id in any::<bool>(),
     ) {
         let server = TestServer::start(ServeConfig {
@@ -155,7 +146,7 @@ proptest! {
         // Pipeline the query and the cancel: the reader thread services the
         // cancel while the session streams.
         client
-            .send_line(&with_scheduler(r#"{"op":"query","graph":"mm"}"#, scheduler(sched)))
+            .send_line(r#"{"op":"query","graph":"mm"}"#)
             .unwrap();
         if cancel_id {
             client.send_line(r#"{"op":"cancel","id":1}"#).unwrap();
@@ -193,7 +184,6 @@ proptest! {
     fn evict_during_queries_never_corrupts_sessions(
         classes in 3u32..5,
         queries_per_client in 1usize..4,
-        sched in 0usize..3,
     ) {
         let server = TestServer::start(ServeConfig {
             default_threads: 2,
@@ -218,10 +208,7 @@ proptest! {
                         if i % 2 == 1 {
                             client.roundtrip(&load_request("g", &text))?;
                         }
-                        responses.push(client.roundtrip(&with_scheduler(
-                            r#"{"op":"query","graph":"g"}"#,
-                            scheduler(sched),
-                        ))?);
+                        responses.push(client.roundtrip(r#"{"op":"query","graph":"g"}"#)?);
                     }
                     Ok(responses)
                 })
@@ -259,7 +246,6 @@ proptest! {
     #[test]
     fn deadline_expiry_racing_evict_stays_well_formed(
         classes in 3u32..5,
-        sched in 0usize..3,
         deadline_ms in 0u64..3,
         reloads in 1usize..5,
     ) {
@@ -277,10 +263,7 @@ proptest! {
             let mut client = TestClient::connect(addr)?;
             let mut responses = Vec::new();
             for _ in 0..4 {
-                responses.push(client.roundtrip(&with_scheduler(
-                    &format!(r#"{{"op":"query","graph":"g","deadline_ms":{deadline_ms}}}"#),
-                    scheduler(sched),
-                ))?);
+                responses.push(client.roundtrip(&format!(r#"{{"op":"query","graph":"g","deadline_ms":{deadline_ms}}}"#))?);
             }
             Ok(responses)
         });

@@ -104,35 +104,28 @@ pub(crate) fn for_each_k_clique_with_state(
 
     let mut aborted = 0u64;
     let eo = edge_ordering(g, EdgeOrderingKind::Truss);
-    let mut common = Vec::new();
-    for (rank, &edge) in eo.order.iter().enumerate() {
+    let mut candidates = Vec::new();
+    let mut lg = LocalGraph::new();
+    let mut position = vec![u32::MAX; g.n()];
+    for (rank, &(u, v)) in eo.order.iter().enumerate() {
         if state.note_step() {
             return aborted + 1;
         }
-        let (u, v) = eo.index.endpoints(edge);
-        g.common_neighbors_into(u, v, &mut common);
         // Candidates: common neighbours whose edges to both endpoints come
         // after the branching edge in the truss ordering.
-        let candidates: Vec<VertexId> = common
-            .iter()
-            .copied()
-            .filter(|&w| {
-                let uw = eo.index.edge_id(u, w).expect("triangle edge (u,w)");
-                let vw = eo.index.edge_id(v, w).expect("triangle edge (v,w)");
-                eo.position[uw as usize] > rank && eo.position[vw as usize] > rank
-            })
-            .collect();
+        candidates.clear();
+        eo.for_each_common_neighbor(g, rank, |w, later| {
+            if later {
+                candidates.push(w);
+            }
+        });
         if candidates.len() + 2 < k {
             continue;
         }
         // Inside the branch only edges ordered after the branching edge count,
         // so a k-clique is visited exactly once: at its earliest edge.
-        let lg = LocalGraph::from_vertices_filtered(g, &candidates, |a, b| {
-            match eo.index.edge_id(a, b) {
-                Some(e) => eo.position[e as usize] > rank,
-                None => true,
-            }
-        });
+        let rank = rank as u32;
+        lg.rebuild_filtered(g, &candidates, |s| eo.position[s] > rank, &mut position);
         let mut c = BitSet::with_capacity(lg.len());
         for i in 0..lg.len() {
             c.insert(i);

@@ -18,7 +18,7 @@
 //!   by earlier sibling branches of an edge-oriented branching step (Eq. 2 of
 //!   the paper removes processed edges from the candidate graph). When no
 //!   edge has been excluded the candidate rows are bit-identical to the true
-//!   rows and `LocalGraph::is_filtered` reports `false`.
+//!   rows.
 //!
 //! A `LocalGraph` is designed to be **rebuilt in place**
 //! (`LocalGraph::rebuild_filtered`): the per-worker enumeration state keeps
@@ -37,8 +37,6 @@ pub(crate) struct LocalGraph {
     /// Candidate adjacency. Kept bit-identical to `g_adj` when no edge has
     /// been filtered so `cand` can always return a valid row.
     cand_adj: AdjMatrix,
-    /// Whether any candidate edge has actually been filtered out.
-    filtered: bool,
 }
 
 impl LocalGraph {
@@ -51,13 +49,6 @@ impl LocalGraph {
     /// Number of local vertices.
     pub fn len(&self) -> usize {
         self.orig.len()
-    }
-
-    /// Words per adjacency row (`len().div_ceil(64)`).
-    #[inline]
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn stride(&self) -> usize {
-        self.g_adj.stride()
     }
 
     /// Candidate adjacency row of local vertex `v` as a word slice.
@@ -84,24 +75,19 @@ impl LocalGraph {
         self.g_adj.contains(v, w)
     }
 
-    /// Whether any candidate edge differs from the true adjacency.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn is_filtered(&self) -> bool {
-        self.filtered
-    }
-
     /// Builds the local graph over `vertices` (in the given order) using the
     /// plain graph adjacency for both relations.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn from_vertices(g: &Graph, vertices: &[VertexId]) -> Self {
-        Self::from_vertices_filtered(g, vertices, |_, _| true)
+        Self::from_vertices_filtered(g, vertices, |_| true)
     }
 
     /// Builds a fresh local graph over `vertices`; see
-    /// [`LocalGraph::rebuild_filtered`] for the buffer-reusing variant.
+    /// [`LocalGraph::rebuild_filtered`] for `keep`.
+    #[cfg(test)]
     pub fn from_vertices_filtered<F>(g: &Graph, vertices: &[VertexId], keep: F) -> Self
     where
-        F: Fn(VertexId, VertexId) -> bool,
+        F: Fn(usize) -> bool,
     {
         let mut lg = Self::new();
         let mut position = vec![u32::MAX; g.n()];
@@ -110,9 +96,9 @@ impl LocalGraph {
     }
 
     /// Rebuilds this local graph in place over `vertices`, keeping in the
-    /// *candidate* adjacency only those edges for which `keep(u, v)` returns
-    /// `true` (`u`/`v` are original vertex ids). The true adjacency always
-    /// contains every edge of the input graph.
+    /// *candidate* adjacency only those edges for which `keep(s)` returns
+    /// `true`, where `s` is one of the edge's CSR slots ([`Graph::slot`]).
+    /// The true adjacency always contains every edge of the input graph.
     ///
     /// `position` is caller-provided scratch of length `g.n()`, holding
     /// `u32::MAX` outside this call; it maps original ids to local ids so the
@@ -126,7 +112,7 @@ impl LocalGraph {
         position: &mut [u32],
     ) -> &mut Self
     where
-        F: Fn(VertexId, VertexId) -> bool,
+        F: Fn(usize) -> bool,
     {
         debug_assert_eq!(position.len(), g.n());
         debug_assert!(position.iter().all(|&p| p == u32::MAX));
@@ -135,23 +121,21 @@ impl LocalGraph {
         self.orig.extend_from_slice(vertices);
         self.g_adj.reset(k);
         self.cand_adj.reset(k);
-        self.filtered = false;
 
         for (i, &v) in vertices.iter().enumerate() {
             position[v as usize] = i as u32;
         }
         for (i, &v) in vertices.iter().enumerate() {
-            for &u in g.neighbors(v) {
+            let first_slot = g.csr_offsets()[v as usize];
+            for (s, &u) in (first_slot..).zip(g.neighbors(v)) {
                 let j = position[u as usize];
                 if j == u32::MAX || (j as usize) <= i {
                     continue; // not local, or the (j, i) direction handles it
                 }
                 let j = j as usize;
                 self.g_adj.insert_sym(i, j);
-                if keep(v, u) {
+                if keep(s) {
                     self.cand_adj.insert_sym(i, j);
-                } else {
-                    self.filtered = true;
                 }
             }
         }
@@ -174,16 +158,10 @@ impl LocalGraph {
     {
         let k = self.len();
         let mut cand_adj = AdjMatrix::new(k);
-        let mut filtered = self.filtered;
         for i in 0..k {
             for j in self.cand_adj.row_iter(i) {
-                if j <= i {
-                    continue;
-                }
-                if keep(self.orig[i], self.orig[j]) {
+                if j > i && keep(self.orig[i], self.orig[j]) {
                     cand_adj.insert_sym(i, j);
-                } else {
-                    filtered = true;
                 }
             }
         }
@@ -191,7 +169,6 @@ impl LocalGraph {
             orig: self.orig.clone(),
             g_adj: self.g_adj.clone(),
             cand_adj,
-            filtered,
         }
     }
 }
@@ -215,19 +192,21 @@ mod tests {
         assert!(lg.gadj_contains(0, 1));
         assert!(lg.gadj_contains(0, 2));
         assert!(lg.gadj_contains(1, 2));
-        assert!(!lg.is_filtered());
-        assert_eq!(lg.cand(0), lg.gadj(0));
-        assert_eq!(lg.stride(), 1);
+        for v in 0..lg.len() {
+            assert_eq!(lg.cand(v), lg.gadj(v));
+            assert_eq!(lg.gadj(v).len(), 1, "one word per row");
+        }
     }
 
     #[test]
     fn filtered_construction_separates_candidate_from_graph_adjacency() {
         let g = diamond();
         // Drop the chord (0,2) from the candidate adjacency only.
-        let lg = LocalGraph::from_vertices_filtered(&g, &[0, 1, 2, 3], |u, v| {
-            !((u, v) == (0, 2) || (u, v) == (2, 0))
-        });
-        assert!(lg.is_filtered());
+        let chord = [g.slot(0, 2).unwrap(), g.slot(2, 0).unwrap()];
+        let lg = LocalGraph::from_vertices_filtered(&g, &[0, 1, 2, 3], |s| !chord.contains(&s));
+        assert_ne!(lg.cand(0), lg.gadj(0));
+        assert_ne!(lg.cand(2), lg.gadj(2));
+        assert_eq!(lg.cand(1), lg.gadj(1));
         assert!(lg.gadj_contains(0, 2));
         assert!(!lg.cand_contains(0, 2));
         assert!(lg.cand_contains(0, 1));
@@ -236,8 +215,7 @@ mod tests {
     #[test]
     fn no_filtering_keeps_identical_rows() {
         let g = diamond();
-        let lg = LocalGraph::from_vertices_filtered(&g, &[0, 1, 2], |_, _| true);
-        assert!(!lg.is_filtered());
+        let lg = LocalGraph::from_vertices_filtered(&g, &[0, 1, 2], |_| true);
         for v in 0..lg.len() {
             assert_eq!(lg.cand(v), lg.gadj(v));
         }
@@ -246,9 +224,8 @@ mod tests {
     #[test]
     fn restrict_candidate_composes_filters() {
         let g = Graph::complete(4);
-        let lg = LocalGraph::from_vertices_filtered(&g, &[0, 1, 2, 3], |u, v| {
-            (u, v) != (0, 1) && (v, u) != (0, 1)
-        });
+        let edge01 = [g.slot(0, 1).unwrap(), g.slot(1, 0).unwrap()];
+        let lg = LocalGraph::from_vertices_filtered(&g, &[0, 1, 2, 3], |s| !edge01.contains(&s));
         let lg2 = lg.restrict_candidate(|u, v| (u, v) != (2, 3) && (v, u) != (2, 3));
         // Both (0,1) and (2,3) are gone from the candidate adjacency…
         assert!(!lg2.cand_contains(0, 1));
@@ -265,15 +242,15 @@ mod tests {
         let g = Graph::complete(5);
         let mut position = vec![u32::MAX; g.n()];
         let mut lg = LocalGraph::new();
-        lg.rebuild_filtered(&g, &[0, 1, 2, 3], |_, _| true, &mut position);
+        lg.rebuild_filtered(&g, &[0, 1, 2, 3], |_| true, &mut position);
         assert_eq!(lg.len(), 4);
         assert!(lg.gadj_contains(0, 3));
         // Rebuild over a different (smaller) universe: stale bits must be gone.
-        lg.rebuild_filtered(&g, &[4, 1], |_, _| true, &mut position);
+        lg.rebuild_filtered(&g, &[4, 1], |_| true, &mut position);
         assert_eq!(lg.len(), 2);
         assert_eq!(lg.orig, vec![4, 1]);
         assert!(lg.gadj_contains(0, 1));
-        assert!(!lg.is_filtered());
+        assert_eq!(lg.cand(0), lg.gadj(0));
         // The position scratch is restored to all-MAX for the next rebuild.
         assert!(position.iter().all(|&p| p == u32::MAX));
     }

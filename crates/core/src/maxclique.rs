@@ -330,7 +330,7 @@ pub(crate) fn solve(
             continue;
         }
         bb.stats.initial_branches += 1;
-        build_root_branch(g, worker, |_, _| true);
+        build_root_branch(g, worker, |_| true);
         worker.partial.clear();
         worker.partial.push(v);
         let root_c_len = worker.candidates.len();
@@ -373,7 +373,7 @@ pub(crate) fn solve(
                 continue;
             }
             bb.stats.initial_branches += 1;
-            build_root_branch(g, worker, |_, _| true);
+            build_root_branch(g, worker, |_| true);
             worker.partial.clear();
             worker.partial.push(v);
             let root_c_len = worker.candidates.len();

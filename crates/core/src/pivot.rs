@@ -160,8 +160,9 @@ mod tests {
     #[test]
     fn scan_reports_candidate_graph_mismatch() {
         let g = Graph::complete(3);
-        let lg = crate::local::LocalGraph::from_vertices_filtered(&g, &[0, 1, 2], |u, v| {
-            !((u == 0 && v == 1) || (u == 1 && v == 0))
+        let edge01 = [g.slot(0, 1).unwrap(), g.slot(1, 0).unwrap()];
+        let lg = crate::local::LocalGraph::from_vertices_filtered(&g, &[0, 1, 2], |s| {
+            !edge01.contains(&s)
         });
         let c = set(&[0, 1, 2], 3);
         let scan = scan_branch(&lg, c.view(), set(&[], 3).view());
@@ -202,8 +203,9 @@ mod tests {
     #[test]
     fn plex_condition_rejected_when_candidate_edges_removed() {
         let g = Graph::complete(4);
-        let lg = crate::local::LocalGraph::from_vertices_filtered(&g, &[0, 1, 2, 3], |u, v| {
-            !((u, v) == (0, 1) || (u, v) == (1, 0))
+        let edge01 = [g.slot(0, 1).unwrap(), g.slot(1, 0).unwrap()];
+        let lg = crate::local::LocalGraph::from_vertices_filtered(&g, &[0, 1, 2, 3], |s| {
+            !edge01.contains(&s)
         });
         let c = set(&[0, 1, 2, 3], 4);
         let scan = scan_branch(&lg, c.view(), set(&[], 4).view());

@@ -6,6 +6,8 @@
 //! cliques without materialising them while the tests collect and compare
 //! exact sets.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::io::{self, Write};
 
 use mce_graph::VertexId;
@@ -216,6 +218,10 @@ impl CliqueReporter for SizeHistogramReporter {
     }
 }
 
+/// A clique kept by [`TopKReporter`]: `(size, reversed arrival sequence
+/// number, sorted members)`, so a larger key ranks higher.
+type Retained = (usize, Reverse<u64>, Vec<VertexId>);
+
 /// Keeps the `k` largest cliques seen, with a deterministic ranking: larger
 /// cliques first, ties broken by arrival order (earliest first). Fed from a
 /// deterministic stream (e.g. [`par_enumerate_ordered`]) the selection is
@@ -226,9 +232,9 @@ impl CliqueReporter for SizeHistogramReporter {
 #[derive(Clone, Debug, Default)]
 pub struct TopKReporter {
     k: usize,
-    /// `(size, arrival sequence number, sorted members)`, ordered by
-    /// descending size then ascending arrival.
-    entries: Vec<(usize, u64, Vec<VertexId>)>,
+    /// Min-heap of the retained cliques: its top is the worst-ranked one,
+    /// the smallest and, among equal sizes, the latest.
+    entries: BinaryHeap<Reverse<Retained>>,
     seen: u64,
 }
 
@@ -237,7 +243,7 @@ impl TopKReporter {
     pub fn new(k: usize) -> Self {
         TopKReporter {
             k,
-            entries: Vec::new(),
+            entries: BinaryHeap::new(),
             seen: 0,
         }
     }
@@ -250,7 +256,12 @@ impl TopKReporter {
     /// The retained cliques in ranking order (descending size, ties by
     /// arrival), each sorted ascending.
     pub fn into_cliques(self) -> Vec<Vec<VertexId>> {
-        self.entries.into_iter().map(|(_, _, c)| c).collect()
+        // Ascending `Reverse` order is descending size, then ascending arrival.
+        self.entries
+            .into_sorted_vec()
+            .into_iter()
+            .map(|Reverse((_, _, c))| c)
+            .collect()
     }
 }
 
@@ -262,16 +273,20 @@ impl CliqueReporter for TopKReporter {
             return;
         }
         let size = clique.len();
-        if self.entries.len() == self.k && size <= self.entries.last().map(|e| e.0).unwrap_or(0) {
+        if self.entries.len() == self.k
+            && self
+                .entries
+                .peek()
+                .is_some_and(|Reverse(worst)| size <= worst.0)
+        {
             return; // ties keep the earlier clique
         }
         let mut sorted = clique.to_vec();
         sorted.sort_unstable();
-        // Insert after every entry of the same-or-larger size: among equal
-        // sizes, the earlier arrival ranks first.
-        let at = self.entries.partition_point(|e| e.0 >= size);
-        self.entries.insert(at, (size, seq, sorted));
-        self.entries.truncate(self.k);
+        self.entries.push(Reverse((size, Reverse(seq), sorted)));
+        if self.entries.len() > self.k {
+            self.entries.pop();
+        }
     }
 }
 

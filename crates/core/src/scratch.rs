@@ -60,8 +60,8 @@ pub(crate) struct Frame {
     pub branch: Vec<usize>,
     /// Secondary vertex list (the alternative branching set of `BK_Fac`).
     pub alt: Vec<usize>,
-    /// Candidate edges of an edge-oriented step: `(global position, a, b)`.
-    pub edges: Vec<(usize, usize, usize)>,
+    /// Candidate edges of an edge-oriented step: `(global rank, a, b)`.
+    pub edges: Vec<(u32, usize, usize)>,
 }
 
 impl Frame {
@@ -305,8 +305,6 @@ pub(crate) struct WorkerState {
     pub excluded: Vec<VertexId>,
     /// Combined `candidates ++ excluded` universe of the current root branch.
     pub vertices: Vec<VertexId>,
-    /// Common-neighbour buffer of the edge-oriented root step.
-    pub common: Vec<VertexId>,
     /// The growing partial clique `S` (original vertex ids).
     pub partial: Vec<VertexId>,
     /// The splittable branch loops of the current work item, lent to its

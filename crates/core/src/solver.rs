@@ -508,7 +508,7 @@ impl<'g> Solver<'g> {
         }
         ctx.stats.anchored_roots_skipped = (g.n() - anchor.len() - worker.candidates.len()) as u64;
         ctx.stats.initial_branches = 1;
-        build_root_branch(g, worker, |_, _| true);
+        build_root_branch(g, worker, |_| true);
         worker.partial.clear();
         worker.partial.extend_from_slice(anchor);
         let WorkerState {
@@ -578,7 +578,7 @@ impl<'g> Solver<'g> {
                 let core_bound = match &plan.kind {
                     RootKind::Vertex { order, .. } => deg.core[order[rank] as usize] + 1,
                     RootKind::Edge { eo, .. } => {
-                        let (u, v) = eo.index.endpoints(eo.order[rank]);
+                        let (u, v) = eo.order[rank];
                         deg.core[u as usize].min(deg.core[v as usize]) + 1
                     }
                 };
@@ -711,7 +711,7 @@ impl<'g> Solver<'g> {
             }
         }
         ctx.stats.initial_branches += 1;
-        build_root_branch(g, worker, |_, _| true);
+        build_root_branch(g, worker, |_| true);
         worker.partial.clear();
         worker.partial.push(v);
         let WorkerState {
@@ -734,34 +734,29 @@ impl<'g> Solver<'g> {
         ctx: &mut Ctx<'_>,
     ) {
         let g = self.graph;
-        let (u, v) = eo.index.endpoints(eo.order[rank]);
+        let (u, v) = eo.order[rank];
         if reduction.removed[u as usize] || reduction.removed[v as usize] {
             return;
         }
-        g.common_neighbors_into(u, v, &mut worker.common);
-        worker.candidates.clear();
-        worker.excluded.clear();
-        for i in 0..worker.common.len() {
-            let w = worker.common[i];
-            if reduction.removed[w as usize] {
-                worker.excluded.push(w);
-                continue;
-            }
-            let uw = eo.index.edge_id(u, w).expect("triangle edge (u,w) exists");
-            let vw = eo.index.edge_id(v, w).expect("triangle edge (v,w) exists");
-            if eo.position[uw as usize] > rank && eo.position[vw as usize] > rank {
-                worker.candidates.push(w);
+        let WorkerState {
+            candidates,
+            excluded,
+            ..
+        } = worker;
+        candidates.clear();
+        excluded.clear();
+        eo.for_each_common_neighbor(g, rank, |w, later| {
+            if later && !reduction.removed[w as usize] {
+                candidates.push(w);
             } else {
-                worker.excluded.push(w);
+                excluded.push(w);
             }
-        }
+        });
         ctx.stats.initial_branches += 1;
         // Eq. (2): edges already processed at the root are removed from the
         // candidate graph of this branch.
-        build_root_branch(g, worker, |a, b| match eo.index.edge_id(a, b) {
-            Some(e) => eo.position[e as usize] > rank,
-            None => true,
-        });
+        let rank = rank as u32;
+        build_root_branch(g, worker, |s| eo.position[s] > rank);
         worker.partial.clear();
         worker.partial.push(u);
         worker.partial.push(v);
@@ -849,8 +844,8 @@ impl<'g> Solver<'g> {
             for (i, &a) in f.branch.iter().enumerate() {
                 for &b in &f.branch[i + 1..] {
                     if lg.cand_contains(a, b) {
-                        if let Some(e) = eo.index.edge_id(lg.orig[a], lg.orig[b]) {
-                            f.edges.push((eo.position[e as usize], a, b));
+                        if let Some(s) = self.graph.slot(lg.orig[a], lg.orig[b]) {
+                            f.edges.push((eo.position[s], a, b));
                         }
                     }
                 }
@@ -869,9 +864,10 @@ impl<'g> Solver<'g> {
             // must be evaluated against the restricted adjacency: a common
             // neighbour whose edge to `a` or `b` was already processed belongs
             // to the exclusion side.
-            let child_lg = lg.restrict_candidate(|pu, pv| match eo.index.edge_id(pu, pv) {
-                Some(e) => eo.position[e as usize] > pos,
-                None => true,
+            let child_lg = lg.restrict_candidate(|pu, pv| {
+                self.graph
+                    .slot(pu, pv)
+                    .map_or(true, |s| eo.position[s] > pos)
             });
             {
                 let (parent, child) = scratch.pair(depth);
@@ -1194,12 +1190,13 @@ impl<'g> Solver<'g> {
     }
 }
 
-/// Rebuilds the worker's local graph over `candidates ++ excluded` and fills
-/// frame 0 of the arena with the root's `C`/`X` sets. Reuses every buffer.
+/// Rebuilds the worker's local graph over `candidates ++ excluded`, keeping
+/// the candidate edges whose CSR slot passes `keep_edge`, and fills frame 0
+/// of the arena with the root's `C`/`X` sets. Reuses every buffer.
 /// Shared with the branch-and-bound engine in [`crate::maxclique`].
 pub(crate) fn build_root_branch<F>(g: &Graph, worker: &mut WorkerState, keep_edge: F)
 where
-    F: Fn(VertexId, VertexId) -> bool,
+    F: Fn(usize) -> bool,
 {
     let WorkerState {
         scratch,

@@ -401,7 +401,9 @@ fn mcg_loader_allocation_is_bounded_by_bytes_read() {
         assert!(
             matches!(
                 err,
-                GraphError::InvalidData { .. } | GraphError::TooManyVertices { .. }
+                GraphError::InvalidData { .. }
+                    | GraphError::TooManyVertices { .. }
+                    | GraphError::TooManyEdges { .. }
             ),
             "{label}: {err}"
         );

@@ -3,9 +3,9 @@
 //! contract at every thread count, with edge- and vertex-oriented roots.
 
 use hbbmc::{
-    naive_maximal_cliques, run_query, Budget, CancelToken, CliqueLineFormat, CollectReporter,
-    CountReporter, Outcome, Query, QuerySpec, QueryValue, SolverConfig, TopKReporter,
-    WriterReporter,
+    naive_maximal_cliques, run_query, Budget, CallbackReporter, CancelToken, CliqueLineFormat,
+    CliqueReporter, CollectReporter, CountReporter, Outcome, Query, QuerySpec, QueryValue,
+    SolverConfig, TopKReporter, WriterReporter,
 };
 use mce_gen::{
     barabasi_albert, erdos_renyi, erdos_renyi_gnp, moon_moser, planted_communities, turan_graph,
@@ -239,6 +239,37 @@ proptest! {
                 result.stats.recursive_calls,
                 full.stats.recursive_calls
             );
+        }
+    }
+
+    /// [`TopKReporter`] against an independent reference: the ordered
+    /// stream, stable-sorted by size descending (so equal sizes keep their
+    /// arrival order), first k — for k at both ends of the stream's length.
+    #[test]
+    fn top_k_reporter_keeps_a_stable_sort_of_the_stream(
+        n in 6usize..28,
+        p in 0.1f64..0.7,
+        seed in 0u64..500,
+    ) {
+        let g = erdos_renyi_gnp(n, p, seed);
+        let mut stream: Vec<Vec<VertexId>> = Vec::new();
+        let mut record = CallbackReporter::new(|c: &[VertexId]| {
+            let mut c = c.to_vec();
+            c.sort_unstable();
+            stream.push(c);
+        });
+        run_query(&g, Query::new(QuerySpec::Enumerate), &mut record).expect("valid query");
+        let total = stream.len();
+        let mut ranked = stream.clone();
+        ranked.sort_by_key(|c| std::cmp::Reverse(c.len()));
+        for k in [0, 1, 2, total.saturating_sub(1), total, total + 5] {
+            let mut top = TopKReporter::new(k);
+            for c in &stream {
+                top.report(c);
+            }
+            prop_assert_eq!(top.seen(), total as u64);
+            let want = &ranked[..k.min(total)];
+            prop_assert_eq!(top.into_cliques(), want, "k={} of {}", k, total);
         }
     }
 

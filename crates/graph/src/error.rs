@@ -29,6 +29,14 @@ pub enum GraphError {
         /// The largest vertex count allowed.
         limit: u64,
     },
+    /// A graph or header declares more edges than its `u32` CSR slots can
+    /// address ([`crate::graph::MAX_EDGES`]).
+    TooManyEdges {
+        /// The edge count that was asked for.
+        m: u64,
+        /// The largest edge count allowed.
+        limit: u64,
+    },
     /// A binary `.mcg` input did not start with the format magic.
     BadMagic,
     /// A binary `.mcg` input declares a format version this build cannot read.
@@ -69,6 +77,9 @@ impl fmt::Display for GraphError {
                     f,
                     "graph with {n} vertices exceeds the limit of {limit} vertices"
                 )
+            }
+            GraphError::TooManyEdges { m, limit } => {
+                write!(f, "graph with {m} edges exceeds the limit of {limit} edges")
             }
             GraphError::BadMagic => {
                 write!(f, "not an mcg file: bad magic bytes")
@@ -142,6 +153,18 @@ mod tests {
         };
         assert!(e.to_string().contains("5000000000"));
         assert!(e.to_string().contains("4294967295"));
+    }
+
+    #[test]
+    fn too_many_edges_display() {
+        let e = GraphError::TooManyEdges {
+            m: 1 << 31,
+            limit: crate::graph::MAX_EDGES,
+        };
+        assert_eq!(
+            e.to_string(),
+            "graph with 2147483648 edges exceeds the limit of 2147483647 edges"
+        );
     }
 
     #[test]

@@ -5,6 +5,22 @@ use crate::error::GraphError;
 /// Vertex identifier. Kept at 32 bits so adjacency arrays stay compact.
 pub type VertexId = u32;
 
+/// The most undirected edges a [`Graph`] holds: each edge fills two CSR
+/// slots, and slot-valued arrays ([`Graph::reverse_slots`], edge ranks) are
+/// `u32`, so the `2m` adjacency entries must not exceed `u32::MAX`.
+pub const MAX_EDGES: u64 = u32::MAX as u64 / 2;
+
+/// Rejects an adjacency array with more than `u32::MAX` entries.
+fn check_adjacency_len(len: usize) -> Result<(), GraphError> {
+    if len as u64 > 2 * MAX_EDGES {
+        return Err(GraphError::TooManyEdges {
+            m: len as u64 / 2,
+            limit: MAX_EDGES,
+        });
+    }
+    Ok(())
+}
+
 /// An immutable, undirected, simple graph in CSR form.
 ///
 /// * vertices are `0..n()`,
@@ -26,7 +42,9 @@ impl Graph {
     /// collapsed, so any iterator of pairs is accepted.
     ///
     /// # Errors
-    /// Returns [`GraphError::VertexOutOfRange`] if an endpoint is `>= n`.
+    /// Returns [`GraphError::VertexOutOfRange`] if an endpoint is `>= n`,
+    /// [`GraphError::TooManyVertices`] if `n > u32::MAX` and
+    /// [`GraphError::TooManyEdges`] above [`MAX_EDGES`] distinct edges.
     pub fn from_edges<I>(n: usize, edges: I) -> Result<Self, GraphError>
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
@@ -66,6 +84,7 @@ impl Graph {
             adjacency.extend_from_slice(list);
             offsets.push(adjacency.len());
         }
+        check_adjacency_len(adjacency.len())?;
         Ok(Graph { offsets, adjacency })
     }
 
@@ -88,6 +107,7 @@ impl Graph {
     ///
     /// # Errors
     /// [`GraphError::TooManyVertices`] if `n > u32::MAX`;
+    /// [`GraphError::TooManyEdges`] for more than `u32::MAX` adjacency entries;
     /// [`GraphError::VertexOutOfRange`] for an out-of-range entry;
     /// [`GraphError::InvalidData`] for any other violated invariant.
     pub fn from_csr_parts(
@@ -105,6 +125,7 @@ impl Graph {
                 limit: u32::MAX as u64,
             });
         }
+        check_adjacency_len(adjacency.len())?;
         if offsets[0] != 0 {
             return Err(GraphError::InvalidData {
                 message: format!("first offset must be 0, got {}", offsets[0]),
@@ -287,39 +308,67 @@ impl Graph {
         }
     }
 
-    /// Number of common neighbours of `u` and `v` (linear merge of the two sorted lists).
-    pub fn common_neighbor_count(&self, u: VertexId, v: VertexId) -> usize {
-        let (mut i, mut j, a, b) = (0usize, 0usize, self.neighbors(u), self.neighbors(v));
-        let mut count = 0;
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
+    /// The CSR slot of the directed edge `u → v`: the index of `v` in
+    /// [`Graph::csr_adjacency`], inside `u`'s list. Every undirected edge has
+    /// two slots, one per direction, and either one identifies the edge.
+    /// `O(log deg(u))`.
+    pub fn slot(&self, u: VertexId, v: VertexId) -> Option<usize> {
+        let start = self.offsets[u as usize];
+        self.neighbors(u).binary_search(&v).ok().map(|i| start + i)
+    }
+
+    /// The reverse of every slot: `reverse[s]` is the slot of the opposite
+    /// direction of the edge at slot `s`. It is an involution, and
+    /// `csr_adjacency()[reverse[s]]` is the vertex whose list holds `s`.
+    /// `O(n + m)`.
+    pub fn reverse_slots(&self) -> Vec<u32> {
+        let mut reverse = vec![0u32; self.adjacency.len()];
+        // `next[v]` is v's first unpaired slot. v's lower neighbours lead its
+        // sorted list, and the loop meets them in increasing order.
+        let mut next = self.offsets[..self.n()].to_vec();
+        for u in self.vertices() {
+            for s in self.offsets[u as usize]..self.offsets[u as usize + 1] {
+                let v = self.adjacency[s] as usize;
+                if v > u as usize {
+                    let r = next[v];
+                    next[v] += 1;
+                    debug_assert_eq!(self.adjacency[r], u);
+                    reverse[s] = r as u32;
+                    reverse[r] = s as u32;
+                }
+            }
+        }
+        reverse
+    }
+
+    /// Calls `f(w, su, sv)` for every common neighbour `w` of `u` and `v`, in
+    /// increasing order, where `su` and `sv` are the slots of `u → w` and
+    /// `v → w`. One linear merge of the two sorted lists.
+    #[inline]
+    pub fn for_each_common_neighbor<F>(&self, u: VertexId, v: VertexId, mut f: F)
+    where
+        F: FnMut(VertexId, usize, usize),
+    {
+        let (mut i, a_end) = (self.offsets[u as usize], self.offsets[u as usize + 1]);
+        let (mut j, b_end) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
+        while i < a_end && j < b_end {
+            let (a, b) = (self.adjacency[i], self.adjacency[j]);
+            match a.cmp(&b) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    count += 1;
+                    f(a, i, j);
                     i += 1;
                     j += 1;
                 }
             }
         }
-        count
     }
 
     /// Collects the common neighbours of `u` and `v` into `out` (cleared first).
     pub fn common_neighbors_into(&self, u: VertexId, v: VertexId, out: &mut Vec<VertexId>) {
         out.clear();
-        let (mut i, mut j, a, b) = (0usize, 0usize, self.neighbors(u), self.neighbors(v));
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
+        self.for_each_common_neighbor(u, v, |w, _, _| out.push(w));
     }
 
     /// Returns whether the vertex set `vs` induces a clique in this graph.
@@ -470,11 +519,32 @@ mod tests {
     fn common_neighbors() {
         // Triangle 0-1-2 plus pendant 3 attached to 0 and 1.
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)]).unwrap();
-        assert_eq!(g.common_neighbor_count(0, 1), 2);
         let mut out = Vec::new();
         g.common_neighbors_into(0, 1, &mut out);
         assert_eq!(out, vec![2, 3]);
-        assert_eq!(g.common_neighbor_count(2, 3), 2); // both adjacent to 0 and 1
+        g.common_neighbors_into(2, 3, &mut out);
+        assert_eq!(out, vec![0, 1]); // both adjacent to 0 and 1
+        let mut seen = Vec::new();
+        g.for_each_common_neighbor(2, 3, |w, s2, s3| seen.push((w, s2, s3)));
+        let slot = |u, v| g.slot(u, v).unwrap();
+        assert_eq!(
+            seen,
+            vec![(0, slot(2, 0), slot(3, 0)), (1, slot(2, 1), slot(3, 1))]
+        );
+    }
+
+    #[test]
+    fn slots_address_both_directions() {
+        let g = path4();
+        // Adjacency: 0:[1] 1:[0, 2] 2:[1, 3] 3:[2].
+        assert_eq!(g.csr_adjacency(), &[1, 0, 2, 1, 3, 2]);
+        assert_eq!(g.slot(0, 1), Some(0));
+        assert_eq!(g.slot(1, 0), Some(1));
+        assert_eq!(g.slot(2, 3), Some(4));
+        assert_eq!(g.slot(0, 2), None);
+        assert_eq!(g.slot(1, 1), None);
+        assert_eq!(g.reverse_slots(), vec![1, 0, 3, 2, 5, 4]);
+        assert!(Graph::empty(3).reverse_slots().is_empty());
     }
 
     #[test]

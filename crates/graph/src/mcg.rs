@@ -35,7 +35,7 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::error::GraphError;
-use crate::graph::{Graph, VertexId};
+use crate::graph::{Graph, VertexId, MAX_EDGES};
 
 /// The 8-byte file magic. Mirrors PNG's design: a high bit to catch 7-bit
 /// transports, "MCG", CRLF and LF to catch newline translation, ^Z to stop
@@ -251,6 +251,8 @@ fn invalid(message: impl Into<String>) -> GraphError {
 /// # Errors
 /// [`GraphError::BadMagic`] for foreign files,
 /// [`GraphError::UnsupportedVersion`] for newer format versions,
+/// [`GraphError::TooManyVertices`] / [`GraphError::TooManyEdges`] for a
+/// header above `u32::MAX` vertices or [`MAX_EDGES`] edges,
 /// [`GraphError::ChecksumMismatch`] for payload corruption,
 /// [`GraphError::InvalidData`] for truncation or structural corruption, and
 /// the [`Graph::from_csr_parts`] errors for invalid topology.
@@ -283,6 +285,12 @@ pub fn read_mcg<R: Read>(r: R) -> Result<Graph, GraphError> {
         return Err(GraphError::TooManyVertices {
             n,
             limit: u32::MAX as u64,
+        });
+    }
+    if m > MAX_EDGES {
+        return Err(GraphError::TooManyEdges {
+            m,
+            limit: MAX_EDGES,
         });
     }
     if section_count > MAX_SECTIONS {
@@ -482,6 +490,28 @@ mod tests {
         assert!(matches!(
             read_mcg(&bytes[..]),
             Err(GraphError::UnsupportedVersion { found: 0, .. })
+        ));
+    }
+
+    #[test]
+    fn edge_count_above_the_slot_cap_is_typed() {
+        // m = 2^31 edges would need 2^32 adjacency slots, one more than u32
+        // addresses; the header check fires before any section is read.
+        let mut bytes = sample_bytes();
+        bytes[24..32].copy_from_slice(&(1u64 << 31).to_le_bytes());
+        match read_mcg(&bytes[..]) {
+            Err(GraphError::TooManyEdges { m, limit }) => {
+                assert_eq!(m, 1 << 31);
+                assert_eq!(limit, MAX_EDGES);
+            }
+            other => panic!("expected TooManyEdges, got {other:?}"),
+        }
+        // The cap itself passes the header check (and fails later, on the
+        // section length).
+        bytes[24..32].copy_from_slice(&MAX_EDGES.to_le_bytes());
+        assert!(matches!(
+            read_mcg(&bytes[..]),
+            Err(GraphError::InvalidData { .. })
         ));
     }
 

@@ -13,8 +13,7 @@
 
 use crate::degeneracy::degeneracy_ordering;
 use crate::graph::{Graph, VertexId};
-use crate::triangles::{EdgeId, EdgeIndex};
-use crate::truss::truss_ordering;
+use crate::truss::peel;
 
 /// Vertex orderings used for the initial vertex-oriented branching.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -53,31 +52,32 @@ pub fn vertex_ordering(g: &Graph, kind: VertexOrderingKind) -> Vec<VertexId> {
     }
 }
 
-/// An edge ordering together with the edge index it refers to.
+/// An edge ordering: the edges in branching order, and the rank of every
+/// edge stored at both of its CSR slots ([`Graph::slot`]).
 #[derive(Clone, Debug)]
 pub struct EdgeOrdering {
-    /// Dense edge numbering.
-    pub index: EdgeIndex,
-    /// Edge ids in branching order.
-    pub order: Vec<EdgeId>,
-    /// `position[e]` = rank of edge `e` in [`EdgeOrdering::order`].
-    pub position: Vec<usize>,
+    /// Edges `(u, v)` with `u < v`, in branching order.
+    pub order: Vec<(VertexId, VertexId)>,
+    /// `position[s]` = rank in [`EdgeOrdering::order`] of the edge at CSR
+    /// slot `s`; both slots of an edge hold the same rank.
+    pub position: Vec<u32>,
 }
 
 impl EdgeOrdering {
-    /// Endpoints of the `i`-th edge in the ordering.
-    pub fn edge_at(&self, i: usize) -> (VertexId, VertexId) {
-        self.index.endpoints(self.order[i])
-    }
-
-    /// Number of edges.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// True when the graph has no edges.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+    /// Eq. (2)'s candidate rule for the `rank`-th edge `(u, v)`: calls
+    /// `f(w, later)` for every common neighbour `w` of `u` and `v`, in
+    /// increasing order, where `later` says whether both triangle edges
+    /// `(u, w)` and `(v, w)` come after `(u, v)` in the ordering.
+    #[inline]
+    pub fn for_each_common_neighbor<F>(&self, g: &Graph, rank: usize, mut f: F)
+    where
+        F: FnMut(VertexId, bool),
+    {
+        let (u, v) = self.order[rank];
+        let rank = rank as u32;
+        g.for_each_common_neighbor(u, v, |w, uw, vw| {
+            f(w, self.position[uw] > rank && self.position[vw] > rank)
+        });
     }
 }
 
@@ -85,17 +85,12 @@ impl EdgeOrdering {
 pub fn edge_ordering(g: &Graph, kind: EdgeOrderingKind) -> EdgeOrdering {
     match kind {
         EdgeOrderingKind::Truss => {
-            let t = truss_ordering(g);
-            EdgeOrdering {
-                index: t.index,
-                order: t.order,
-                position: t.position,
-            }
+            let (order, position, _) = peel(g);
+            EdgeOrdering { order, position }
         }
         EdgeOrderingKind::DegeneracyLex => {
-            let index = EdgeIndex::new(g);
             let deg_pos = degeneracy_ordering(g).position;
-            order_by_key(index, |&(u, v)| {
+            order_by_key(g, |u, v| {
                 let (pu, pv) = (deg_pos[u as usize], deg_pos[v as usize]);
                 if pu <= pv {
                     (pu, pv)
@@ -104,30 +99,42 @@ pub fn edge_ordering(g: &Graph, kind: EdgeOrderingKind) -> EdgeOrdering {
                 }
             })
         }
-        EdgeOrderingKind::MinDegree => {
-            let index = EdgeIndex::new(g);
-            order_by_key(index, |&(u, v)| {
-                (g.degree(u).min(g.degree(v)), g.degree(u).max(g.degree(v)))
-            })
-        }
+        EdgeOrderingKind::MinDegree => order_by_key(g, |u, v| {
+            (g.degree(u).min(g.degree(v)), g.degree(u).max(g.degree(v)))
+        }),
     }
 }
 
-fn order_by_key<K, F>(index: EdgeIndex, key: F) -> EdgeOrdering
+/// Orders the edges by `key(u, v)`, ties in [`Graph::edges`] order.
+fn order_by_key<K, F>(g: &Graph, key: F) -> EdgeOrdering
 where
     K: Ord,
-    F: Fn(&(VertexId, VertexId)) -> K,
+    F: Fn(VertexId, VertexId) -> K,
 {
-    let m = index.len();
-    let mut order: Vec<EdgeId> = (0..m as EdgeId).collect();
-    order.sort_by_key(|&e| key(&index.endpoints(e)));
-    let mut position = vec![0usize; m];
-    for (i, &e) in order.iter().enumerate() {
-        position[e as usize] = i;
+    let adjacency = g.csr_adjacency();
+    let reverse = g.reverse_slots();
+    // Each edge by its smaller slot, in increasing slot order: the order of
+    // `Graph::edges`.
+    let mut slots: Vec<u32> = (0..reverse.len() as u32)
+        .filter(|&s| s < reverse[s as usize])
+        .collect();
+    let endpoints = |s: u32| {
+        (
+            adjacency[reverse[s as usize] as usize],
+            adjacency[s as usize],
+        )
+    };
+    slots.sort_by_key(|&s| {
+        let (u, v) = endpoints(s);
+        key(u, v)
+    });
+    let mut position = vec![0u32; adjacency.len()];
+    for (rank, &s) in slots.iter().enumerate() {
+        position[s as usize] = rank as u32;
+        position[reverse[s as usize] as usize] = rank as u32;
     }
     EdgeOrdering {
-        index,
-        order,
+        order: slots.into_iter().map(endpoints).collect(),
         position,
     }
 }
@@ -185,21 +192,100 @@ mod tests {
     fn truss_edge_ordering_round_trips_positions() {
         let g = sample();
         let eo = edge_ordering(&g, EdgeOrderingKind::Truss);
-        assert_eq!(eo.len(), g.m());
-        for (i, &e) in eo.order.iter().enumerate() {
-            assert_eq!(eo.position[e as usize], i);
+        assert_eq!(eo.order.len(), g.m());
+        assert_eq!(eo.position.len(), 2 * g.m());
+        for (rank, &(u, v)) in eo.order.iter().enumerate() {
+            assert!(u < v);
+            assert_eq!(eo.position[g.slot(u, v).unwrap()], rank as u32);
+            assert_eq!(eo.position[g.slot(v, u).unwrap()], rank as u32);
         }
+    }
+
+    #[test]
+    fn edge_orders_are_pinned() {
+        // Support ties (the K4 edges, the triangles 3-4-5 and 4-5-6) and
+        // degree ties (0 and 1; 4, 5 and 6) make every kind pick among equal
+        // keys; these are the orders all three kinds have always produced.
+        let g = Graph::from_edges(
+            7,
+            [
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (1, 2),
+                (1, 3),
+                (2, 3),
+                (3, 4),
+                (3, 5),
+                (4, 5),
+                (4, 6),
+                (5, 6),
+                (2, 6),
+            ],
+        )
+        .unwrap();
+        let order = |kind| edge_ordering(&g, kind).order;
+        assert_eq!(
+            order(EdgeOrderingKind::Truss),
+            [
+                (2, 6),
+                (5, 6),
+                (4, 6),
+                (4, 5),
+                (3, 5),
+                (3, 4),
+                (2, 3),
+                (1, 3),
+                (0, 3),
+                (0, 1),
+                (1, 2),
+                (0, 2)
+            ]
+        );
+        assert_eq!(
+            order(EdgeOrderingKind::DegeneracyLex),
+            [
+                (5, 6),
+                (4, 6),
+                (2, 6),
+                (4, 5),
+                (3, 5),
+                (3, 4),
+                (2, 3),
+                (1, 3),
+                (0, 3),
+                (1, 2),
+                (0, 2),
+                (0, 1)
+            ]
+        );
+        assert_eq!(
+            order(EdgeOrderingKind::MinDegree),
+            [
+                (0, 1),
+                (4, 5),
+                (4, 6),
+                (5, 6),
+                (0, 2),
+                (1, 2),
+                (2, 6),
+                (0, 3),
+                (1, 3),
+                (3, 4),
+                (3, 5),
+                (2, 3)
+            ]
+        );
     }
 
     #[test]
     fn min_degree_edge_ordering_is_sorted_by_min_degree() {
         let g = sample();
         let eo = edge_ordering(&g, EdgeOrderingKind::MinDegree);
-        let keys: Vec<usize> = (0..eo.len())
-            .map(|i| {
-                let (u, v) = eo.edge_at(i);
-                g.degree(u).min(g.degree(v))
-            })
+        let keys: Vec<usize> = eo
+            .order
+            .iter()
+            .map(|&(u, v)| g.degree(u).min(g.degree(v)))
             .collect();
         for w in keys.windows(2) {
             assert!(w[0] <= w[1]);
@@ -213,13 +299,13 @@ mod tests {
         // Positions must be a permutation.
         let mut pos = eo.position.clone();
         pos.sort_unstable();
-        assert_eq!(pos, (0..g.m()).collect::<Vec<_>>());
+        pos.dedup();
+        assert_eq!(pos, (0..g.m() as u32).collect::<Vec<_>>());
         // The first edge's earlier endpoint must be among the earliest peeled vertices.
         let deg = degeneracy_ordering(&g);
-        let (u, v) = eo.edge_at(0);
+        let (u, v) = eo.order[0];
         let first_pos = deg.position[u as usize].min(deg.position[v as usize]);
-        for i in 1..eo.len() {
-            let (a, b) = eo.edge_at(i);
+        for &(a, b) in &eo.order[1..] {
             let p = deg.position[a as usize].min(deg.position[b as usize]);
             assert!(first_pos <= p);
         }
@@ -234,8 +320,8 @@ mod tests {
             EdgeOrderingKind::MinDegree,
         ] {
             let eo = edge_ordering(&g, kind);
-            assert!(eo.is_empty());
-            assert_eq!(eo.len(), 0);
+            assert!(eo.order.is_empty());
+            assert!(eo.position.is_empty());
         }
     }
 }

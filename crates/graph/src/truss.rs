@@ -9,129 +9,125 @@
 //! produced by edge-oriented branching; τ < δ always holds (strictly, in the
 //! sense that τ ≤ δ − 1 on any graph with at least one edge).
 //!
-//! The peeling is the standard bucket-queue truss decomposition, giving an
-//! `O(δ·m)`-style running time (`O(Σ_e min(deg u, deg v))` for the support
-//! updates).
+//! The peeling is the standard bucket-queue truss decomposition over CSR
+//! slots: computing the supports and peeling each edge both take one linear
+//! merge of its endpoints' neighbour lists, `O(deg u + deg v)` per edge, and
+//! the merge yields the slots of both triangle edges, so nothing is looked
+//! up.
 
 use crate::graph::{Graph, VertexId};
-use crate::triangles::{edge_supports, EdgeId, EdgeIndex};
+use crate::triangles::supports;
 
 /// The truss-based edge ordering of a graph.
 #[derive(Clone, Debug)]
 pub struct TrussOrdering {
-    /// The edge index assigning dense ids to the undirected edges.
-    pub index: EdgeIndex,
-    /// Edge ids in peeling order (first removed first).
-    pub order: Vec<EdgeId>,
-    /// `position[e]` = index of edge `e` in [`TrussOrdering::order`].
-    pub position: Vec<usize>,
-    /// Remaining support of each edge at the moment it was removed.
-    pub peel_support: Vec<u32>,
-    /// τ: the maximum `peel_support` over all edges (0 for triangle-free graphs).
+    /// Edges `(u, v)` with `u < v`, in peeling order (first removed first).
+    pub edges: Vec<(VertexId, VertexId)>,
+    /// τ: the largest support an edge has when it is peeled (0 for
+    /// triangle-free graphs).
     pub tau: usize,
-}
-
-impl TrussOrdering {
-    /// Endpoints of the `i`-th edge in peeling order.
-    pub fn edge_at(&self, i: usize) -> (VertexId, VertexId) {
-        self.index.endpoints(self.order[i])
-    }
-
-    /// Whether edge `a` is peeled before edge `b`.
-    pub fn precedes(&self, a: EdgeId, b: EdgeId) -> bool {
-        self.position[a as usize] < self.position[b as usize]
-    }
-
-    /// Number of edges in the ordering.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Whether the graph had no edges.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
 }
 
 /// Computes the truss-based edge ordering and the truss parameter τ of `g`.
 pub fn truss_ordering(g: &Graph) -> TrussOrdering {
-    let (index, mut support) = edge_supports(g);
-    let m = index.len();
+    let (edges, _, tau) = peel(g);
+    TrussOrdering { edges, tau }
+}
+
+/// The peel behind [`truss_ordering`]: the edges in peeling order, each
+/// edge's peeling step stored at both of its CSR slots, and τ.
+pub(crate) fn peel(g: &Graph) -> (Vec<(VertexId, VertexId)>, Vec<u32>, usize) {
+    /// Step of an edge that is not peeled yet.
+    const ALIVE: u32 = u32::MAX;
+    let adjacency = g.csr_adjacency();
+    let reverse = g.reverse_slots();
+    // The peel keeps each edge's live support at its smaller slot, the one
+    // in its smaller endpoint's list.
+    let mut support = supports(g, &reverse);
     let max_sup = support.iter().copied().max().unwrap_or(0) as usize;
 
-    // Bucket queue keyed by current support; entries can be stale.
-    let mut buckets: Vec<Vec<EdgeId>> = vec![Vec::new(); max_sup + 1];
-    for e in 0..m {
-        buckets[support[e] as usize].push(e as EdgeId);
+    // Bucket queue of smaller slots keyed by current support; entries can be
+    // stale.
+    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_sup + 1];
+    for (s, &r) in reverse.iter().enumerate() {
+        if (s as u32) < r {
+            buckets[support[s] as usize].push(s as u32);
+        }
     }
 
-    let mut alive = vec![true; m];
-    let mut order = Vec::with_capacity(m);
-    let mut position = vec![0usize; m];
-    let mut peel_support = vec![0u32; m];
+    let mut step_of = vec![ALIVE; adjacency.len()];
+    let mut order = Vec::with_capacity(g.m());
     let mut tau = 0usize;
     let mut current = 0usize;
-    let mut buf = Vec::new();
 
-    for step in 0..m {
-        let e = loop {
+    for step in 0..g.m() as u32 {
+        let s = loop {
             if current > max_sup {
                 unreachable!("support bucket queue exhausted before all edges were peeled");
             }
             match buckets[current].pop() {
-                Some(e) if alive[e as usize] && support[e as usize] as usize == current => break e,
+                Some(s)
+                    if step_of[s as usize] == ALIVE && support[s as usize] as usize == current =>
+                {
+                    break s as usize
+                }
                 Some(_) => continue,
                 None => current += 1,
             }
         };
 
-        alive[e as usize] = false;
-        peel_support[e as usize] = support[e as usize];
-        tau = tau.max(support[e as usize] as usize);
-        position[e as usize] = step;
-        order.push(e);
+        let r = reverse[s] as usize;
+        step_of[s] = step;
+        step_of[r] = step;
+        tau = tau.max(support[s] as usize);
+        let (u, v) = (adjacency[r], adjacency[s]);
+        order.push((u, v));
 
         // Every triangle (u, v, w) through e = (u, v) loses this edge: decrement
         // the supports of (u, w) and (v, w) if both are still alive.
-        let (u, v) = index.endpoints(e);
-        g.common_neighbors_into(u, v, &mut buf);
-        for &w in &buf {
-            let uw = index.edge_id(u, w).expect("triangle edge (u,w) must exist");
-            let vw = index.edge_id(v, w).expect("triangle edge (v,w) must exist");
-            if alive[uw as usize] && alive[vw as usize] {
-                for &f in &[uw, vw] {
-                    let fi = f as usize;
-                    if support[fi] > 0 {
-                        support[fi] -= 1;
-                        buckets[support[fi] as usize].push(f);
-                        if (support[fi] as usize) < current {
-                            current = support[fi] as usize;
-                        }
+        g.for_each_common_neighbor(u, v, |_, uw, vw| {
+            if step_of[uw] == ALIVE && step_of[vw] == ALIVE {
+                for f in [uw, vw] {
+                    let f = f.min(reverse[f] as usize);
+                    if support[f] > 0 {
+                        support[f] -= 1;
+                        buckets[support[f] as usize].push(f as u32);
+                        current = current.min(support[f] as usize);
                     }
                 }
             }
-        }
+        });
     }
 
-    TrussOrdering {
-        index,
-        order,
-        position,
-        peel_support,
-        tau,
-    }
+    (order, step_of, tau)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::degeneracy::degeneracy;
+    use crate::ordering::{edge_ordering, EdgeOrderingKind};
+
+    /// For each edge in peeling order, how many of its common neighbours
+    /// close a triangle whose other two edges are both peeled later: the
+    /// edge's support when it is peeled.
+    fn later_common_neighbors(g: &Graph) -> Vec<usize> {
+        let eo = edge_ordering(g, EdgeOrderingKind::Truss);
+        assert_eq!(eo.order, truss_ordering(g).edges);
+        (0..eo.order.len())
+            .map(|rank| {
+                let mut later = 0;
+                eo.for_each_common_neighbor(g, rank, |_, l| later += l as usize);
+                later
+            })
+            .collect()
+    }
 
     #[test]
     fn edgeless_graph_has_empty_ordering() {
         let g = Graph::empty(4);
         let t = truss_ordering(&g);
-        assert!(t.is_empty());
+        assert!(t.edges.is_empty());
         assert_eq!(t.tau, 0);
     }
 
@@ -140,7 +136,7 @@ mod tests {
         let g = Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]).unwrap();
         let t = truss_ordering(&g);
         assert_eq!(t.tau, 0);
-        assert_eq!(t.len(), 6);
+        assert_eq!(t.edges.len(), 6);
     }
 
     #[test]
@@ -181,22 +177,17 @@ mod tests {
     #[test]
     fn ordering_is_a_permutation() {
         let g = Graph::complete(6);
-        let t = truss_ordering(&g);
-        assert_eq!(t.len(), 15);
-        let mut seen = vec![false; 15];
-        for (i, &e) in t.order.iter().enumerate() {
-            assert!(!seen[e as usize]);
-            seen[e as usize] = true;
-            assert_eq!(t.position[e as usize], i);
-        }
-        assert!(seen.into_iter().all(|s| s));
+        let mut edges = truss_ordering(&g).edges;
+        assert_eq!(edges.len(), 15);
+        edges.sort_unstable();
+        assert_eq!(edges, g.edges().collect::<Vec<_>>());
     }
 
     #[test]
-    fn peel_support_bounds_later_common_neighbors() {
-        // Structural property used by the paper: for each edge e, the number of
-        // common neighbours w of its endpoints such that both triangle edges are
-        // peeled after e is at most peel_support[e] <= tau.
+    fn tau_is_the_largest_count_of_later_common_neighbors() {
+        // The support an edge is peeled at counts the common neighbours w
+        // whose triangle edges (u, w) and (v, w) are both peeled later, so
+        // the largest such count is tau.
         let g = Graph::from_edges(
             8,
             [
@@ -215,22 +206,12 @@ mod tests {
             ],
         )
         .unwrap();
-        let t = truss_ordering(&g);
-        let mut buf = Vec::new();
-        for i in 0..t.len() {
-            let e = t.order[i];
-            let (u, v) = t.index.endpoints(e);
-            g.common_neighbors_into(u, v, &mut buf);
-            let later = buf
-                .iter()
-                .filter(|&&w| {
-                    let uw = t.index.edge_id(u, w).unwrap();
-                    let vw = t.index.edge_id(v, w).unwrap();
-                    t.position[uw as usize] > i && t.position[vw as usize] > i
-                })
-                .count();
-            assert!(later <= t.peel_support[e as usize] as usize);
-            assert!(later <= t.tau);
+        for g in [g, Graph::complete(6), Graph::empty(3)] {
+            let later = later_common_neighbors(&g);
+            assert_eq!(
+                later.iter().copied().max().unwrap_or(0),
+                truss_ordering(&g).tau
+            );
         }
     }
 
@@ -255,17 +236,7 @@ mod tests {
         let t = truss_ordering(&g);
         // K4 on {0,1,2,3} forces tau = 2; pendant triangle edges peel at support <= 1.
         assert_eq!(t.tau, 2);
-        let e45 = t.index.edge_id(4, 5).unwrap();
-        assert!(t.peel_support[e45 as usize] <= 1);
-    }
-
-    #[test]
-    fn precedes_is_consistent_with_positions() {
-        let g = Graph::complete(4);
-        let t = truss_ordering(&g);
-        let first = t.order[0];
-        let last = *t.order.last().unwrap();
-        assert!(t.precedes(first, last));
-        assert!(!t.precedes(last, first));
+        let rank45 = t.edges.iter().position(|&e| e == (4, 5)).unwrap();
+        assert!(later_common_neighbors(&g)[rank45] <= 1);
     }
 }

@@ -5,9 +5,12 @@
 use std::collections::BTreeSet;
 
 use mce_graph::degeneracy::degeneracy_ordering;
+use mce_graph::ordering::{edge_ordering, EdgeOrdering};
 use mce_graph::triangles::{edge_supports, triangle_count};
 use mce_graph::truss::truss_ordering;
-use mce_graph::{AdjMatrix, BitSet, BitsMut, BitsRef, Graph, GraphStats, PlexCheck};
+use mce_graph::{
+    AdjMatrix, BitSet, BitsMut, BitsRef, EdgeOrderingKind, Graph, GraphStats, PlexCheck,
+};
 use proptest::prelude::*;
 
 /// Word vectors biased toward the edge cases of the unrolled word loops:
@@ -24,6 +27,19 @@ fn arb_words() -> impl Strategy<Value = Vec<u64>> {
             })
             .collect()
     })
+}
+
+const EDGE_ORDERINGS: [EdgeOrderingKind; 3] = [
+    EdgeOrderingKind::Truss,
+    EdgeOrderingKind::DegeneracyLex,
+    EdgeOrderingKind::MinDegree,
+];
+
+/// The `later` flags Eq. (2)'s candidate rule yields for the `rank`-th edge.
+fn later_flags(g: &Graph, eo: &EdgeOrdering, rank: usize) -> Vec<(u32, bool)> {
+    let mut flags = Vec::new();
+    eo.for_each_common_neighbor(g, rank, |w, later| flags.push((w, later)));
+    flags
 }
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -77,29 +93,100 @@ proptest! {
 
     #[test]
     fn truss_peeling_supports_bound_remaining_supports(g in arb_graph()) {
+        // An edge's support when it is peeled is its count of common
+        // neighbours whose triangle edges are both peeled later, so the
+        // largest count is exactly tau.
         let t = truss_ordering(&g);
-        let mut buf = Vec::new();
-        for i in 0..t.len() {
-            let e = t.order[i];
-            let (u, v) = t.index.endpoints(e);
-            g.common_neighbors_into(u, v, &mut buf);
-            let later = buf
-                .iter()
-                .filter(|&&w| {
-                    let uw = t.index.edge_id(u, w).unwrap() as usize;
-                    let vw = t.index.edge_id(v, w).unwrap() as usize;
-                    t.position[uw] > i && t.position[vw] > i
-                })
-                .count();
-            prop_assert!(later <= t.tau);
-        }
+        let eo = edge_ordering(&g, EdgeOrderingKind::Truss);
+        prop_assert_eq!(&eo.order, &t.edges);
+        let largest = (0..eo.order.len())
+            .map(|rank| later_flags(&g, &eo, rank).iter().filter(|f| f.1).count())
+            .max()
+            .unwrap_or(0);
+        prop_assert_eq!(largest, t.tau);
     }
 
     #[test]
     fn edge_support_sum_is_three_times_triangles(g in arb_graph()) {
-        let (_, supports) = edge_supports(&g);
-        let sum: u64 = supports.iter().map(|&s| s as u64).sum();
+        let supports = edge_supports(&g);
+        let sum: u64 = g.edges().map(|(u, v)| supports[g.slot(u, v).unwrap()] as u64).sum();
         prop_assert_eq!(sum, 3 * triangle_count(&g));
+        for (u, v) in g.edges() {
+            prop_assert_eq!(supports[g.slot(u, v).unwrap()], supports[g.slot(v, u).unwrap()]);
+        }
+    }
+
+    #[test]
+    fn reverse_slots_pair_the_two_directions(g in arb_graph()) {
+        let reverse = g.reverse_slots();
+        let adjacency = g.csr_adjacency();
+        prop_assert_eq!(reverse.len(), adjacency.len());
+        for u in g.vertices() {
+            for &v in g.neighbors(u) {
+                let s = g.slot(u, v).unwrap();
+                // An involution that swaps the two directions of an edge …
+                prop_assert_eq!(reverse[reverse[s] as usize] as usize, s);
+                prop_assert_eq!(reverse[s] as usize, g.slot(v, u).unwrap());
+                // … so the reverse slot names the vertex whose list holds s.
+                prop_assert_eq!(adjacency[reverse[s] as usize], u);
+            }
+        }
+    }
+
+    #[test]
+    fn common_neighbor_merge_yields_the_slots_of_both_triangle_edges(g in arb_graph()) {
+        let mut expected = Vec::new();
+        for (u, v) in g.edges() {
+            g.common_neighbors_into(u, v, &mut expected);
+            let naive: Vec<u32> = g
+                .neighbors(u)
+                .iter()
+                .copied()
+                .filter(|&w| g.has_edge(v, w))
+                .collect();
+            prop_assert_eq!(&expected, &naive);
+            let mut seen = Vec::new();
+            g.for_each_common_neighbor(u, v, |w, su, sv| seen.push((w, su, sv)));
+            let want: Vec<_> = expected
+                .iter()
+                .map(|&w| (w, g.slot(u, w).unwrap(), g.slot(v, w).unwrap()))
+                .collect();
+            prop_assert_eq!(seen, want);
+        }
+    }
+
+    #[test]
+    fn edge_orderings_hold_each_rank_at_both_slots(g in arb_graph()) {
+        for kind in EDGE_ORDERINGS {
+            let eo = edge_ordering(&g, kind);
+            prop_assert_eq!(eo.order.len(), g.m());
+            prop_assert_eq!(eo.position.len(), 2 * g.m());
+            let mut sorted = eo.order.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(sorted, g.edges().collect::<Vec<_>>());
+            for (rank, &(u, v)) in eo.order.iter().enumerate() {
+                prop_assert_eq!(eo.position[g.slot(u, v).unwrap()] as usize, rank);
+                prop_assert_eq!(eo.position[g.slot(v, u).unwrap()] as usize, rank);
+            }
+        }
+    }
+
+    #[test]
+    fn later_flag_reads_the_rank_of_both_triangle_edges(g in arb_graph()) {
+        for kind in EDGE_ORDERINGS {
+            let eo = edge_ordering(&g, kind);
+            let rank_of = |a: u32, b: u32| eo.position[g.slot(a, b).unwrap()] as usize;
+            for (rank, &(u, v)) in eo.order.iter().enumerate() {
+                let want: Vec<(u32, bool)> = g
+                    .neighbors(u)
+                    .iter()
+                    .copied()
+                    .filter(|&w| g.has_edge(v, w))
+                    .map(|w| (w, rank_of(u, w) > rank && rank_of(v, w) > rank))
+                    .collect();
+                prop_assert_eq!(later_flags(&g, &eo, rank), want);
+            }
+        }
     }
 
     #[test]
