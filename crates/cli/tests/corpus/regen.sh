@@ -19,9 +19,12 @@ DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 "$MCE" gen moon-moser --n 12           --out "$DIR/moon-moser-12.txt"
 "$MCE" gen ba         --n 40 --seed 3  --out "$DIR/ba-40.txt"
 "$MCE" gen turan      --n 30           --out "$DIR/turan-30.col"
+# A 3-plex whose early-terminated branches have paths and 3-, 4- and
+# 6-cycles in their complements: its goldens pin the emitter's order.
+"$MCE" gen plex       --n 28 --seed 27 --out "$DIR/plex-28.txt"
 
 # --- golden outputs (single-threaded; the gate replays at 1/2/4 threads) ---
-for stem in planted-60 er-sparse-48 moon-moser-12 ba-40; do
+for stem in planted-60 er-sparse-48 moon-moser-12 ba-40 plex-28; do
   "$MCE" enumerate "$DIR/$stem.txt" --output text  --out "$DIR/$stem.text.golden"
   "$MCE" enumerate "$DIR/$stem.txt" --output count --out "$DIR/$stem.count.golden"
 done

@@ -61,6 +61,7 @@ fn text_outputs_match_goldens_across_threads() {
         "moon-moser-12",
         "ba-40",
         "turan-30",
+        "plex-28",
     ] {
         let graph = if stem == "turan-30" {
             format!("{stem}.col")
@@ -79,6 +80,7 @@ fn count_outputs_match_goldens_across_threads() {
         "moon-moser-12",
         "ba-40",
         "turan-30",
+        "plex-28",
     ] {
         let graph = if stem == "turan-30" {
             format!("{stem}.col")
@@ -283,6 +285,7 @@ fn corpus_graphs_regenerate_from_their_presets() {
         ),
         (vec!["moon-moser", "--n", "12"], "moon-moser-12.txt"),
         (vec!["ba", "--n", "40", "--seed", "3"], "ba-40.txt"),
+        (vec!["plex", "--n", "28", "--seed", "27"], "plex-28.txt"),
         (
             vec!["turan", "--n", "30", "--format", "dimacs"],
             "turan-30.col",

@@ -48,6 +48,8 @@ pub mod budget;
 pub mod config;
 pub mod early_term;
 pub mod kclique;
+#[cfg(test)]
+mod kplex;
 pub mod local;
 pub mod maxclique;
 pub mod naive;

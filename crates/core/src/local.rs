@@ -70,7 +70,7 @@ impl LocalGraph {
     }
 
     /// Whether local vertices `v` and `w` are adjacent in the true graph.
-    #[inline]
+    #[cfg(test)]
     pub fn gadj_contains(&self, v: usize, w: usize) -> bool {
         self.g_adj.contains(v, w)
     }

@@ -34,6 +34,7 @@
 
 use mce_graph::{BitSet, BitsMut, BitsRef, VertexId};
 
+use crate::early_term::PlexScratch;
 use crate::local::LocalGraph;
 
 const WORD_BITS: usize = 64;
@@ -182,10 +183,12 @@ pub(crate) struct FrameParts<'a> {
     pub alt: &'a mut Vec<usize>,
 }
 
-/// Depth-indexed arena of [`Frame`]s for one worker.
+/// Depth-indexed arena of [`Frame`]s for one worker, plus the buffers of
+/// the early-termination emitter.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SearchScratch {
     frames: Vec<Frame>,
+    plex: PlexScratch,
 }
 
 impl SearchScratch {
@@ -199,6 +202,13 @@ impl SearchScratch {
     #[inline]
     pub fn frame_mut(&mut self, depth: usize) -> &mut Frame {
         &mut self.frames[depth]
+    }
+
+    /// The candidate row of frame `depth` with the early-termination
+    /// buffers, borrowed together for the emitter.
+    #[inline]
+    pub fn plex_parts(&mut self, depth: usize) -> (BitsRef<'_>, &mut PlexScratch) {
+        (self.frames[depth].c(), &mut self.plex)
     }
 
     /// Grows the arena so frames `0..=depth` exist.

@@ -25,10 +25,10 @@
 //! a depth-indexed `SearchScratch` arena, children are derived by fused
 //! word-parallel kernels writing into frame `d + 1`, and the root-phase
 //! `LocalGraph` matrices are rebuilt in place per root. Once the buffers have
-//! warmed up, steady-state enumeration performs **zero heap allocations**
-//! (the early-termination emitter, which materialises complement components
-//! proportional to its output, is the one deliberate exception). Use
-//! [`Solver::run_with_state`] to carry the warm buffers across runs.
+//! warmed up, steady-state enumeration performs **zero heap allocations**,
+//! early-terminated branches included: the emitter walks the complement into
+//! flat buffers of the same arena. Use [`Solver::run_with_state`] to carry
+//! the warm buffers across runs.
 //!
 //! Early termination (Section IV) and graph reduction are hooked into both
 //! phases exactly as the paper describes: the t-plex test rides along the
@@ -955,7 +955,8 @@ impl<'g> Solver<'g> {
         if let Some(scan) = &scan {
             if t >= 1 && plex_condition(scan, c_len, t) {
                 ctx.stats.et_eligible += 1;
-                if x_empty && self.try_early_terminate(lg, depth, partial, ctx, scratch) {
+                if x_empty {
+                    self.early_terminate(lg, depth, partial, ctx, scratch);
                     return;
                 }
             }
@@ -1124,7 +1125,8 @@ impl<'g> Solver<'g> {
             };
             if t >= 1 && plex_condition(&scan, c_len, t) {
                 ctx.stats.et_eligible += 1;
-                if x_empty && self.try_early_terminate(lg, depth, partial, ctx, scratch) {
+                if x_empty {
+                    self.early_terminate(lg, depth, partial, ctx, scratch);
                     return;
                 }
             }
@@ -1152,41 +1154,20 @@ impl<'g> Solver<'g> {
         }
     }
 
-    /// Attempts to early-terminate the branch `(S, C, ∅)` at `depth`. Returns
-    /// `true` when the cliques were emitted (the caller must then stop
-    /// branching).
-    fn try_early_terminate(
+    /// Ends the branch `(S, C, ∅)` at `depth`, whose `C` passed the t-plex
+    /// check, by emitting its maximal cliques straight off the complement.
+    fn early_terminate(
         &self,
         lg: &LocalGraph,
         depth: usize,
         partial: &mut Vec<VertexId>,
         ctx: &mut Ctx<'_>,
-        scratch: &SearchScratch,
-    ) -> bool {
-        let c = scratch.frame(depth).c();
-        // Split borrows: the emit closure updates clique statistics and streams to
-        // the reporter while the remaining counters are updated afterwards.
-        let stats = &mut ctx.stats;
-        let reporter = &mut *ctx.reporter;
-        let topk = &mut ctx.topk;
-        let mut emitted_sizes_max = 0usize;
-        let mut emit = |clique: &[VertexId]| {
-            emitted_sizes_max = emitted_sizes_max.max(clique.len());
-            if let Some(tb) = topk.as_deref_mut() {
-                tb.observe(clique.len());
-            }
-            reporter.report(clique);
-        };
-        match enumerate_plex_branch(lg, c, partial, &mut emit) {
-            Some(count) => {
-                stats.et_terminated += 1;
-                stats.et_cliques += count;
-                stats.maximal_cliques += count;
-                stats.max_clique_size = stats.max_clique_size.max(emitted_sizes_max);
-                true
-            }
-            None => false,
-        }
+        scratch: &mut SearchScratch,
+    ) {
+        let (c, plex) = scratch.plex_parts(depth);
+        let count = enumerate_plex_branch(lg, c, plex, partial, &mut |clique| ctx.report(clique));
+        ctx.stats.et_terminated += 1;
+        ctx.stats.et_cliques += count;
     }
 }
 

@@ -22,7 +22,7 @@ use std::cell::Cell;
 
 use hbbmc::MaxCliqueState;
 use hbbmc::{maximum_clique_bb_with_state, CountReporter, EnumerationState, Solver, SolverConfig};
-use mce_gen::{erdos_renyi, moon_moser};
+use mce_gen::{erdos_renyi, moon_moser, random_t_plex};
 use mce_graph::io::MAX_DIMACS_VERTICES;
 use mce_graph::io::{read_dimacs, read_edge_list, write_dimacs, write_edge_list};
 use mce_graph::mcg::{
@@ -109,9 +109,9 @@ fn warm_run_allocations(g: &mce_graph::Graph, config: &SolverConfig) -> (u64, u6
 #[test]
 fn steady_state_recursion_does_not_allocate() {
     // Moon–Moser K_{3,3,3,3,3,3}: 729 maximal cliques, thousands of recursive
-    // calls, every branch dense. ET is disabled (t = 0) because the
-    // early-termination emitter intentionally allocates proportional to its
-    // output; the claim under test is the branching recursion itself.
+    // calls, every branch dense. ET is disabled (t = 0) so the claim under
+    // test is the branching recursion itself; the emitter has its own test
+    // below.
     let g = moon_moser(6);
     let mut config = SolverConfig::hbbmc_plus(); // edge-oriented root, t = 0
     config.graph_reduction = false;
@@ -126,6 +126,33 @@ fn steady_state_recursion_does_not_allocate() {
     assert!(
         allocs < 120,
         "warm run allocated {allocs} times over {calls} recursive calls"
+    );
+}
+
+#[test]
+fn early_terminated_branches_do_not_allocate() {
+    // A random 3-plex: HBBMC++ ends thousands of its branches early, each
+    // reading its complement's paths and cycles off the local rows. A warm
+    // run must allocate no more than the same run with ET off (t = 0), whose
+    // allocations are the root plan's alone.
+    let g = random_t_plex(40, 3, 5);
+    let with_et = SolverConfig::hbbmc_pp();
+    let mut without_et = with_et;
+    without_et.early_termination_t = 0;
+    let solver = Solver::new(&g, with_et).expect("valid config");
+    let stats = solver.run_with_state(&mut EnumerationState::new(), &mut CountReporter::new());
+    assert!(
+        stats.et_terminated > 1_000,
+        "expected many early-terminated branches, got {}",
+        stats.et_terminated
+    );
+    let (et_allocs, _) = warm_run_allocations(&g, &with_et);
+    let (plain_allocs, _) = warm_run_allocations(&g, &without_et);
+    assert!(
+        et_allocs <= plain_allocs,
+        "warm run allocated {et_allocs} times with ET over {} early-terminated \
+         branches, {plain_allocs} without",
+        stats.et_terminated
     );
 }
 

@@ -439,11 +439,6 @@ impl<'a> BitsRef<'a> {
             capacity: self.capacity,
         }
     }
-
-    /// Copies the view into `out`, reusing `out`'s allocation.
-    pub fn write_to(self, out: &mut BitSet) {
-        out.copy_from_view(self);
-    }
 }
 
 /// A borrowed, mutable bit-set view over a word row owned elsewhere — the

@@ -15,33 +15,6 @@ pub struct ConnectedComponents {
     pub count: usize,
 }
 
-impl ConnectedComponents {
-    /// The vertices of component `id`.
-    pub fn members(&self, id: usize) -> Vec<VertexId> {
-        self.component_of
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c == id)
-            .map(|(v, _)| v as VertexId)
-            .collect()
-    }
-
-    /// Sizes of all components, indexed by component id.
-    pub fn sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.count];
-        for &c in &self.component_of {
-            sizes[c] += 1;
-        }
-        sizes
-    }
-
-    /// The id of a largest component (`None` on the empty graph).
-    pub fn largest(&self) -> Option<usize> {
-        let sizes = self.sizes();
-        (0..self.count).max_by_key(|&i| sizes[i])
-    }
-}
-
 /// Computes the connected components of `g` with an iterative DFS.
 pub fn connected_components(g: &Graph) -> ConnectedComponents {
     let n = g.n();
@@ -78,14 +51,14 @@ mod tests {
     fn empty_graph_has_no_components() {
         let cc = connected_components(&Graph::empty(0));
         assert_eq!(cc.count, 0);
-        assert!(cc.largest().is_none());
+        assert!(cc.component_of.is_empty());
     }
 
     #[test]
     fn edgeless_graph_has_singleton_components() {
         let cc = connected_components(&Graph::empty(4));
         assert_eq!(cc.count, 4);
-        assert_eq!(cc.sizes(), vec![1, 1, 1, 1]);
+        assert_eq!(cc.component_of, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -93,20 +66,15 @@ mod tests {
         let g = Graph::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]).unwrap();
         let cc = connected_components(&g);
         assert_eq!(cc.count, 2);
-        assert_eq!(cc.component_of[0], cc.component_of[2]);
-        assert_ne!(cc.component_of[0], cc.component_of[3]);
-        let mut sizes = cc.sizes();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![3, 3]);
+        assert_eq!(cc.component_of, vec![0, 0, 0, 1, 1, 1]);
     }
 
     #[test]
-    fn members_returns_component_vertices() {
-        let g = Graph::from_edges(5, [(0, 1), (2, 3)]).unwrap();
+    fn component_ids_follow_discovery_order() {
+        let g = Graph::from_edges(5, [(0, 1), (2, 4)]).unwrap();
         let cc = connected_components(&g);
         assert_eq!(cc.count, 3);
-        let comp0 = cc.members(cc.component_of[0]);
-        assert_eq!(comp0, vec![0, 1]);
+        assert_eq!(cc.component_of, vec![0, 0, 1, 2, 1]);
     }
 
     #[test]
@@ -114,7 +82,6 @@ mod tests {
         let g = Graph::complete(5);
         let cc = connected_components(&g);
         assert_eq!(cc.count, 1);
-        assert_eq!(cc.largest(), Some(0));
-        assert_eq!(cc.members(0).len(), 5);
+        assert_eq!(cc.component_of, vec![0; 5]);
     }
 }

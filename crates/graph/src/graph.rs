@@ -383,35 +383,6 @@ impl Graph {
         true
     }
 
-    /// Builds the subgraph induced by `vertices`.
-    ///
-    /// Returns the induced [`Graph`] (with vertices relabelled to `0..k` in
-    /// the order given) together with the mapping from new id to original id.
-    /// Duplicate vertices in the input are ignored after their first
-    /// occurrence.
-    pub fn induced_subgraph(&self, vertices: &[VertexId]) -> (Graph, Vec<VertexId>) {
-        let mut map: Vec<VertexId> = Vec::with_capacity(vertices.len());
-        let mut position = vec![u32::MAX; self.n()];
-        for &v in vertices {
-            if position[v as usize] == u32::MAX {
-                position[v as usize] = map.len() as u32;
-                map.push(v);
-            }
-        }
-        let k = map.len();
-        let mut edges = Vec::new();
-        for (new_u, &orig_u) in map.iter().enumerate() {
-            for &orig_v in self.neighbors(orig_u) {
-                let new_v = position[orig_v as usize];
-                if new_v != u32::MAX && (new_u as u32) < new_v {
-                    edges.push((new_u as VertexId, new_v));
-                }
-            }
-        }
-        let g = Graph::from_edges(k, edges).expect("relabelled vertices are in range");
-        (g, map)
-    }
-
     /// Builds the complement of this graph (only sensible for small graphs).
     pub fn complement(&self) -> Graph {
         let n = self.n();
@@ -424,11 +395,6 @@ impl Graph {
             }
         }
         Graph::from_edges(n, edges).expect("complement endpoints are in range")
-    }
-
-    /// Total degree sum (2m); handy for sanity checks.
-    pub fn degree_sum(&self) -> usize {
-        self.adjacency.len()
     }
 }
 
@@ -448,7 +414,6 @@ mod tests {
         assert_eq!(g.degree(0), 1);
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.max_degree(), 2);
-        assert_eq!(g.degree_sum(), 6);
     }
 
     #[test]
@@ -554,25 +519,6 @@ mod tests {
         assert!(g.is_clique(&[2]));
         assert!(g.is_clique(&[]));
         assert!(!g.is_clique(&[0, 1, 2]));
-    }
-
-    #[test]
-    fn induced_subgraph_relabels() {
-        let g = Graph::from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5)]).unwrap();
-        let (sub, map) = g.induced_subgraph(&[2, 0, 1]);
-        assert_eq!(sub.n(), 3);
-        assert_eq!(sub.m(), 3);
-        assert_eq!(map, vec![2, 0, 1]);
-        assert!(sub.is_clique(&[0, 1, 2]));
-    }
-
-    #[test]
-    fn induced_subgraph_ignores_duplicates_and_outside_edges() {
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap();
-        let (sub, map) = g.induced_subgraph(&[0, 1, 1, 4]);
-        assert_eq!(sub.n(), 3);
-        assert_eq!(map, vec![0, 1, 4]);
-        assert_eq!(sub.m(), 1); // only (0,1) survives
     }
 
     #[test]

@@ -208,11 +208,6 @@ pub fn read_dimacs<R: Read>(reader: R) -> Result<Graph, GraphError> {
     )
 }
 
-/// Reads a DIMACS graph from a file path. See [`read_dimacs`].
-pub fn read_dimacs_file<P: AsRef<Path>>(path: P) -> Result<Graph, GraphError> {
-    read_dimacs(File::open(path)?)
-}
-
 /// Writes `g` as a whitespace-separated edge list (one `u v` pair per line).
 pub fn write_edge_list<W: Write>(g: &Graph, writer: W) -> Result<(), GraphError> {
     let mut out = BufWriter::new(writer);
@@ -242,11 +237,6 @@ pub fn write_dimacs<W: Write>(g: &Graph, writer: W) -> Result<(), GraphError> {
     }
     out.flush()?;
     Ok(())
-}
-
-/// Writes `g` in DIMACS format to a file path. See [`write_dimacs`].
-pub fn write_dimacs_file<P: AsRef<Path>>(g: &Graph, path: P) -> Result<(), GraphError> {
-    write_dimacs(g, File::create(path)?)
 }
 
 /// Writes `g` as `format` to `writer`.

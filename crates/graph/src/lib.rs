@@ -21,9 +21,6 @@
 //!   the edge-oriented branching framework ([`truss`]),
 //! * alternative vertex/edge **orderings** used by the paper's baselines
 //!   ([`ordering`]),
-//! * the **complement-graph topology analysis** (isolated vertices, simple
-//!   paths, simple cycles) that powers the early-termination technique
-//!   ([`kplex`]),
 //! * simple **text I/O** for edge lists and DIMACS files ([`io`]),
 //! * aggregate **graph statistics** (n, m, δ, τ, ρ and the paper's
 //!   complexity condition) ([`stats`]).
@@ -43,7 +40,6 @@ pub mod error;
 pub mod graph;
 pub mod hindex;
 pub mod io;
-pub mod kplex;
 pub mod mcg;
 pub mod ordering;
 pub mod stats;
@@ -59,7 +55,6 @@ pub use error::GraphError;
 pub use graph::{Graph, VertexId};
 pub use hindex::h_index;
 pub use io::GraphFormat;
-pub use kplex::{ComplementStructure, PlexCheck};
 pub use ordering::{EdgeOrderingKind, VertexOrderingKind};
 pub use stats::GraphStats;
 pub use triangles::{edge_supports, triangle_count};

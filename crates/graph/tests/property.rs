@@ -8,9 +8,7 @@ use mce_graph::degeneracy::degeneracy_ordering;
 use mce_graph::ordering::{edge_ordering, EdgeOrdering};
 use mce_graph::triangles::{edge_supports, triangle_count};
 use mce_graph::truss::truss_ordering;
-use mce_graph::{
-    AdjMatrix, BitSet, BitsMut, BitsRef, EdgeOrderingKind, Graph, GraphStats, PlexCheck,
-};
+use mce_graph::{AdjMatrix, BitSet, BitsMut, BitsRef, EdgeOrderingKind, Graph, GraphStats};
 use proptest::prelude::*;
 
 /// Word vectors biased toward the edge cases of the unrolled word loops:
@@ -190,33 +188,9 @@ proptest! {
     }
 
     #[test]
-    fn induced_subgraph_preserves_adjacency(g in arb_graph(), keep in proptest::collection::vec(any::<bool>(), 0..40)) {
-        let vertices: Vec<u32> = g
-            .vertices()
-            .filter(|&v| keep.get(v as usize).copied().unwrap_or(false))
-            .collect();
-        let (sub, map) = g.induced_subgraph(&vertices);
-        prop_assert_eq!(sub.n(), vertices.len());
-        for a in 0..sub.n() as u32 {
-            for b in (a + 1)..sub.n() as u32 {
-                prop_assert_eq!(sub.has_edge(a, b), g.has_edge(map[a as usize], map[b as usize]));
-            }
-        }
-    }
-
-    #[test]
     fn complement_involution_on_small_graphs(g in arb_graph()) {
         if g.n() <= 20 {
             prop_assert_eq!(g.complement().complement(), g);
-        }
-    }
-
-    #[test]
-    fn plex_level_matches_complement_max_degree(g in arb_graph()) {
-        let level = PlexCheck::plex_level(&g);
-        let complement_max = g.complement().max_degree();
-        if g.n() > 0 {
-            prop_assert_eq!(level, complement_max + 1);
         }
     }
 

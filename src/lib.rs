@@ -4,7 +4,7 @@
 //! cross-crate integration tests (`tests/`). The actual library code lives in:
 //!
 //! * [`mce_graph`] — graph substrate (CSR graphs, degeneracy, truss ordering,
-//!   k-plex topology, I/O),
+//!   I/O),
 //! * [`mce_gen`] — synthetic graph generators,
 //! * [`hbbmc`] — the maximal clique enumeration frameworks (VBBMC, EBBMC,
 //!   HBBMC) with early termination and graph reduction.
