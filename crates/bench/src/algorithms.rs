@@ -12,48 +12,36 @@ pub struct Algorithm {
     pub config: SolverConfig,
 }
 
-/// Looks up an algorithm by its paper name.
-pub fn algorithm(name: &str) -> Option<Algorithm> {
-    SolverConfig::named_presets()
-        .into_iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case(name))
-        .map(|(n, config)| Algorithm { name: n, config })
+/// Resolves each paper name through [`SolverConfig::preset_by_name`].
+fn algorithms(names: &[&'static str]) -> Vec<Algorithm> {
+    names
+        .iter()
+        .map(|&name| Algorithm {
+            name,
+            config: SolverConfig::preset_by_name(name).expect("preset exists"),
+        })
+        .collect()
 }
 
 /// The competitor set of Table II: `HBBMC++` against the four state-of-the-art
 /// reduction-enhanced VBBMC baselines.
 pub fn baseline_algorithms() -> Vec<Algorithm> {
-    ["HBBMC++", "RRef", "RDegen", "RRcd", "RFac"]
-        .iter()
-        .map(|n| algorithm(n).expect("preset exists"))
-        .collect()
+    algorithms(&["HBBMC++", "RRef", "RDegen", "RRcd", "RFac"])
 }
 
 /// The ablation / hybrid-variant set of Table III.
 pub fn ablation_algorithms() -> Vec<Algorithm> {
-    ["HBBMC++", "HBBMC+", "RDegen", "Ref++", "Rcd++", "Fac++"]
-        .iter()
-        .map(|n| algorithm(n).expect("preset exists"))
-        .collect()
+    algorithms(&["HBBMC++", "HBBMC+", "RDegen", "Ref++", "Rcd++", "Fac++"])
 }
 
 /// The edge-ordering comparison set of Table VI.
 pub fn ordering_algorithms() -> Vec<Algorithm> {
-    ["HBBMC++", "VBBMC-dgn", "HBBMC-dgn", "HBBMC-mdg"]
-        .iter()
-        .map(|n| algorithm(n).expect("preset exists"))
-        .collect()
+    algorithms(&["HBBMC++", "VBBMC-dgn", "HBBMC-dgn", "HBBMC-mdg"])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lookup_is_case_insensitive() {
-        assert_eq!(algorithm("hbbmc++").unwrap().name, "HBBMC++");
-        assert!(algorithm("unknown").is_none());
-    }
 
     #[test]
     fn table2_set_has_five_entries_led_by_hbbmc() {

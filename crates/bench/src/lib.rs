@@ -34,7 +34,7 @@ pub mod experiments;
 pub mod runner;
 pub mod table;
 
-pub use algorithms::{algorithm, baseline_algorithms, Algorithm};
+pub use algorithms::{baseline_algorithms, Algorithm};
 pub use datasets::{all_datasets, dataset_by_name, Dataset, DatasetSpec};
 pub use runner::{measure, Measurement};
 pub use table::Table;

@@ -17,13 +17,6 @@ pub struct Measurement {
     pub stats: EnumerationStats,
 }
 
-impl Measurement {
-    /// Human-readable `#Calls` figure formatted like the paper (K/M/B suffixes).
-    pub fn calls_human(&self) -> String {
-        format_count(self.stats.recursive_calls)
-    }
-}
-
 /// Runs `config` on `g` once and collects a [`Measurement`].
 pub fn measure(g: &Graph, config: &SolverConfig) -> Measurement {
     let solver = Solver::new(g, *config).expect("invalid solver configuration");
@@ -89,12 +82,5 @@ mod tests {
         assert_eq!(format_count(365_000), "365K");
         assert_eq!(format_count(2_150_000), "2.15M");
         assert_eq!(format_count(1_540_000_000), "1.54B");
-    }
-
-    #[test]
-    fn calls_human_is_populated() {
-        let g = moon_moser(3);
-        let m = measure(&g, &SolverConfig::r_degen());
-        assert!(!m.calls_human().is_empty());
     }
 }

@@ -1,4 +1,5 @@
-//! `mce enumerate` — the end-to-end enumeration driver.
+//! `mce enumerate` — the end-to-end enumeration command, and the output
+//! layer it shares with `mce query`.
 
 use std::io::Write;
 use std::sync::atomic::Ordering;
@@ -6,9 +7,9 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hbbmc::{
-    par_enumerate_ordered_budgeted, Budget, CliqueLineFormat, CountReporter, EnumerationStats,
-    MaximumCliqueReporter, MinSizeFilter, Outcome, ProgressCounters, SizeHistogramReporter,
-    SolverConfig, WriterReporter,
+    Budget, CliqueLineFormat, CliqueReporter, CountReporter, ExecSession, MaximumCliqueReporter,
+    MinSizeFilter, ProgressCounters, Query, QueryResult, QuerySpec, SizeHistogramReporter,
+    SolverConfig, VertexId, WriterReporter,
 };
 use mce_graph::Graph;
 
@@ -60,9 +61,9 @@ const VALUE_OPTS: &[&str] = &[
 ];
 const BOOL_FLAGS: &[&str] = &["--stats", "--progress"];
 
-/// What `mce enumerate` writes to its sink.
+/// What a command writes to its sink for a streamed query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum OutputMode {
+pub(crate) enum OutputMode {
     Count,
     Text,
     Ndjson,
@@ -86,19 +87,12 @@ fn parse_output_mode(raw: Option<&str>) -> Result<OutputMode, CliError> {
 /// Interval between `--progress` reports.
 const PROGRESS_INTERVAL: Duration = Duration::from_millis(500);
 
-/// Runs `emit` with a monitor thread that prints a one-line rate report to
-/// stderr every [`PROGRESS_INTERVAL`] until the enumeration finishes. The
-/// sink output is untouched — the counters are observational only.
-fn emit_with_progress(
-    graph: &Graph,
-    config: &SolverConfig,
-    threads: usize,
-    budget: &Budget,
-    min_size: usize,
-    mode: OutputMode,
-    sink: &mut (dyn Write + Send),
-) -> Result<(EnumerationStats, Outcome), CliError> {
-    /// Signals the monitor to exit when dropped — including when `emit`
+/// Runs `body` with live progress counters while a monitor thread prints a
+/// one-line rate report to stderr every [`PROGRESS_INTERVAL`] until `body`
+/// returns. The sink output is untouched — the counters are observational
+/// only.
+fn with_progress<T>(body: impl FnOnce(&ProgressCounters) -> T) -> T {
+    /// Signals the monitor to exit when dropped — including when `body`
     /// panics, so the scope's implicit join cannot hang on a monitor that
     /// would otherwise wait forever.
     struct SignalDone<'a> {
@@ -147,16 +141,7 @@ fn emit_with_progress(
                 done: &done,
                 finished: &finished,
             };
-            emit(
-                graph,
-                config,
-                threads,
-                budget,
-                min_size,
-                mode,
-                Some(&progress),
-                sink,
-            )
+            body(&progress)
         };
         monitor.join().expect("progress monitor panicked");
         result
@@ -175,21 +160,79 @@ pub(crate) fn parse_budget(p: &ParsedArgs) -> Result<Budget, CliError> {
 }
 
 /// Prints the run statistics (and outcome) to stderr for `--stats`.
-pub(crate) fn print_stats(stats: &EnumerationStats, outcome: Outcome) {
-    eprintln!("{stats}");
-    eprintln!("outcome: {outcome}");
+pub(crate) fn print_stats(result: &QueryResult) {
+    eprintln!("{}", result.stats);
+    eprintln!("outcome: {}", result.outcome);
 }
 
-/// Writes the three-line count summary shared by `enumerate --output count`
-/// and `query --output count` — one definition so the formats cannot drift.
-pub(crate) fn write_count_summary(
+/// Writes one clique as a line of space-separated vertex ids.
+pub(crate) fn write_clique(
     sink: &mut (dyn Write + Send),
-    counter: &CountReporter,
+    clique: &[VertexId],
 ) -> Result<(), CliError> {
-    writeln!(sink, "cliques {}", counter.count)?;
-    writeln!(sink, "max_size {}", counter.max_size)?;
-    writeln!(sink, "avg_size {:.4}", counter.average_size())?;
+    let line: Vec<String> = clique.iter().map(|v| v.to_string()).collect();
+    writeln!(sink, "{}", line.join(" "))?;
     Ok(())
+}
+
+/// Runs `session` into `inner`, dropping cliques below `min_size`, and hands
+/// `inner` back for its summary.
+fn run_filtered<R: CliqueReporter + Send>(
+    session: ExecSession<'_>,
+    min_size: usize,
+    inner: R,
+) -> Result<(QueryResult, R), CliError> {
+    let mut reporter = MinSizeFilter::new(inner, min_size);
+    let result = session.try_run(&mut reporter)?;
+    Ok((result, reporter.into_inner()))
+}
+
+/// Runs a streaming `session` and writes its cliques of at least `min_size`
+/// vertices to `sink` as `mode`: the output layer of `mce enumerate` and
+/// `mce query`. A worker panic is a runtime error.
+pub(crate) fn stream(
+    session: ExecSession<'_>,
+    mode: OutputMode,
+    min_size: usize,
+    sink: &mut (dyn Write + Send),
+) -> Result<QueryResult, CliError> {
+    match mode {
+        OutputMode::Count => {
+            let (result, counter) = run_filtered(session, min_size, CountReporter::new())?;
+            writeln!(sink, "cliques {}", counter.count)?;
+            writeln!(sink, "max_size {}", counter.max_size)?;
+            writeln!(sink, "avg_size {:.4}", counter.average_size())?;
+            Ok(result)
+        }
+        OutputMode::Text | OutputMode::Ndjson => {
+            let line_format = if mode == OutputMode::Text {
+                CliqueLineFormat::Text
+            } else {
+                CliqueLineFormat::Ndjson
+            };
+            let writer = WriterReporter::new(&mut *sink, line_format);
+            let (result, writer) = run_filtered(session, min_size, writer)?;
+            writer
+                .finish()
+                .map_err(|e| CliError::runtime(format!("writing output: {e}")))?;
+            Ok(result)
+        }
+        OutputMode::Histogram => {
+            let (result, histogram) =
+                run_filtered(session, min_size, SizeHistogramReporter::new())?;
+            for (size, &count) in histogram.histogram.iter().enumerate() {
+                if count > 0 {
+                    writeln!(sink, "{size} {count}")?;
+                }
+            }
+            Ok(result)
+        }
+        OutputMode::Max => {
+            let (result, max) = run_filtered(session, min_size, MaximumCliqueReporter::new())?;
+            write_clique(sink, &max.best)?;
+            Ok(result)
+        }
+    }
 }
 
 /// Runs the subcommand.
@@ -205,88 +248,42 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let graph = load_graph(p.positional(0), format)?;
     let mut sink = open_sink(p.value("--out"))?;
 
-    let (stats, outcome) = if p.flag("--progress") {
-        emit_with_progress(&graph, &config, threads, &budget, min_size, mode, &mut sink)?
-    } else {
-        emit(
-            &graph, &config, threads, &budget, min_size, mode, None, &mut sink,
-        )?
+    let query = Query {
+        spec: QuerySpec::Enumerate,
+        config,
+        threads,
+        budget,
     };
+    let result = enumerate(
+        &graph,
+        query,
+        mode,
+        min_size,
+        p.flag("--progress"),
+        &mut sink,
+    )?;
     sink.flush()?;
     if p.flag("--stats") {
-        print_stats(&stats, outcome);
+        print_stats(&result);
     }
     Ok(())
 }
 
-/// [`par_enumerate_ordered_budgeted`], optionally observed by progress
-/// counters.
-fn enumerate_ordered<R: hbbmc::CliqueReporter + Send>(
+/// Enumerates `graph` under `query` into `sink` as `mode`, with a
+/// `--progress` monitor when `progress` is set.
+fn enumerate(
     graph: &Graph,
-    config: &SolverConfig,
-    threads: usize,
-    budget: &Budget,
-    reporter: &mut R,
-    progress: Option<&ProgressCounters>,
-) -> Result<(EnumerationStats, Outcome), CliError> {
-    Ok(par_enumerate_ordered_budgeted(
-        graph, config, threads, budget, progress, reporter,
-    )?)
-}
-
-/// Enumerates `graph` into `sink` under the chosen output mode.
-#[allow(clippy::too_many_arguments)]
-fn emit(
-    graph: &Graph,
-    config: &SolverConfig,
-    threads: usize,
-    budget: &Budget,
-    min_size: usize,
+    query: Query,
     mode: OutputMode,
-    progress: Option<&ProgressCounters>,
+    min_size: usize,
+    progress: bool,
     sink: &mut (dyn Write + Send),
-) -> Result<(EnumerationStats, Outcome), CliError> {
-    match mode {
-        OutputMode::Count => {
-            let mut reporter = MinSizeFilter::new(CountReporter::new(), min_size);
-            let run = enumerate_ordered(graph, config, threads, budget, &mut reporter, progress)?;
-            write_count_summary(sink, &reporter.into_inner())?;
-            Ok(run)
-        }
-        OutputMode::Text | OutputMode::Ndjson => {
-            let line_format = if mode == OutputMode::Text {
-                CliqueLineFormat::Text
-            } else {
-                CliqueLineFormat::Ndjson
-            };
-            let writer = WriterReporter::new(&mut *sink, line_format);
-            let mut reporter = MinSizeFilter::new(writer, min_size);
-            let run = enumerate_ordered(graph, config, threads, budget, &mut reporter, progress)?;
-            reporter
-                .into_inner()
-                .finish()
-                .map_err(|e| CliError::runtime(format!("writing output: {e}")))?;
-            Ok(run)
-        }
-        OutputMode::Histogram => {
-            let mut reporter = MinSizeFilter::new(SizeHistogramReporter::new(), min_size);
-            let run = enumerate_ordered(graph, config, threads, budget, &mut reporter, progress)?;
-            let histogram = reporter.into_inner();
-            for (size, &count) in histogram.histogram.iter().enumerate() {
-                if count > 0 {
-                    writeln!(sink, "{size} {count}")?;
-                }
-            }
-            Ok(run)
-        }
-        OutputMode::Max => {
-            let mut reporter = MinSizeFilter::new(MaximumCliqueReporter::new(), min_size);
-            let run = enumerate_ordered(graph, config, threads, budget, &mut reporter, progress)?;
-            let best = reporter.into_inner().best;
-            let line: Vec<String> = best.iter().map(|v| v.to_string()).collect();
-            writeln!(sink, "{}", line.join(" "))?;
-            Ok(run)
-        }
+) -> Result<QueryResult, CliError> {
+    let session = ExecSession::new(graph, query)?;
+    if progress {
+        with_progress(|counters| stream(session.with_progress(counters), mode, min_size, sink))
+    } else {
+        stream(session, mode, min_size, sink)
     }
 }
 
@@ -301,21 +298,11 @@ mod tests {
         min_size: usize,
         mode: OutputMode,
     ) -> String {
+        let query = Query::new(QuerySpec::Enumerate)
+            .with_config(*config)
+            .with_threads(threads);
         let mut sink: Vec<u8> = Vec::new();
-        // Vec<u8> is Write + Send.
-        let mut boxed: Box<dyn Write + Send> = Box::new(&mut sink);
-        emit(
-            g,
-            config,
-            threads,
-            &Budget::unlimited(),
-            min_size,
-            mode,
-            None,
-            &mut *boxed,
-        )
-        .unwrap();
-        drop(boxed);
+        enumerate(g, query, mode, min_size, false, &mut sink).unwrap();
         String::from_utf8(sink).unwrap()
     }
 
@@ -387,20 +374,9 @@ mod tests {
     fn progress_reporting_does_not_perturb_sink_output() {
         let g = diamond();
         let baseline = emit_to_string(&g, 2, 1, OutputMode::Count);
+        let query = Query::new(QuerySpec::Enumerate).with_threads(2);
         let mut sink: Vec<u8> = Vec::new();
-        let config = SolverConfig::hbbmc_pp();
-        let mut boxed: Box<dyn Write + Send> = Box::new(&mut sink);
-        emit_with_progress(
-            &g,
-            &config,
-            2,
-            &Budget::unlimited(),
-            1,
-            OutputMode::Count,
-            &mut *boxed,
-        )
-        .unwrap();
-        drop(boxed);
+        enumerate(&g, query, OutputMode::Count, 1, true, &mut sink).unwrap();
         assert_eq!(String::from_utf8(sink).unwrap(), baseline);
     }
 
@@ -408,23 +384,46 @@ mod tests {
     fn limit_truncates_text_output_to_a_prefix() {
         let g = diamond();
         let full = emit_to_string(&g, 1, 1, OutputMode::Text);
+        let query = Query::new(QuerySpec::Enumerate).with_budget(Budget::cliques(1));
         let mut sink: Vec<u8> = Vec::new();
-        let mut boxed: Box<dyn Write + Send> = Box::new(&mut sink);
-        let (_, outcome) = emit(
-            &g,
-            &SolverConfig::hbbmc_pp(),
-            1,
-            &Budget::cliques(1),
-            1,
-            OutputMode::Text,
-            None,
-            &mut *boxed,
-        )
-        .unwrap();
-        drop(boxed);
+        let result = enumerate(&g, query, OutputMode::Text, 1, false, &mut sink).unwrap();
         let got = String::from_utf8(sink).unwrap();
         assert_eq!(got, full.lines().next().unwrap().to_owned() + "\n");
-        assert!(outcome.is_truncated());
+        assert!(result.outcome.is_truncated());
+    }
+
+    /// A sink whose every write panics: a fault inside the reporter the
+    /// enumeration drives.
+    struct PanickingSink;
+
+    impl Write for PanickingSink {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            panic!("injected sink fault")
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn worker_panic_is_a_runtime_error() {
+        let g = diamond();
+        for threads in [1usize, 2] {
+            for progress in [false, true] {
+                let query = Query::new(QuerySpec::Enumerate).with_threads(threads);
+                let err = enumerate(&g, query, OutputMode::Text, 1, progress, &mut PanickingSink)
+                    .unwrap_err();
+                assert_eq!(err.exit_code(), 1, "x{threads}");
+                let CliError::Runtime(message) = err else {
+                    panic!("x{threads}: expected a runtime error, got {err:?}");
+                };
+                assert_eq!(
+                    message, "enumeration worker panicked: injected sink fault",
+                    "x{threads}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use hbbmc::ConfigError;
+use hbbmc::{ConfigError, EngineError, QueryError};
 use mce_graph::GraphError;
 
 /// An error surfaced by the `mce` binary.
@@ -56,6 +56,19 @@ impl From<GraphError> for CliError {
 impl From<ConfigError> for CliError {
     fn from(e: ConfigError) -> Self {
         CliError::Usage(e.to_string())
+    }
+}
+
+impl From<QueryError> for CliError {
+    fn from(e: QueryError) -> Self {
+        CliError::Usage(e.to_string())
+    }
+}
+
+/// A contained worker panic is a runtime failure of the command.
+impl From<EngineError> for CliError {
+    fn from(e: EngineError) -> Self {
+        CliError::Runtime(e.to_string())
     }
 }
 

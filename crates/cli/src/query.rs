@@ -9,13 +9,12 @@
 use std::io::Write;
 
 use hbbmc::{
-    run_query, CliqueLineFormat, CountReporter, MinSizeFilter, Query, QueryResult, QuerySpec,
-    QueryValue, SolverConfig, VertexId, WriterReporter,
+    CountReporter, ExecSession, Query, QueryResult, QuerySpec, QueryValue, SolverConfig, VertexId,
 };
 use mce_graph::Graph;
 
 use crate::args::ParsedArgs;
-use crate::enumerate::{parse_budget, print_stats, write_count_summary};
+use crate::enumerate::{parse_budget, print_stats, stream, write_clique, OutputMode};
 use crate::error::CliError;
 use crate::io::{load_graph, open_sink, FormatArg};
 
@@ -100,19 +99,12 @@ fn parse_anchor(raw: &str) -> Result<Vec<VertexId>, CliError> {
     Ok(vertices)
 }
 
-/// Streaming sink of the stream-valued query modes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum StreamMode {
-    Text,
-    Ndjson,
-    Count,
-}
-
-fn parse_stream_mode(raw: Option<&str>) -> Result<StreamMode, CliError> {
+/// Parses `--output`: the sinks of the streaming query modes.
+fn parse_stream_mode(raw: Option<&str>) -> Result<OutputMode, CliError> {
     match raw {
-        None | Some("text") => Ok(StreamMode::Text),
-        Some("ndjson") => Ok(StreamMode::Ndjson),
-        Some("count") => Ok(StreamMode::Count),
+        None | Some("text") => Ok(OutputMode::Text),
+        Some("ndjson") => Ok(OutputMode::Ndjson),
+        Some("count") => Ok(OutputMode::Count),
         Some(other) => Err(CliError::usage(format!(
             "unknown output mode '{other}' (expected text, ndjson or count)"
         ))),
@@ -157,39 +149,13 @@ fn parse_spec(p: &ParsedArgs) -> Result<QuerySpec, CliError> {
     }
 }
 
-/// Runs a stream-valued query into `sink` under the chosen stream mode.
-fn run_streaming(
-    graph: &Graph,
-    query: Query,
-    min_size: usize,
-    mode: StreamMode,
-    sink: &mut (dyn Write + Send),
-) -> Result<QueryResult, CliError> {
-    match mode {
-        StreamMode::Count => {
-            let mut reporter = MinSizeFilter::new(CountReporter::new(), min_size);
-            let result = run_query(graph, query, &mut reporter)
-                .map_err(|e| CliError::usage(e.to_string()))?;
-            write_count_summary(sink, &reporter.into_inner())?;
-            Ok(result)
-        }
-        StreamMode::Text | StreamMode::Ndjson => {
-            let line_format = if mode == StreamMode::Text {
-                CliqueLineFormat::Text
-            } else {
-                CliqueLineFormat::Ndjson
-            };
-            let writer = WriterReporter::new(&mut *sink, line_format);
-            let mut reporter = MinSizeFilter::new(writer, min_size);
-            let result = run_query(graph, query, &mut reporter)
-                .map_err(|e| CliError::usage(e.to_string()))?;
-            reporter
-                .into_inner()
-                .finish()
-                .map_err(|e| CliError::runtime(format!("writing output: {e}")))?;
-            Ok(result)
-        }
-    }
+/// Whether `spec` streams its cliques (`QueryValue::Stream`) rather than
+/// answering with a value.
+fn is_streaming(spec: &QuerySpec) -> bool {
+    matches!(
+        spec,
+        QuerySpec::Enumerate | QuerySpec::Anchored { .. } | QuerySpec::KClique { .. }
+    )
 }
 
 /// Runs the subcommand.
@@ -201,11 +167,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let threads = p.usize_value("--threads", 1, 1, 1024)?;
     let min_size = p.usize_value("--min-size", 1, 1, usize::MAX)?;
     let budget = parse_budget(&p)?;
-    let stream_mode = parse_stream_mode(p.value("--output"))?;
-    let streaming = matches!(
-        spec,
-        QuerySpec::Enumerate | QuerySpec::Anchored { .. } | QuerySpec::KClique { .. }
-    );
+    let mode = parse_stream_mode(p.value("--output"))?;
+    let streaming = is_streaming(&spec);
     if p.value("--output").is_some() && !streaming {
         return Err(CliError::usage(
             "--output only applies to streaming queries (default, --anchor, --kclique)",
@@ -220,59 +183,51 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let graph = load_graph(p.positional(0), format)?;
     let mut sink = open_sink(p.value("--out"))?;
 
+    let maximum = spec == QuerySpec::MaximumClique;
     let query = Query {
-        spec: spec.clone(),
+        spec,
         config,
         threads,
         budget,
     };
-    let result = match &spec {
-        QuerySpec::Enumerate | QuerySpec::Anchored { .. } | QuerySpec::KClique { .. } => {
-            run_streaming(&graph, query, min_size, stream_mode, &mut sink)?
-        }
-        QuerySpec::TopKBySize { .. } => {
-            let mut ignored = CountReporter::new();
-            let result = run_query(&graph, query, &mut ignored)
-                .map_err(|e| CliError::usage(e.to_string()))?;
-            let QueryValue::TopK(cliques) = &result.value else {
-                unreachable!("TopKBySize yields a TopK value")
-            };
-            for clique in cliques {
-                let line: Vec<String> = clique.iter().map(|v| v.to_string()).collect();
-                writeln!(sink, "{}", line.join(" "))?;
-            }
-            result
-        }
-        QuerySpec::Count => {
-            let mut ignored = CountReporter::new();
-            let result = run_query(&graph, query, &mut ignored)
-                .map_err(|e| CliError::usage(e.to_string()))?;
-            let QueryValue::Count(count) = result.value else {
-                unreachable!("Count yields a Count value")
-            };
-            writeln!(sink, "cliques {count}")?;
-            result
-        }
-        QuerySpec::MaximumClique => {
-            let mut ignored = CountReporter::new();
-            let result = run_query(&graph, query, &mut ignored)
-                .map_err(|e| CliError::usage(e.to_string()))?;
-            let QueryValue::Maximum(clique) = &result.value else {
-                unreachable!("MaximumClique yields a Maximum value")
-            };
-            let line: Vec<String> = clique.iter().map(|v| v.to_string()).collect();
-            writeln!(sink, "{}", line.join(" "))?;
-            result
-        }
-    };
+    let result = answer(&graph, query, mode, min_size, &mut sink)?;
     sink.flush()?;
     if p.flag("--stats") {
-        print_stats(&result.stats, result.outcome);
-        if matches!(spec, QuerySpec::MaximumClique) {
+        print_stats(&result);
+        if maximum {
             eprintln!("terminated by: {}", result.terminating_bound());
         }
     }
     Ok(())
+}
+
+/// Runs `query` over `graph` and writes its answer to `sink`: a streaming
+/// spec's cliques of at least `min_size` vertices as `mode`, or a value
+/// spec's value. A worker panic is a runtime error.
+fn answer(
+    graph: &Graph,
+    query: Query,
+    mode: OutputMode,
+    min_size: usize,
+    sink: &mut (dyn Write + Send),
+) -> Result<QueryResult, CliError> {
+    let streaming = is_streaming(&query.spec);
+    let session = ExecSession::new(graph, query)?;
+    if streaming {
+        return stream(session, mode, min_size, sink);
+    }
+    let result = session.try_run(&mut CountReporter::new())?;
+    match &result.value {
+        QueryValue::TopK(cliques) => {
+            for clique in cliques {
+                write_clique(sink, clique)?;
+            }
+        }
+        QueryValue::Count(count) => writeln!(sink, "cliques {count}")?,
+        QueryValue::Maximum(clique) => write_clique(sink, clique)?,
+        QueryValue::Stream => unreachable!("streaming specs are answered above"),
+    }
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -288,12 +243,10 @@ mod tests {
         g: &Graph,
         query: Query,
         min_size: usize,
-        mode: StreamMode,
+        mode: OutputMode,
     ) -> (String, QueryResult) {
         let mut sink: Vec<u8> = Vec::new();
-        let mut boxed: Box<dyn Write + Send> = Box::new(&mut sink);
-        let result = run_streaming(g, query, min_size, mode, &mut *boxed).unwrap();
-        drop(boxed);
+        let result = answer(g, query, mode, min_size, &mut sink).unwrap();
         (String::from_utf8(sink).unwrap(), result)
     }
 
@@ -341,7 +294,7 @@ mod tests {
             &g,
             Query::new(QuerySpec::Anchored { vertices: vec![1] }),
             1,
-            StreamMode::Text,
+            OutputMode::Text,
         );
         assert_eq!(out, "0 1 2\n");
         assert!(!result.outcome.is_truncated());
@@ -350,7 +303,7 @@ mod tests {
     #[test]
     fn enumerate_stream_matches_reference() {
         let g = diamond();
-        let (out, _) = stream_to_string(&g, Query::new(QuerySpec::Enumerate), 1, StreamMode::Text);
+        let (out, _) = stream_to_string(&g, Query::new(QuerySpec::Enumerate), 1, OutputMode::Text);
         let mut lines: Vec<&str> = out.lines().collect();
         lines.sort_unstable();
         let expected: Vec<String> = naive_maximal_cliques(&g)
@@ -368,7 +321,7 @@ mod tests {
     #[test]
     fn count_stream_mode_prints_summary() {
         let g = diamond();
-        let (out, _) = stream_to_string(&g, Query::new(QuerySpec::Enumerate), 1, StreamMode::Count);
+        let (out, _) = stream_to_string(&g, Query::new(QuerySpec::Enumerate), 1, OutputMode::Count);
         assert!(out.starts_with("cliques 2\n"), "{out}");
     }
 
@@ -376,18 +329,55 @@ mod tests {
     fn limit_truncates_the_stream() {
         let g = diamond();
         let query = Query::new(QuerySpec::Enumerate).with_budget(Budget::cliques(1));
-        let (out, result) = stream_to_string(&g, query, 1, StreamMode::Text);
+        let (out, result) = stream_to_string(&g, query, 1, OutputMode::Text);
         assert_eq!(out.lines().count(), 1);
         assert!(result.outcome.is_truncated());
     }
 
     #[test]
     fn stream_mode_parsing() {
-        assert_eq!(parse_stream_mode(None).unwrap(), StreamMode::Text);
+        assert_eq!(parse_stream_mode(None).unwrap(), OutputMode::Text);
         assert_eq!(
             parse_stream_mode(Some("ndjson")).unwrap(),
-            StreamMode::Ndjson
+            OutputMode::Ndjson
         );
         assert!(parse_stream_mode(Some("histogram")).is_err());
+    }
+
+    /// A sink whose every write panics: a fault inside the reporter the
+    /// query drives.
+    struct PanickingSink;
+
+    impl Write for PanickingSink {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            panic!("injected sink fault")
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn worker_panic_is_a_runtime_error() {
+        let g = diamond();
+        for threads in [1usize, 2] {
+            for spec in [
+                QuerySpec::Enumerate,
+                QuerySpec::Anchored { vertices: vec![0] },
+                QuerySpec::KClique { k: 2 },
+            ] {
+                let query = Query::new(spec.clone()).with_threads(threads);
+                let err = answer(&g, query, OutputMode::Text, 1, &mut PanickingSink).unwrap_err();
+                assert_eq!(err.exit_code(), 1, "{spec:?} x{threads}");
+                let CliError::Runtime(message) = err else {
+                    panic!("{spec:?} x{threads}: expected a runtime error, got {err:?}");
+                };
+                assert_eq!(
+                    message, "enumeration worker panicked: injected sink fault",
+                    "{spec:?} x{threads}"
+                );
+            }
+        }
     }
 }

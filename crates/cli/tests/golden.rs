@@ -1,12 +1,11 @@
 //! The golden-corpus determinism gate.
 //!
-//! Replays `mce enumerate` over every checked-in corpus graph at 1/2/4
-//! threads (donated sub-branches must resequence exactly) and asserts the
-//! output is
-//! byte-identical to the committed golden file — "same cliques regardless
-//! of parallelism" as an executable contract rather than a test-only
-//! property. Regenerate the goldens with `crates/cli/tests/corpus/regen.sh`
-//! after an intentional format change.
+//! Replays `mce enumerate` and `mce query` over every checked-in corpus
+//! graph at 1/2/4 threads (donated sub-branches must resequence exactly) and
+//! asserts the output is byte-identical to the committed golden file — "same
+//! cliques regardless of parallelism" as an executable contract rather than
+//! a test-only property. Regenerate the goldens with
+//! `crates/cli/tests/corpus/regen.sh` after an intentional format change.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -19,38 +18,86 @@ fn mce() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mce"))
 }
 
-/// Runs `mce enumerate` on a corpus graph and returns stdout bytes.
-fn enumerate(graph: &str, output: &str, preset: Option<&str>, threads: usize) -> Vec<u8> {
+/// Runs `mce COMMAND` (`enumerate` or `query`) on a corpus graph and
+/// returns stdout bytes; `output: None` leaves the command's default mode.
+fn run_on(
+    command: &str,
+    graph: &str,
+    output: Option<&str>,
+    preset: Option<&str>,
+    threads: usize,
+) -> Vec<u8> {
     let mut cmd = mce();
-    cmd.arg("enumerate")
+    cmd.arg(command)
         .arg(corpus_dir().join(graph))
-        .args(["--output", output])
         .args(["--threads", &threads.to_string()]);
+    if let Some(output) = output {
+        cmd.args(["--output", output]);
+    }
     if let Some(p) = preset {
         cmd.args(["--preset", p]);
     }
     let out = cmd.output().expect("spawning mce");
     assert!(
         out.status.success(),
-        "mce enumerate {graph} --output {output} failed: {}",
+        "mce {command} {graph} --output {output:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     out.stdout
 }
 
-/// The replay matrix of one golden file.
-fn replay(graph: &str, output: &str, preset: Option<&str>, golden: &str) {
+/// The replay matrix of one golden file through `mce COMMAND`.
+fn replay_command(
+    command: &str,
+    graph: &str,
+    output: Option<&str>,
+    preset: Option<&str>,
+    golden: &str,
+) {
     let expected = std::fs::read(corpus_dir().join(golden))
         .unwrap_or_else(|e| panic!("reading {golden}: {e}"));
     assert!(!expected.is_empty(), "{golden} must not be empty");
     for threads in [1usize, 2, 4] {
-        let got = enumerate(graph, output, preset, threads);
+        let got = run_on(command, graph, output, preset, threads);
         assert_eq!(
             got, expected,
-            "{graph} --output {output} (preset {preset:?}) differs from {golden} \
-             at {threads} threads"
+            "mce {command} {graph} --output {output:?} (preset {preset:?}) differs from \
+             {golden} at {threads} threads"
         );
     }
+}
+
+/// The replay matrix of one golden file through `mce enumerate`.
+fn replay(graph: &str, output: &str, preset: Option<&str>, golden: &str) {
+    replay_command("enumerate", graph, Some(output), preset, golden);
+}
+
+/// Every corpus golden of one `mce enumerate` output mode, as
+/// `(graph, preset, golden)`: `STEM[.rdegen].MODE.golden` was generated from
+/// `STEM.txt` (or `STEM.col`), under the RDegen preset for `.rdegen`.
+fn goldens_of(mode: &str) -> Vec<(String, Option<&'static str>, String)> {
+    let suffix = format!(".{mode}.golden");
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(corpus_dir()).expect("listing the corpus") {
+        let golden = entry.unwrap().file_name().into_string().unwrap();
+        let Some(stem) = golden.strip_suffix(&suffix) else {
+            continue;
+        };
+        let (stem, preset) = match stem.strip_suffix(".rdegen") {
+            Some(stem) => (stem, Some("RDegen")),
+            None => (stem, None),
+        };
+        let text = format!("{stem}.txt");
+        let graph = if corpus_dir().join(&text).exists() {
+            text
+        } else {
+            format!("{stem}.col")
+        };
+        found.push((graph, preset, golden));
+    }
+    found.sort();
+    assert!(!found.is_empty(), "no *{suffix} in the corpus");
+    found
 }
 
 #[test]
@@ -122,6 +169,25 @@ fn run_mce(args: &[&str]) -> Vec<u8> {
         String::from_utf8_lossy(&out.stderr)
     );
     out.stdout
+}
+
+/// `mce query`'s default stream is `mce enumerate`'s: replayed in full
+/// against every text and count golden, and the ndjson one.
+#[test]
+fn query_stream_matches_the_enumerate_goldens_across_threads() {
+    for (graph, preset, golden) in goldens_of("text") {
+        replay_command("query", &graph, None, preset, &golden);
+    }
+    for (graph, preset, golden) in goldens_of("count") {
+        replay_command("query", &graph, Some("count"), preset, &golden);
+    }
+    replay_command(
+        "query",
+        "planted-60.txt",
+        Some("ndjson"),
+        None,
+        "planted-60.ndjson.golden",
+    );
 }
 
 #[test]

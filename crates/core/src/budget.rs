@@ -26,10 +26,11 @@
 //! deterministic stream (see `parallel`). The final [`Outcome`] reports
 //! whether the run ran to completion or was truncated, and why.
 //!
-//! Internally every budget compiles into a crate-private `BudgetState`: a handful of
-//! shared atomics that cost one relaxed load per branch step when armed and
-//! nothing at all when no budget is attached (the solver carries an
-//! `Option<&BudgetState>` and skips the checks entirely for `None`).
+//! Internally every budget compiles into a crate-private `BudgetState`: a
+//! handful of shared atomics that cost one relaxed load per branch step. Every
+//! session runs under one, and so does the parallel engine behind it; only
+//! the sequential `Solver::run` path skips the checks (the solver carries an
+//! `Option<&BudgetState>` and passes `None` there).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -112,23 +113,9 @@ impl Budget {
         }
     }
 
-    /// Whether any bound or token is attached.
-    pub fn is_limited(&self) -> bool {
-        self.max_cliques.is_some()
-            || self.max_steps.is_some()
-            || self.cancel.is_some()
-            || self.deadline.is_some()
-    }
-
     /// Returns this budget with the given cancellation token attached.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Returns this budget with the given wall-clock deadline attached.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 }
@@ -400,7 +387,6 @@ mod tests {
             assert!(state.try_emit());
         }
         assert_eq!(state.outcome(), Outcome::Complete);
-        assert!(!Budget::unlimited().is_limited());
     }
 
     #[test]
@@ -568,14 +554,9 @@ mod tests {
             Budget::within(Duration::from_millis(9)).deadline,
             Some(Duration::from_millis(9))
         );
-        assert!(Budget::cliques(1).is_limited());
-        assert!(Budget::within(Duration::from_secs(1)).is_limited());
         assert!(Budget::unlimited()
             .with_cancel(CancelToken::new())
-            .is_limited());
-        assert!(Budget::unlimited()
-            .with_deadline(Duration::from_secs(1))
-            .deadline
+            .cancel
             .is_some());
     }
 }

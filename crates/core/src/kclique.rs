@@ -12,22 +12,8 @@
 use mce_graph::ordering::{edge_ordering, EdgeOrderingKind};
 use mce_graph::{BitSet, Graph, VertexId};
 
-use crate::budget::{Budget, BudgetState, Outcome};
+use crate::budget::{Budget, BudgetState};
 use crate::local::LocalGraph;
-
-/// Lists every k-clique of `g` (each clique sorted ascending, cliques in
-/// canonical order). Intended for moderate outputs; use [`count_k_cliques`]
-/// when only the number is needed.
-pub fn list_k_cliques(g: &Graph, k: usize) -> Vec<Vec<VertexId>> {
-    let mut out = Vec::new();
-    for_each_k_clique(g, k, |clique| {
-        let mut c = clique.to_vec();
-        c.sort_unstable();
-        out.push(c);
-    });
-    out.sort();
-    out
-}
 
 /// Counts the k-cliques of `g` without materialising them.
 pub fn count_k_cliques(g: &Graph, k: usize) -> u64 {
@@ -46,21 +32,6 @@ pub fn k_clique_census(g: &Graph, max_k: usize) -> Vec<u64> {
 pub fn for_each_k_clique<F: FnMut(&[VertexId])>(g: &Graph, k: usize, mut visit: F) {
     let state = BudgetState::new(&Budget::unlimited());
     let _ = for_each_k_clique_with_state(g, k, &state, &mut |clique| visit(clique));
-}
-
-/// [`for_each_k_clique`] under a [`Budget`]: stops streaming when the
-/// emission cap, step bound or cancellation trips, and returns the run's
-/// [`Outcome`]. The stream order is deterministic, so a truncated run emits
-/// an exact prefix of the unbudgeted stream.
-pub fn for_each_k_clique_budgeted<F: FnMut(&[VertexId])>(
-    g: &Graph,
-    k: usize,
-    budget: &Budget,
-    mut visit: F,
-) -> Outcome {
-    let state = BudgetState::new(budget);
-    let _ = for_each_k_clique_with_state(g, k, &state, &mut |clique| visit(clique));
-    state.outcome()
 }
 
 /// The shared driver: streams k-cliques under an existing session
@@ -237,7 +208,13 @@ mod tests {
     fn listing_matches_brute_force_for_all_k() {
         let g = sample();
         for k in 1..=6usize {
-            let got = list_k_cliques(&g, k);
+            let mut got = Vec::new();
+            for_each_k_clique(&g, k, |clique| {
+                let mut c = clique.to_vec();
+                c.sort_unstable();
+                got.push(c);
+            });
+            got.sort();
             let want = brute_force(&g, k);
             assert_eq!(got, want, "k = {k}");
         }

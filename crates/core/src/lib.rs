@@ -21,8 +21,11 @@
 //!   from the complement's paths and cycles (Algorithms 5–8).
 //! * **Graph reduction** — simplicial vertices are reported and removed up
 //!   front, acting as permanent exclusion members afterwards.
-//! * A **parallel driver** over independent root branches, a **reference
-//!   enumerator** and **verification utilities** for testing.
+//! * A **query session** ([`ExecSession`]) that every command enters
+//!   through: it admits a [`Query`], runs it on the **parallel engine** over
+//!   independent root branches (or a dedicated sequential search) under one
+//!   budget, and turns a worker panic into a typed error.
+//! * A **reference enumerator** and **verification utilities** for testing.
 //!
 //! ## Quick start
 //!
@@ -66,16 +69,13 @@ pub mod verify;
 
 pub use budget::{Budget, CancelToken, Outcome, TruncationReason};
 pub use config::{ConfigError, InitialBranching, PivotStrategy, RecursionStrategy, SolverConfig};
-pub use kclique::{
-    count_k_cliques, for_each_k_clique, for_each_k_clique_budgeted, k_clique_census, list_k_cliques,
-};
+pub use kclique::{count_k_cliques, for_each_k_clique, k_clique_census};
 pub use maxclique::{
     maximum_clique_bb, maximum_clique_bb_with_state, MaxCliqueState, TerminatingBound,
 };
-pub use naive::{naive_count, naive_maximal_cliques, naive_maximal_cliques_budgeted};
+pub use naive::{naive_maximal_cliques, naive_maximal_cliques_budgeted};
 pub use parallel::{
-    par_count_maximal_cliques, par_enumerate_ordered, par_enumerate_ordered_budgeted, EngineError,
-    ProgressCounters,
+    par_count_maximal_cliques, par_enumerate_ordered_budgeted, EngineError, ProgressCounters,
 };
 pub use query::{run_query, ExecSession, Query, QueryError, QueryResult, QuerySpec, QueryValue};
 pub use report::{
@@ -85,8 +85,7 @@ pub use report::{
 pub use solver::{count_maximal_cliques, enumerate, enumerate_collect, EnumerationState, Solver};
 pub use stats::EnumerationStats;
 pub use verify::{
-    is_maximal_clique, matches_reference, matches_reference_budgeted, verify_cliques,
-    ReferenceError, Violation,
+    matches_reference, matches_reference_budgeted, verify_cliques, ReferenceError, Violation,
 };
 
 // Re-export the substrate types users need to build inputs.

@@ -4,8 +4,12 @@
 //! The paper's algorithms are sequential, but its root branching step (Eq. 1 /
 //! Eq. 2) produces a large number of independent branches, which is exactly
 //! the structure that shared-memory parallel MCE implementations exploit.
-//! Every multi-threaded run goes through one engine on `std::thread::scope`
-//! scoped threads:
+//! Commands reach this engine only through an [`ExecSession`]: the session
+//! owns the budget state the engine always runs under, and turns a contained
+//! worker panic into a typed error. [`par_count_maximal_cliques`] and
+//! [`par_enumerate_ordered_budgeted`] are thin wrappers over a session. Every
+//! multi-threaded run goes through one engine on `std::thread::scope` scoped
+//! threads:
 //!
 //! * The graph reduction and root ordering are computed **once** into a
 //!   shared [`RootPlan`](crate::solver) — previously every worker redid the
@@ -47,7 +51,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::mem;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -58,6 +62,7 @@ use mce_graph::{Graph, VertexId};
 use crate::budget::{Budget, BudgetReporter, BudgetState, Outcome};
 use crate::config::{ConfigError, SolverConfig};
 use crate::pool::{BranchTask, DonationSink, PoolConfig, PoolWork, SeqKey, TaskPool, CHUNK};
+use crate::query::{run_query, ExecSession, Query, QuerySpec, QueryValue};
 use crate::report::{CliqueReporter, CountReporter};
 use crate::scratch::WorkerState;
 use crate::solver::{RootPlan, Solver};
@@ -67,7 +72,8 @@ use crate::stats::EnumerationStats;
 // Fault containment
 // ----------------------------------------------------------------------
 
-/// A typed failure of a parallel enumeration run.
+/// A typed failure of a session's run. The configuration was validated at
+/// admission, so a run can only fail by a fault.
 ///
 /// The engine catches panics raised inside worker bodies (including
 /// panics thrown by the caller's [`CliqueReporter`]): the first fault is
@@ -78,8 +84,6 @@ use crate::stats::EnumerationStats;
 /// its locks.
 #[derive(Debug)]
 pub enum EngineError {
-    /// The solver configuration was rejected at validation.
-    Config(ConfigError),
     /// A worker thread (or the reporter it drove) panicked mid-run.
     WorkerPanic {
         /// The panic payload, stringified (`&str` / `String` payloads are
@@ -91,7 +95,6 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::Config(e) => e.fmt(f),
             EngineError::WorkerPanic { detail } => {
                 write!(f, "enumeration worker panicked: {detail}")
             }
@@ -99,28 +102,16 @@ impl fmt::Display for EngineError {
     }
 }
 
-impl std::error::Error for EngineError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            EngineError::Config(e) => Some(e),
-            EngineError::WorkerPanic { .. } => None,
-        }
-    }
-}
+impl std::error::Error for EngineError {}
 
-impl From<ConfigError> for EngineError {
-    fn from(e: ConfigError) -> Self {
-        EngineError::Config(e)
-    }
-}
-
-impl EngineError {
-    /// Converts a caught panic payload into [`EngineError::WorkerPanic`].
-    pub(crate) fn from_panic(payload: Box<dyn Any + Send>) -> Self {
-        EngineError::WorkerPanic {
-            detail: panic_detail(payload.as_ref()),
-        }
-    }
+/// Runs `body` on the calling thread, turning a panic in it (or in the
+/// reporter it drives) into [`EngineError::WorkerPanic`]: the containment
+/// the worker fleet gives every work item, for the paths that run a
+/// caller's reporter without spawning.
+pub(crate) fn contain<T>(body: impl FnOnce() -> T) -> Result<T, EngineError> {
+    catch_unwind(AssertUnwindSafe(body)).map_err(|payload| EngineError::WorkerPanic {
+        detail: panic_detail(payload.as_ref()),
+    })
 }
 
 /// Stringifies a panic payload (the common `&str` / `String` cases verbatim).
@@ -227,8 +218,8 @@ impl<R: CliqueReporter + ?Sized> CliqueReporter for CountingReporter<'_, R> {
     }
 }
 
-/// Counts maximal cliques using `threads` workers: the ordered engine with a
-/// counting reporter. Returns the total count and the run statistics.
+/// Counts maximal cliques using `threads` workers: a [`QuerySpec::Count`]
+/// session. Returns the total count and the run statistics.
 ///
 /// # Panics
 ///
@@ -239,10 +230,15 @@ pub fn par_count_maximal_cliques(
     config: &SolverConfig,
     threads: usize,
 ) -> (u64, EnumerationStats) {
-    let mut counter = CountReporter::new();
-    let stats = par_enumerate_ordered(g, config, threads, &mut counter)
-        .expect("invalid solver configuration");
-    (counter.count, stats)
+    let query = Query::new(QuerySpec::Count)
+        .with_config(*config)
+        .with_threads(threads);
+    let result =
+        run_query(g, query, &mut CountReporter::new()).expect("invalid solver configuration");
+    let QueryValue::Count(count) = result.value else {
+        unreachable!("a Count session yields a Count value")
+    };
+    (count, result.stats)
 }
 
 // ----------------------------------------------------------------------
@@ -444,19 +440,18 @@ impl<'a, R: CliqueReporter + ?Sized> Sequencer<'a, R> {
 /// into the buffer it is given. Once the budget stopped the run or a sibling
 /// faulted, the item is not run and gets an empty truncated part, which
 /// closes the ordered stream at or before it. A panic in `body` is recorded
-/// as the fleet's fault (halting the siblings on the budget cadence when a
-/// budget exists) and answered the same way, so no slot waits on the item
-/// forever.
+/// as the fleet's fault, halts the siblings at their next branch step, and
+/// is answered the same way, so no slot waits on the item forever.
 fn run_part(
     mut block: CliqueBlock,
     hook: ProgressHook<'_>,
-    budget: Option<&BudgetState>,
+    budget: &BudgetState,
     fault: &FaultCell,
     pool: &TaskPool,
     stats: &mut EnumerationStats,
     body: impl FnOnce(&mut dyn CliqueReporter) -> EnumerationStats,
 ) -> (CliqueBlock, bool) {
-    if fault.is_set() || budget.is_some_and(BudgetState::should_stop) {
+    if fault.is_set() || budget.should_stop() {
         block.clear();
         return (block, true);
     }
@@ -475,75 +470,35 @@ fn run_part(
             // chunk loop would retry the slot and deposit a second own part
             // for it, which never completes. Marking a completed part
             // truncated is harmless — the outcome is truncated anyway.
-            let truncated =
-                s.terminated_by_budget > 0 || budget.is_some_and(BudgetState::should_stop);
+            let truncated = s.terminated_by_budget > 0 || budget.should_stop();
             (block, truncated)
         }
         Err(payload) => {
             fault.record_payload(payload);
-            if let Some(b) = budget {
-                b.halt_for_fault();
-            }
+            budget.halt_for_fault();
             block.clear();
             (block, true)
         }
     }
 }
 
-/// Streams maximal cliques to `reporter` in a deterministic order that is
-/// independent of the thread count: the rank-independent output first
-/// (graph-reduction cliques, then isolated vertices under edge-oriented
-/// branching), then the cliques of root rank 0, rank 1, … — each rank's
-/// cliques in sequential recursion order. The stream is byte-for-byte
-/// reproducible for any formatting reporter layered on top, which is what the
-/// CLI's golden-output determinism gate enforces.
+/// Streams maximal cliques to `reporter` under a [`Budget`]: a
+/// [`QuerySpec::Enumerate`] session, observed by `progress` when given.
 ///
-/// Workers claim chunks of roots and donated sub-branches from a shared pool,
-/// and a rank-plus-key sequencer reorders their buffered output before it
-/// reaches `reporter`. Memory is bounded: once a fixed cap (currently 2¹⁶) of
-/// out-of-order cliques is parked, no new chunk starts until the stream head
-/// catches up.
-pub fn par_enumerate_ordered<R: CliqueReporter + Send + ?Sized>(
-    g: &Graph,
-    config: &SolverConfig,
-    threads: usize,
-    reporter: &mut R,
-) -> Result<EnumerationStats, ConfigError> {
-    repanic_worker_faults(par_enumerate_ordered_driver(
-        g,
-        config,
-        threads,
-        PoolConfig::default(),
-        None,
-        None,
-        reporter,
-    ))
-}
-
-/// Maps a driver result back to the legacy `ConfigError` signature:
-/// configuration errors pass through, worker panics — already drained
-/// cleanly by the driver — are re-raised on the caller's thread.
-fn repanic_worker_faults(
-    result: Result<EnumerationStats, EngineError>,
-) -> Result<EnumerationStats, ConfigError> {
-    match result {
-        Ok(stats) => Ok(stats),
-        Err(EngineError::Config(e)) => Err(e),
-        Err(EngineError::WorkerPanic { detail }) => resume_unwind(Box::new(detail)),
-    }
-}
-
-/// [`par_enumerate_ordered`] under a [`Budget`]: the stream stops at the
-/// budget's clique cap, step bound or cancellation, and the emitted bytes are
-/// always an exact prefix of the unbudgeted deterministic stream — at any
-/// thread count. With `max_cliques = Some(n)` the output is exactly the first
-/// `n` cliques of that stream.
+/// The order is deterministic and independent of the thread count: the
+/// rank-independent output first (graph-reduction cliques, then isolated
+/// vertices under edge-oriented branching), then the cliques of root rank 0,
+/// rank 1, … — each rank's cliques in sequential recursion order. The stream
+/// stops at the budget's clique cap, step bound, deadline or cancellation,
+/// and the emitted bytes are always an exact prefix of the unbudgeted stream;
+/// with `max_cliques = Some(n)` the output is exactly its first `n` cliques.
+/// Returns the run statistics and the [`Outcome`] (`Complete`, or
+/// `Truncated` with the first bound that tripped).
 ///
-/// Workers observe the budget between branch steps, so cancellation latency
-/// is bounded by one branch step plus the cost of unwinding. `progress`
-/// optionally attaches live [`ProgressCounters`]. Returns the run statistics
-/// and the [`Outcome`] (`Complete`, or `Truncated` with the first bound that
-/// tripped).
+/// # Panics
+///
+/// With the worker's payload when a worker or `reporter` panics; use
+/// [`ExecSession::try_run`] for the typed error instead.
 pub fn par_enumerate_ordered_budgeted<R: CliqueReporter + Send + ?Sized>(
     g: &Graph,
     config: &SolverConfig,
@@ -552,36 +507,17 @@ pub fn par_enumerate_ordered_budgeted<R: CliqueReporter + Send + ?Sized>(
     progress: Option<&ProgressCounters>,
     reporter: &mut R,
 ) -> Result<(EnumerationStats, Outcome), ConfigError> {
-    let state = BudgetState::new(budget);
-    let mut stats = repanic_worker_faults(par_enumerate_ordered_with_state(
-        g, config, threads, &state, progress, reporter,
-    ))?;
-    let outcome = state.finish(&mut stats);
-    Ok((stats, outcome))
-}
-
-/// [`par_enumerate_ordered_budgeted`] over an existing session
-/// [`BudgetState`] (the query layer owns the state so its cancel token can be
-/// handed out before the run starts). Applies the clique-cap gate here —
-/// after the deterministic sequencer — so callers pass their raw reporter.
-pub(crate) fn par_enumerate_ordered_with_state<R: CliqueReporter + Send + ?Sized>(
-    g: &Graph,
-    config: &SolverConfig,
-    threads: usize,
-    state: &BudgetState,
-    progress: Option<&ProgressCounters>,
-    reporter: &mut R,
-) -> Result<EnumerationStats, EngineError> {
-    let mut gated = BudgetReporter::new(reporter, state);
-    par_enumerate_ordered_driver(
-        g,
-        config,
-        threads,
-        PoolConfig::default(),
-        progress,
-        Some(state),
-        &mut gated,
-    )
+    config.validate()?;
+    let query = Query::new(QuerySpec::Enumerate)
+        .with_config(*config)
+        .with_threads(threads)
+        .with_budget(budget.clone());
+    let mut session = ExecSession::new(g, query).expect("configuration validated above");
+    if let Some(progress) = progress {
+        session = session.with_progress(progress);
+    }
+    let result = session.run(reporter);
+    Ok((result.stats, result.outcome))
 }
 
 /// The engine's donation sink: registers every donation with the sequencer
@@ -613,54 +549,54 @@ impl<R: CliqueReporter + Send + ?Sized> DonationSink for OrderedSink<'_, '_, R> 
     }
 }
 
-/// The full ordered driver (internal): explicit pool tuning, optional
-/// progress counters and an optional session budget, exposed for tests that
-/// force the backpressure, aggressive-splitting or interleaving paths.
+/// The ordered driver under a session [`BudgetState`], with explicit pool
+/// tuning (tests force the backpressure, aggressive-splitting or
+/// interleaving paths through it) and optional progress counters.
+///
+/// The driver applies the whole budget: the clique cap at the ordered output
+/// point, after the sequencer, and the step, deadline and cancellation
+/// bounds at every branch step.
 ///
 /// Fault containment: panics raised by worker bodies or by the caller's
-/// reporter are caught, the surviving workers drain, the stream keeps the
-/// deterministic prefix emitted before the fault, and the driver returns
-/// [`EngineError::WorkerPanic`] carrying the first panic's payload.
+/// reporter are caught, the sibling workers halt at their next branch step
+/// and drain, the stream keeps the deterministic prefix emitted before the
+/// fault, and the driver returns [`EngineError::WorkerPanic`] carrying the
+/// first panic's payload.
 pub(crate) fn par_enumerate_ordered_driver<R: CliqueReporter + Send + ?Sized>(
     g: &Graph,
     config: &SolverConfig,
     threads: usize,
     pool_config: PoolConfig,
     progress: Option<&ProgressCounters>,
-    budget: Option<&BudgetState>,
-    mut reporter: &mut R,
+    budget: &BudgetState,
+    reporter: &mut R,
 ) -> Result<EnumerationStats, EngineError> {
     let start = Instant::now();
     let threads = threads.max(1);
-    let solver = Solver::new(g, *config)?;
+    let solver = Solver::new(g, *config).expect("configuration validated at admission");
     let plan = solver.prepare();
     let total = plan.root_count();
     let hook = ProgressHook(progress);
     if let Some(p) = progress {
         p.total_roots.store(total as u64, Ordering::Relaxed);
     }
+    let mut reporter = BudgetReporter::new(reporter, budget);
 
-    // Rank-independent output first (deterministic given the plan).
-    // `&mut reporter` re-borrows through the blanket `&mut R: CliqueReporter`
-    // impl so unsized `R` still coerces to `&mut dyn CliqueReporter`. This
-    // and the single-threaded paths below run the caller's reporter on this
+    // Rank-independent output first (deterministic given the plan). This and
+    // the single-threaded path below run the caller's reporter on this
     // thread, so a panic here unwinds no scope — but it is still converted
     // to the typed error for a uniform contract.
-    let mut merged = {
-        let mut warm = WorkerState::new();
-        catch_unwind(AssertUnwindSafe(|| {
-            solver.run_on_plan(
-                &plan,
-                &mut (0..0),
-                true,
-                &mut warm,
-                None,
-                budget,
-                &mut reporter,
-            )
-        }))
-        .map_err(EngineError::from_panic)?
-    };
+    let mut merged = contain(|| {
+        solver.run_on_plan(
+            &plan,
+            &mut (0..0),
+            true,
+            &mut WorkerState::new(),
+            None,
+            Some(budget),
+            &mut reporter,
+        )
+    })?;
     hook.cliques(merged.maximal_cliques);
 
     if threads == 1 {
@@ -668,10 +604,10 @@ pub(crate) fn par_enumerate_ordered_driver<R: CliqueReporter + Send + ?Sized>(
         // Counted per clique and per chunk of roots, so progress counters
         // tick while the run progresses, even inside one giant root.
         let mut counted = CountingReporter {
-            inner: &mut *reporter,
+            inner: &mut reporter,
             hook,
         };
-        let run = catch_unwind(AssertUnwindSafe(|| {
+        contain(|| {
             for first in (0..total).step_by(CHUNK) {
                 let mut ranks = first..(first + CHUNK).min(total);
                 let stats = solver.run_on_plan(
@@ -680,7 +616,7 @@ pub(crate) fn par_enumerate_ordered_driver<R: CliqueReporter + Send + ?Sized>(
                     false,
                     &mut state,
                     None,
-                    budget,
+                    Some(budget),
                     &mut counted,
                 );
                 hook.roots_done(ranks.start - first);
@@ -689,15 +625,14 @@ pub(crate) fn par_enumerate_ordered_driver<R: CliqueReporter + Send + ?Sized>(
                     break; // the budget stopped the run
                 }
             }
-        }));
-        run.map_err(EngineError::from_panic)?;
+        })?;
         merged.elapsed = start.elapsed();
         merged.busy_time = merged.elapsed;
         return Ok(merged);
     }
 
     let pool = TaskPool::new(total, pool_config);
-    let sequencer = Mutex::new(Sequencer::new(reporter));
+    let sequencer = Mutex::new(Sequencer::new(&mut reporter));
     let fault = FaultCell::new();
     let worker_stats: Vec<EnumerationStats> = thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
@@ -749,7 +684,7 @@ fn run_worker<R: CliqueReporter + Send + ?Sized>(
     pool: &TaskPool,
     sequencer: &Mutex<Sequencer<'_, R>>,
     hook: ProgressHook<'_>,
-    budget: Option<&BudgetState>,
+    budget: &BudgetState,
     fault: &FaultCell,
 ) -> EnumerationStats {
     let start = Instant::now();
@@ -770,6 +705,12 @@ fn run_worker<R: CliqueReporter + Send + ?Sized>(
         // must not strand its siblings behind a poisoned mutex.
         let mut seq = sequencer.lock().unwrap_or_else(|e| e.into_inner());
         seq.deposit(slot, end, key, part, cut);
+        if seq.fault.is_some() {
+            // The caller's reporter panicked: nothing more can be emitted,
+            // so the siblings stop at their next branch step, as after a
+            // panic in a work item.
+            budget.halt_for_fault();
+        }
         pool.set_parked(seq.buffered_cliques);
         seq.spare_block()
     };
@@ -792,7 +733,7 @@ fn run_worker<R: CliqueReporter + Send + ?Sized>(
                             false,
                             &mut state,
                             Some(&sink),
-                            budget,
+                            Some(budget),
                             buffer,
                         )
                     },
@@ -812,7 +753,9 @@ fn run_worker<R: CliqueReporter + Send + ?Sized>(
                     fault,
                     pool,
                     &mut stats,
-                    |buffer| solver.run_branch_task(*task, &key, &mut state, &sink, budget, buffer),
+                    |buffer| {
+                        solver.run_branch_task(*task, &key, &mut state, &sink, Some(budget), buffer)
+                    },
                 );
                 block = deposit(slot, None, key, part, truncated);
                 truncated
@@ -900,6 +843,24 @@ mod tests {
         ]
     }
 
+    /// The session budget state of an unlimited run.
+    fn unlimited() -> BudgetState {
+        BudgetState::new(&Budget::unlimited())
+    }
+
+    /// The full ordered stream of `g` into `reporter`, through the public
+    /// wrapper.
+    fn ordered_into<R: CliqueReporter + Send + ?Sized>(
+        g: &Graph,
+        cfg: &SolverConfig,
+        threads: usize,
+        reporter: &mut R,
+    ) -> EnumerationStats {
+        par_enumerate_ordered_budgeted(g, cfg, threads, &Budget::unlimited(), None, reporter)
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn parallel_count_matches_sequential() {
         let g = test_graph();
@@ -917,7 +878,7 @@ mod tests {
         let expected = naive_maximal_cliques(&g);
         for cfg in [SolverConfig::r_degen(), SolverConfig::hbbmc_pp()] {
             let mut collector = CollectReporter::new();
-            par_enumerate_ordered(&g, &cfg, 3, &mut collector).unwrap();
+            ordered_into(&g, &cfg, 3, &mut collector);
             assert_eq!(collector.into_sorted(), expected);
         }
     }
@@ -941,7 +902,7 @@ mod tests {
     /// Renders the full ordered stream of `g` to text bytes.
     fn ordered_bytes(g: &Graph, cfg: &SolverConfig, threads: usize) -> Vec<u8> {
         let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
-        par_enumerate_ordered(g, cfg, threads, &mut reporter).unwrap();
+        ordered_into(g, cfg, threads, &mut reporter);
         reporter.finish().unwrap()
     }
 
@@ -955,12 +916,13 @@ mod tests {
     ) -> (Vec<u8>, EnumerationStats) {
         let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
         let stats =
-            par_enumerate_ordered_driver(g, cfg, threads, pool, None, None, &mut reporter).unwrap();
+            par_enumerate_ordered_driver(g, cfg, threads, pool, None, &unlimited(), &mut reporter)
+                .unwrap();
         (reporter.finish().unwrap(), stats)
     }
 
     /// The ordered stream of `g` under `budget`, through the driver with the
-    /// given pool, gated like [`par_enumerate_ordered_budgeted`].
+    /// given pool.
     fn budgeted_bytes(
         g: &Graph,
         cfg: &SolverConfig,
@@ -970,16 +932,7 @@ mod tests {
     ) -> (Vec<u8>, Outcome) {
         let state = BudgetState::new(budget);
         let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
-        par_enumerate_ordered_driver(
-            g,
-            cfg,
-            threads,
-            pool,
-            None,
-            Some(&state),
-            &mut BudgetReporter::new(&mut reporter, &state),
-        )
-        .unwrap();
+        par_enumerate_ordered_driver(g, cfg, threads, pool, None, &state, &mut reporter).unwrap();
         (reporter.finish().unwrap(), state.outcome())
     }
 
@@ -1042,7 +995,7 @@ mod tests {
             4,
             aggressive_pool(),
             None,
-            None,
+            &unlimited(),
             &mut count,
         )
         .unwrap();
@@ -1096,8 +1049,7 @@ mod tests {
         let g = test_graph();
         let expected = naive_maximal_cliques(&g);
         let mut collector = CollectReporter::new();
-        let stats =
-            par_enumerate_ordered(&g, &SolverConfig::hbbmc_pp(), 4, &mut collector).unwrap();
+        let stats = ordered_into(&g, &SolverConfig::hbbmc_pp(), 4, &mut collector);
         assert_eq!(collector.into_sorted(), expected);
         assert_eq!(stats.maximal_cliques as usize, expected.len());
     }
@@ -1120,7 +1072,9 @@ mod tests {
         let mut cfg = SolverConfig::hbbmc_pp();
         cfg.early_termination_t = 9;
         let mut reporter = CountReporter::new();
-        assert!(par_enumerate_ordered(&g, &cfg, 2, &mut reporter).is_err());
+        let run =
+            par_enumerate_ordered_budgeted(&g, &cfg, 2, &Budget::unlimited(), None, &mut reporter);
+        assert!(run.is_err());
     }
 
     #[test]
@@ -1183,7 +1137,7 @@ mod tests {
     fn reporter_panic_returns_typed_error_and_keeps_the_prefix() {
         let g = test_graph();
         let mut baseline = CollectReporter::new();
-        par_enumerate_ordered(&g, &SolverConfig::hbbmc_pp(), 1, &mut baseline).unwrap();
+        ordered_into(&g, &SolverConfig::hbbmc_pp(), 1, &mut baseline);
         let full = baseline.cliques;
         assert!(full.len() > 4);
         for (name, pool) in both_pools() {
@@ -1196,16 +1150,12 @@ mod tests {
                         threads,
                         pool,
                         None,
-                        None,
+                        &unlimited(),
                         &mut reporter,
                     )
                     .unwrap_err();
-                    match err {
-                        EngineError::WorkerPanic { detail } => {
-                            assert_eq!(detail, "injected reporter fault")
-                        }
-                        other => panic!("expected WorkerPanic, got {other:?}"),
-                    }
+                    let EngineError::WorkerPanic { detail } = err;
+                    assert_eq!(detail, "injected reporter fault");
                     assert_eq!(
                         reporter.collected,
                         &full[..keep],
@@ -1214,6 +1164,38 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn reporter_panic_halts_the_sibling_workers() {
+        // Without a budget bound, the fault itself must stop the fleet: the
+        // stream is closed, so no later chunk's work could be emitted. The
+        // graph has no rank-independent output, so the first clique reaches
+        // the reporter from a worker's deposit, not from the calling thread.
+        let g = many_roots_graph();
+        assert!(sequential_bytes(&g, &SolverConfig::hbbmc_pp(), 0..0).is_empty());
+        for threads in [2usize, 4] {
+            let state = unlimited();
+            par_enumerate_ordered_driver(
+                &g,
+                &SolverConfig::hbbmc_pp(),
+                threads,
+                PoolConfig::default(),
+                None,
+                &state,
+                &mut PanicAfter::new(0),
+            )
+            .unwrap_err();
+            assert!(
+                state.should_stop(),
+                "x{threads}: the siblings were not halted"
+            );
+            assert_eq!(
+                state.outcome(),
+                Outcome::Complete,
+                "a fault is not a budget reason"
+            );
         }
     }
 
@@ -1232,7 +1214,7 @@ mod tests {
                 threads,
                 aggressive_pool(),
                 None,
-                None,
+                &unlimited(),
                 &mut reporter,
             )
             .unwrap_err();
@@ -1246,7 +1228,7 @@ mod tests {
         let g = test_graph();
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let mut reporter = PanicAfter::new(2);
-            par_enumerate_ordered(&g, &SolverConfig::hbbmc_pp(), 4, &mut reporter)
+            ordered_into(&g, &SolverConfig::hbbmc_pp(), 4, &mut reporter)
         }));
         let payload = caught.expect_err("the fault must reach the caller");
         assert_eq!(
@@ -1535,7 +1517,7 @@ mod tests {
         // worker starves and the hub's root donates to it.
         let g = mce_gen::planted_hub(29, 4);
         let mut count = CountReporter::new();
-        let stats = par_enumerate_ordered(&g, &SolverConfig::bk_pivot(), 2, &mut count).unwrap();
+        let stats = ordered_into(&g, &SolverConfig::bk_pivot(), 2, &mut count);
         assert_eq!(count.count, mce_gen::planted_hub_clique_count(29, 4));
         assert!(stats.splits > 0, "{stats:?}");
         assert_eq!(stats.splits, stats.steals);

@@ -29,8 +29,9 @@
 //!
 //! # Why donated output can still be ordered deterministically
 //!
-//! [`par_enumerate_ordered`](crate::par_enumerate_ordered) must emit a byte
-//! stream that is independent of the thread count. The sequencer's slots —
+//! The ordered engine behind every
+//! [`QuerySpec::Enumerate`](crate::QuerySpec::Enumerate) session must emit a
+//! byte stream that is independent of the thread count. The sequencer's slots —
 //! runs of consecutive root ranks keyed by their first rank — provide the
 //! coarse order. A rank that donates ends its slot, so donated work always
 //! belongs to the last rank of a slot, and within that slot every part carries

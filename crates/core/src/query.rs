@@ -15,9 +15,13 @@
 //! Execution goes through an [`ExecSession`]: a validated, cancellable run
 //! whose [`CancelToken`] can be handed to another thread *before* the session
 //! starts — the admission-control primitive a serving layer needs (a server
-//! cannot admit a query it can't stop). All streaming specs emit through the
-//! deterministic ordered pipeline, so a truncated stream is always an exact
-//! byte-prefix of the complete one, at any thread count.
+//! cannot admit a query it can't stop). The session is the one way into the
+//! engine: `mce enumerate`, `mce query` and `mce serve` each admit one and
+//! call [`ExecSession::try_run`], so budgets and panic containment live
+//! here, and the `par_*` functions are thin wrappers over it. All streaming
+//! specs emit through the deterministic ordered pipeline, so a truncated
+//! stream is always an exact byte-prefix of the complete one, at any thread
+//! count.
 //!
 //! # Anchored queries
 //!
@@ -32,14 +36,17 @@
 //! at all. The vertices this skips are counted in
 //! [`EnumerationStats::anchored_roots_skipped`].
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
+use std::time::Instant;
 
 use mce_graph::{Graph, VertexId};
 
 use crate::budget::{Budget, BudgetReporter, BudgetState, CancelToken, Outcome};
 use crate::config::{ConfigError, SolverConfig};
 use crate::kclique::for_each_k_clique_with_state;
-use crate::parallel::{par_enumerate_ordered_with_state, EngineError};
+use crate::maxclique::MaxCliqueState;
+use crate::parallel::{contain, par_enumerate_ordered_driver, EngineError, ProgressCounters};
+use crate::pool::PoolConfig;
 use crate::report::{CliqueReporter, CountReporter, TopKReporter};
 use crate::scratch::WorkerState;
 use crate::solver::Solver;
@@ -226,6 +233,8 @@ pub struct ExecSession<'g> {
     anchor: Vec<VertexId>,
     state: BudgetState,
     token: CancelToken,
+    /// Live counters the parallel engine updates, if attached.
+    progress: Option<&'g ProgressCounters>,
 }
 
 impl<'g> ExecSession<'g> {
@@ -262,6 +271,7 @@ impl<'g> ExecSession<'g> {
             anchor,
             state,
             token,
+            progress: None,
         })
     }
 
@@ -271,20 +281,25 @@ impl<'g> ExecSession<'g> {
         self.token.clone()
     }
 
+    /// Attaches live [`ProgressCounters`] for a monitoring thread to poll.
+    /// The specs that run on the parallel engine (`Enumerate`, `Count` and an
+    /// empty anchor) update them; the sequential specs leave them untouched.
+    pub fn with_progress(mut self, progress: &'g ProgressCounters) -> Self {
+        self.progress = Some(progress);
+        self
+    }
+
     /// Runs the session to its outcome, streaming any `Stream`-valued spec's
     /// cliques to `reporter` (other specs leave the reporter untouched).
     ///
     /// Panics raised by worker bodies (or by the reporter itself) are
     /// re-raised on the calling thread after the workers drained; see
-    /// [`ExecSession::try_run`] for the typed-error form a serving layer
-    /// should use to contain faults.
+    /// [`ExecSession::try_run`] for the typed-error form a command or a
+    /// serving layer should use to contain faults.
     pub fn run<R: CliqueReporter + Send + ?Sized>(self, reporter: &mut R) -> QueryResult {
         match self.try_run(reporter) {
             Ok(result) => result,
             Err(EngineError::WorkerPanic { detail }) => resume_unwind(Box::new(detail)),
-            Err(EngineError::Config(e)) => {
-                unreachable!("configuration validated at session admission: {e}")
-            }
         }
     }
 
@@ -298,46 +313,42 @@ impl<'g> ExecSession<'g> {
         reporter: &mut R,
     ) -> Result<QueryResult, EngineError> {
         let g = self.graph;
-        let config = self.query.config;
-        let threads = self.query.threads;
         let state = &self.state;
-        let ordered = |out: &mut (dyn CliqueReporter + Send)| {
-            par_enumerate_ordered_with_state(g, &config, threads, state, None, out)
-        };
+        let solver =
+            || Solver::new(g, self.query.config).expect("configuration validated at admission");
+        // The sequential specs run their recursion (and the reporter it
+        // drives) on this thread, under `contain`: the same containment the
+        // parallel engine gives its workers.
         let (mut stats, value) = match &self.query.spec {
-            QuerySpec::Enumerate => (ordered(&mut BypassSend(reporter))?, QueryValue::Stream),
+            QuerySpec::Enumerate => (self.ordered(reporter)?, QueryValue::Stream),
             QuerySpec::Anchored { .. } if self.anchor.is_empty() => {
-                (ordered(&mut BypassSend(reporter))?, QueryValue::Stream)
-            }
-            QuerySpec::Anchored { .. } => {
-                let anchor = &self.anchor;
-                if !g.is_clique(anchor) {
-                    // No clique contains a non-clique: the (complete) result
-                    // is empty, and no root ever needed opening.
-                    let stats = EnumerationStats {
-                        anchored_roots_skipped: g.n() as u64,
-                        ..EnumerationStats::default()
-                    };
-                    (stats, QueryValue::Stream)
-                } else {
-                    let solver =
-                        Solver::new(g, config).expect("configuration validated at admission");
-                    let mut worker = WorkerState::new();
-                    let mut gated = BudgetReporter::new(reporter, state);
-                    // Sequential path: the recursion (and the reporter it
-                    // drives) runs on this thread, so a plain catch gives
-                    // the same containment the parallel drivers provide.
-                    let stats = catch_unwind(AssertUnwindSafe(|| {
-                        solver.run_anchored(anchor, &mut worker, Some(state), &mut gated)
-                    }))
-                    .map_err(EngineError::from_panic)?;
-                    (stats, QueryValue::Stream)
-                }
+                (self.ordered(reporter)?, QueryValue::Stream)
             }
             QuerySpec::Count => {
                 let mut counter = CountReporter::new();
-                let stats = ordered(&mut counter)?;
+                let stats = self.ordered(&mut counter)?;
                 (stats, QueryValue::Count(counter.count))
+            }
+            QuerySpec::Anchored { .. } if !g.is_clique(&self.anchor) => {
+                // No clique contains a non-clique: the (complete) result is
+                // empty, and no root ever needed opening.
+                let stats = EnumerationStats {
+                    anchored_roots_skipped: g.n() as u64,
+                    ..EnumerationStats::default()
+                };
+                (stats, QueryValue::Stream)
+            }
+            QuerySpec::Anchored { .. } => {
+                let stats = contain(|| {
+                    let mut gated = BudgetReporter::new(reporter, state);
+                    solver().run_anchored(
+                        &self.anchor,
+                        &mut WorkerState::new(),
+                        Some(state),
+                        &mut gated,
+                    )
+                })?;
+                (stats, QueryValue::Stream)
             }
             QuerySpec::TopKBySize { k } => {
                 // Dedicated sequential path (like the anchored and
@@ -349,14 +360,11 @@ impl<'g> ExecSession<'g> {
                 // sequential stream order equals the ordered pipeline's, so
                 // the retained ranking is byte-identical to riding the full
                 // enumeration through this reporter, at any thread count.
-                let solver = Solver::new(g, config).expect("configuration validated at admission");
                 let mut top = TopKReporter::new(*k);
-                let stats = catch_unwind(AssertUnwindSafe(|| {
-                    let mut worker = WorkerState::new();
+                let stats = contain(|| {
                     let mut gated = BudgetReporter::new(&mut top, state);
-                    solver.run_topk(*k, &mut worker, Some(state), &mut gated)
-                }))
-                .map_err(EngineError::from_panic)?;
+                    solver().run_topk(*k, &mut WorkerState::new(), Some(state), &mut gated)
+                })?;
                 (stats, QueryValue::TopK(top.into_cliques()))
             }
             QuerySpec::MaximumClique => {
@@ -364,21 +372,18 @@ impl<'g> ExecSession<'g> {
                 // anchored and k-clique paths): exponentially fewer branch
                 // steps than riding the full enumeration, same canonical
                 // winner as MaximumCliqueReporter over a complete stream.
-                let (best, stats) = catch_unwind(AssertUnwindSafe(|| {
-                    let mut mc = crate::maxclique::MaxCliqueState::new();
-                    crate::maxclique::solve(g, &mut mc, Some(state))
-                }))
-                .map_err(EngineError::from_panic)?;
+                let (best, stats) = contain(|| {
+                    crate::maxclique::solve(g, &mut MaxCliqueState::new(), Some(state))
+                })?;
                 (stats, QueryValue::Maximum(best))
             }
             QuerySpec::KClique { k } => {
-                let start = std::time::Instant::now();
-                let aborted = catch_unwind(AssertUnwindSafe(|| {
+                let start = Instant::now();
+                let aborted = contain(|| {
                     for_each_k_clique_with_state(g, *k, state, &mut |clique| {
                         reporter.report(clique)
                     })
-                }))
-                .map_err(EngineError::from_panic)?;
+                })?;
                 let stats = EnumerationStats {
                     recursive_calls: state.steps_taken(),
                     terminated_by_budget: aborted,
@@ -397,16 +402,22 @@ impl<'g> ExecSession<'g> {
             budget_steps: self.state.steps_taken(),
         })
     }
-}
 
-/// `&mut R` where `R: Send` is itself `Send`; this shim re-borrows the
-/// caller's reporter as a concrete `Send` type so one closure can drive the
-/// ordered pipeline for every spec.
-struct BypassSend<'a, R: CliqueReporter + Send + ?Sized>(&'a mut R);
-
-impl<R: CliqueReporter + Send + ?Sized> CliqueReporter for BypassSend<'_, R> {
-    fn report(&mut self, clique: &[VertexId]) {
-        self.0.report(clique);
+    /// Streams the full ordered enumeration into `out` on the parallel
+    /// engine, under the session's budget and progress counters.
+    fn ordered<R: CliqueReporter + Send + ?Sized>(
+        &self,
+        out: &mut R,
+    ) -> Result<EnumerationStats, EngineError> {
+        par_enumerate_ordered_driver(
+            self.graph,
+            &self.query.config,
+            self.query.threads,
+            PoolConfig::default(),
+            self.progress,
+            &self.state,
+            out,
+        )
     }
 }
 
@@ -422,6 +433,8 @@ pub fn run_query<R: CliqueReporter + Send + ?Sized>(
 
 #[cfg(test)]
 mod tests {
+    use std::panic::AssertUnwindSafe;
+
     use super::*;
     use crate::budget::TruncationReason;
     use crate::naive::naive_maximal_cliques;
@@ -472,10 +485,11 @@ mod tests {
 
     #[test]
     fn enumerate_spec_matches_plain_ordered_stream() {
+        // The session's ordered stream is the sequential solver's stream.
         let g = test_graph();
         let (bytes, result) = ordered_text_bytes(&g, Query::new(QuerySpec::Enumerate));
         let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
-        crate::par_enumerate_ordered(&g, &SolverConfig::default(), 1, &mut reporter).unwrap();
+        crate::enumerate(&g, &SolverConfig::default(), &mut reporter);
         assert_eq!(bytes, reporter.finish().unwrap());
         assert_eq!(result.outcome, Outcome::Complete);
         assert_eq!(result.value, QueryValue::Stream);
@@ -1030,13 +1044,9 @@ mod tests {
             let session =
                 ExecSession::new(&g, Query::new(QuerySpec::Enumerate).with_threads(threads))
                     .unwrap();
-            let err = session.try_run(&mut PanickingReporter).unwrap_err();
-            match err {
-                EngineError::WorkerPanic { detail } => {
-                    assert_eq!(detail, "injected session fault", "x{threads}")
-                }
-                other => panic!("expected WorkerPanic, got {other:?}"),
-            }
+            let EngineError::WorkerPanic { detail } =
+                session.try_run(&mut PanickingReporter).unwrap_err();
+            assert_eq!(detail, "injected session fault", "x{threads}");
         }
     }
 

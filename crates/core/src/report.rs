@@ -197,11 +197,6 @@ impl SizeHistogramReporter {
         Self::default()
     }
 
-    /// Total number of cliques recorded.
-    pub fn total(&self) -> u64 {
-        self.histogram.iter().sum()
-    }
-
     /// Size of the largest clique recorded (0 when empty).
     pub fn max_size(&self) -> usize {
         self.histogram.iter().rposition(|&c| c > 0).unwrap_or(0)
@@ -224,11 +219,10 @@ type Retained = (usize, Reverse<u64>, Vec<VertexId>);
 
 /// Keeps the `k` largest cliques seen, with a deterministic ranking: larger
 /// cliques first, ties broken by arrival order (earliest first). Fed from a
-/// deterministic stream (e.g. [`par_enumerate_ordered`]) the selection is
-/// identical at any thread count, which is what the query layer's
-/// `TopKBySize` spec relies on.
-///
-/// [`par_enumerate_ordered`]: crate::par_enumerate_ordered
+/// deterministic stream (e.g. a
+/// [`QuerySpec::Enumerate`](crate::QuerySpec::Enumerate) session) the
+/// selection is identical at any thread count, which is what the query
+/// layer's `TopKBySize` spec relies on.
 #[derive(Clone, Debug, Default)]
 pub struct TopKReporter {
     k: usize,
@@ -465,7 +459,6 @@ mod tests {
         r.report(&[7]);
         assert_eq!(r.histogram[3], 2);
         assert_eq!(r.histogram[1], 1);
-        assert_eq!(r.total(), 3);
         assert_eq!(r.max_size(), 3);
         assert_eq!(SizeHistogramReporter::new().max_size(), 0);
     }

@@ -36,14 +36,6 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Whether `set` is a maximal clique of `g`.
-pub fn is_maximal_clique(g: &Graph, set: &[VertexId]) -> bool {
-    if set.is_empty() || !g.is_clique(set) {
-        return false;
-    }
-    find_extending_vertex(g, set).is_none()
-}
-
 /// Finds a vertex adjacent to every member of `set`, if any.
 pub fn find_extending_vertex(g: &Graph, set: &[VertexId]) -> Option<VertexId> {
     if set.is_empty() {
@@ -174,16 +166,6 @@ mod tests {
 
     fn two_triangles() -> Graph {
         Graph::from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3), (2, 3)]).unwrap()
-    }
-
-    #[test]
-    fn maximal_clique_detection() {
-        let g = two_triangles();
-        assert!(is_maximal_clique(&g, &[0, 1, 2]));
-        assert!(is_maximal_clique(&g, &[0, 2, 3]));
-        assert!(!is_maximal_clique(&g, &[0, 2]), "extendable by 1 or 3");
-        assert!(!is_maximal_clique(&g, &[1, 3]), "not a clique");
-        assert!(!is_maximal_clique(&g, &[]));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! invariants of the output (clique-ness, maximality, uniqueness) must hold.
 
 use hbbmc::{
-    enumerate_collect, naive_maximal_cliques, par_count_maximal_cliques, par_enumerate_ordered,
-    verify_cliques, CliqueLineFormat, CollectReporter, SolverConfig, WriterReporter,
+    enumerate_collect, naive_maximal_cliques, par_count_maximal_cliques, run_query, verify_cliques,
+    CliqueLineFormat, CliqueReporter, CollectReporter, Query, QuerySpec, SolverConfig,
+    WriterReporter,
 };
 use mce_gen::{
     barabasi_albert, erdos_renyi, erdos_renyi_gnp, moon_moser, planted_communities, planted_hub,
@@ -13,10 +14,23 @@ use mce_gen::{
 use mce_graph::Graph;
 use proptest::prelude::*;
 
+/// Streams the full ordered enumeration of `g` under `cfg` into `reporter`.
+fn ordered_into(
+    g: &Graph,
+    cfg: &SolverConfig,
+    threads: usize,
+    reporter: &mut (impl CliqueReporter + Send),
+) {
+    let query = Query::new(QuerySpec::Enumerate)
+        .with_config(*cfg)
+        .with_threads(threads);
+    run_query(g, query, reporter).expect("valid config");
+}
+
 /// Renders the full ordered stream of `g` under `cfg` to text bytes.
 fn ordered_text(g: &Graph, cfg: &SolverConfig, threads: usize) -> Vec<u8> {
     let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
-    par_enumerate_ordered(g, cfg, threads, &mut reporter).expect("valid config");
+    ordered_into(g, cfg, threads, &mut reporter);
     reporter.finish().expect("in-memory sink")
 }
 
@@ -73,7 +87,7 @@ proptest! {
     fn parallel_enumeration_matches_sequential(g in arb_graph(), threads in 1usize..5) {
         let (seq, _) = enumerate_collect(&g, &SolverConfig::hbbmc_pp());
         let mut par = CollectReporter::new();
-        par_enumerate_ordered(&g, &SolverConfig::hbbmc_pp(), threads, &mut par).unwrap();
+        ordered_into(&g, &SolverConfig::hbbmc_pp(), threads, &mut par);
         prop_assert_eq!(seq, par.into_sorted());
     }
 
