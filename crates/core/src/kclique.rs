@@ -77,7 +77,13 @@ pub(crate) fn for_each_k_clique_with_state(
     let eo = edge_ordering(g, EdgeOrderingKind::Truss);
     let mut candidates = Vec::new();
     let mut lg = LocalGraph::new();
+    // The local-id map of every rebuild, and the mark array of every
+    // common-neighbour walk.
     let mut position = vec![u32::MAX; g.n()];
+    // One candidate set per depth below the root edge, and the partial
+    // clique: reused across all roots.
+    let mut levels = vec![BitSet::default(); k - 1];
+    let mut partial = Vec::with_capacity(k);
     for (rank, &(u, v)) in eo.order.iter().enumerate() {
         if state.note_step() {
             return aborted + 1;
@@ -85,7 +91,7 @@ pub(crate) fn for_each_k_clique_with_state(
         // Candidates: common neighbours whose edges to both endpoints come
         // after the branching edge in the truss ordering.
         candidates.clear();
-        eo.for_each_common_neighbor(g, rank, |w, later| {
+        eo.for_each_common_neighbor(g, rank, &mut position, |w, later| {
             if later {
                 candidates.push(w);
             }
@@ -96,23 +102,32 @@ pub(crate) fn for_each_k_clique_with_state(
         // Inside the branch only edges ordered after the branching edge count,
         // so a k-clique is visited exactly once: at its earliest edge.
         let rank = rank as u32;
-        lg.rebuild_filtered(g, &candidates, |s| eo.position[s] > rank, &mut position);
-        let mut c = BitSet::with_capacity(lg.len());
+        lg.rebuild(
+            g,
+            &candidates,
+            &[],
+            |s| eo.position[s] > rank,
+            &mut position,
+        );
+        let root = &mut levels[0];
+        root.reset(lg.len());
         for i in 0..lg.len() {
-            c.insert(i);
+            root.insert(i);
         }
-        let mut partial = vec![u, v];
-        aborted += extend_clique(&lg, &c, 0, k - 2, &mut partial, state, &mut gated);
+        partial.clear();
+        partial.extend([u, v]);
+        aborted += extend_clique(&lg, &mut levels, 0, k - 2, &mut partial, state, &mut gated);
     }
     aborted
 }
 
-/// Extends the partial clique by `remaining` vertices chosen from `c`, only
-/// considering local ids `>= from` so each combination is produced once.
+/// Extends the partial clique by `remaining` vertices chosen from
+/// `levels[0]`, only considering local ids `>= from` so each combination is
+/// produced once; each child's candidate set is written into `levels[1]`.
 /// Returns the number of frames abandoned to a tripped budget.
 fn extend_clique<F: FnMut(&[VertexId])>(
     lg: &LocalGraph,
-    c: &BitSet,
+    levels: &mut [BitSet],
     from: usize,
     remaining: usize,
     partial: &mut Vec<VertexId>,
@@ -123,6 +138,9 @@ fn extend_clique<F: FnMut(&[VertexId])>(
         visit(partial);
         return 0;
     }
+    let (c, deeper) = levels
+        .split_first_mut()
+        .expect("one level per vertex still to choose");
     if c.len() < remaining {
         return 0;
     }
@@ -134,10 +152,9 @@ fn extend_clique<F: FnMut(&[VertexId])>(
         if state.note_step() {
             return aborted + 1;
         }
-        let mut next = c.clone();
-        next.intersect_with_words(lg.cand(v));
+        c.intersect_into(lg.cand(v), &mut deeper[0]);
         partial.push(lg.orig[v]);
-        aborted += extend_clique(lg, &next, v + 1, remaining - 1, partial, state, visit);
+        aborted += extend_clique(lg, deeper, v + 1, remaining - 1, partial, state, visit);
         partial.pop();
     }
     aborted

@@ -1,47 +1,65 @@
 //! Working representation of a branch's vertex universe.
 //!
 //! After the initial (root) branching step the recursion only ever touches the
-//! vertices of `C ∪ X` of that root branch — a set bounded by the degeneracy δ
-//! (vertex-oriented roots) or the truss parameter τ (edge-oriented roots),
-//! plus the exclusion side. The crate-private `LocalGraph` relabels those
-//! vertices to a dense `0..k` id space and stores their adjacency as the rows
-//! of a contiguous [`AdjMatrix`] (one flat `Vec<u64>` with row stride), so
-//! that branch refinement (`C ∩ N(v)`), pivot scoring and the
-//! early-termination check are all word-parallel over cache-adjacent rows.
+//! vertices of `C ∪ X` of that root branch. The crate-private `LocalGraph`
+//! relabels them to a dense `0..k` id space, **candidates first**: local ids
+//! `0..|C|` are the root's `C`, and `|C|..k` its `X`. Its adjacency is kept
+//! as rows of contiguous [`AdjMatrix`] blocks, so that branch refinement
+//! (`C ∩ N(v)`), pivot scoring and the early-termination check are all
+//! word-parallel over cache-adjacent rows.
 //!
-//! Two adjacency relations are kept:
+//! Only the rows and columns a branch can read are stored — the subproblem
+//! graph of Eppstein, Löffler and Strash, which keeps the edges with an
+//! endpoint in `C`:
 //!
-//! * `g_adj` — the true adjacency of the input graph restricted to the local
-//!   vertices. Used for maximality checking (moving vertices to `X`) and for
-//!   the early-termination plex test.
-//! * `cand_adj` — the *candidate* adjacency: `g_adj` minus the edges excluded
-//!   by earlier sibling branches of an edge-oriented branching step (Eq. 2 of
-//!   the paper removes processed edges from the candidate graph). When no
-//!   edge has been excluded the candidate rows are bit-identical to the true
-//!   rows.
+//! * `g_adj` — the true adjacency of the input graph. A row of `C` covers
+//!   `C ∪ X`; a row of `X` covers `C` only, `⌈|C|/64⌉` words. Nothing reads
+//!   an edge between two `X` vertices: every reader of an `X` row (the
+//!   pivot scan's exclusion loop, pruning by an exclusion pivot) intersects
+//!   it with a candidate set, whose bits all lie below `|C|`. Used for
+//!   maximality checking (moving vertices to `X`) and for the
+//!   early-termination plex test.
+//! * `cand_adj` — the *candidate* adjacency between candidates: `g_adj`
+//!   minus the edges excluded by earlier sibling branches of an
+//!   edge-oriented branching step (Eq. 2 of the paper removes processed
+//!   edges from the candidate graph). Only rows of `C` exist, over `C`:
+//!   every reader intersects them with a candidate set. When no edge has
+//!   been excluded they agree with the `C` columns of the true rows.
+//!
+//! With `k = |C ∪ X|` a root therefore stores at most about `3·|C|·k` bits
+//! plus its `k` ids, instead of two `k × k` matrices; a root with a huge `X`
+//! and a small `C` (a hub whose neighbours were all ordered earlier) stays
+//! small.
 //!
 //! A `LocalGraph` is designed to be **rebuilt in place**
-//! (`LocalGraph::rebuild_filtered`): the per-worker enumeration state keeps
-//! one instance whose matrix buffers are reused across all root branches, so
-//! steady-state root processing does not allocate.
+//! (`LocalGraph::rebuild`): the per-worker enumeration state keeps one
+//! instance whose buffers are reused across all root branches, so
+//! steady-state root processing does not allocate. The rebuild walks the
+//! neighbour lists of the candidates only.
 
+use mce_graph::graph::SKEWED_LISTS;
 use mce_graph::{AdjMatrix, Graph, VertexId};
 
-/// Dense local view of a branch's vertex universe (`C ∪ X` of the root branch).
+/// Dense local view of a branch's vertex universe (`C ∪ X` of the root
+/// branch, candidates first).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct LocalGraph {
-    /// Local id → original vertex id.
+    /// Local id → original vertex id: the candidates, then the exclusion
+    /// vertices.
     pub orig: Vec<VertexId>,
-    /// True graph adjacency between local vertices.
-    g_adj: AdjMatrix,
-    /// Candidate adjacency. Kept bit-identical to `g_adj` when no edge has
-    /// been filtered so `cand` can always return a valid row.
+    /// `|C|`: local ids below it are the root's candidates.
+    c_len: usize,
+    /// True adjacency rows of the candidates, over `C ∪ X`.
+    c_rows: AdjMatrix,
+    /// True adjacency rows of the exclusion vertices, over `C`.
+    x_rows: AdjMatrix,
+    /// Candidate adjacency rows of the candidates, over `C`.
     cand_adj: AdjMatrix,
 }
 
 impl LocalGraph {
     /// An empty local graph whose buffers can be reused via
-    /// [`LocalGraph::rebuild_filtered`].
+    /// [`LocalGraph::rebuild`].
     pub fn new() -> Self {
         Self::default()
     }
@@ -51,39 +69,49 @@ impl LocalGraph {
         self.orig.len()
     }
 
-    /// Candidate adjacency row of local vertex `v` as a word slice.
+    /// Candidate adjacency row of the candidate `v` (a local id below
+    /// `|C|`), over `C`.
     #[inline]
     pub fn cand(&self, v: usize) -> &[u64] {
+        debug_assert!(v < self.c_len, "{v} is not a root candidate");
         self.cand_adj.row(v)
     }
 
-    /// True-graph adjacency row of local vertex `v` as a word slice.
+    /// True-graph adjacency row of local vertex `v`: over `C ∪ X` for a
+    /// candidate, over `C` for an exclusion vertex.
     #[inline]
     pub fn gadj(&self, v: usize) -> &[u64] {
-        self.g_adj.row(v)
+        if v < self.c_len {
+            self.c_rows.row(v)
+        } else {
+            self.x_rows.row(v - self.c_len)
+        }
     }
 
-    /// Whether local vertices `v` and `w` are adjacent in the candidate graph.
+    /// Whether the candidates `v` and `w` are adjacent in the candidate graph.
     #[inline]
     pub fn cand_contains(&self, v: usize, w: usize) -> bool {
+        debug_assert!(v < self.c_len && w < self.c_len);
         self.cand_adj.contains(v, w)
     }
 
-    /// Whether local vertices `v` and `w` are adjacent in the true graph.
+    /// Whether local vertices `v` and `w`, one of them a candidate, are
+    /// adjacent in the true graph.
     #[cfg(test)]
     pub fn gadj_contains(&self, v: usize, w: usize) -> bool {
-        self.g_adj.contains(v, w)
+        let (v, w) = if v < self.c_len { (v, w) } else { (w, v) };
+        self.c_rows.contains(v, w)
     }
 
-    /// Builds the local graph over `vertices` (in the given order) using the
-    /// plain graph adjacency for both relations.
+    /// Builds the local graph over `vertices` (in the given order), all of
+    /// them candidates, using the plain graph adjacency for both relations.
     #[cfg(test)]
     pub fn from_vertices(g: &Graph, vertices: &[VertexId]) -> Self {
         Self::from_vertices_filtered(g, vertices, |_| true)
     }
 
-    /// Builds a fresh local graph over `vertices`; see
-    /// [`LocalGraph::rebuild_filtered`] for `keep`.
+    /// Builds a fresh local graph over the candidates `vertices`; see
+    /// [`LocalGraph::rebuild`] for `keep`.
     #[cfg(test)]
     pub fn from_vertices_filtered<F>(g: &Graph, vertices: &[VertexId], keep: F) -> Self
     where
@@ -91,23 +119,28 @@ impl LocalGraph {
     {
         let mut lg = Self::new();
         let mut position = vec![u32::MAX; g.n()];
-        lg.rebuild_filtered(g, vertices, keep, &mut position);
+        lg.rebuild(g, vertices, &[], keep, &mut position);
         lg
     }
 
-    /// Rebuilds this local graph in place over `vertices`, keeping in the
-    /// *candidate* adjacency only those edges for which `keep(s)` returns
-    /// `true`, where `s` is one of the edge's CSR slots ([`Graph::slot`]).
-    /// The true adjacency always contains every edge of the input graph.
+    /// Rebuilds this local graph in place over `candidates ++ excluded`,
+    /// keeping in the *candidate* adjacency only those edges between two
+    /// candidates for which `keep(s)` returns `true`, where `s` is one of
+    /// the edge's CSR slots ([`Graph::slot`]). `keep` is asked about no
+    /// other edge. The true adjacency always contains every stored edge of
+    /// the input graph.
     ///
     /// `position` is caller-provided scratch of length `g.n()`, holding
     /// `u32::MAX` outside this call; it maps original ids to local ids so the
-    /// rebuild walks adjacency lists (`O(Σ deg)`) instead of testing all
-    /// `O(k²)` pairs with binary searches.
-    pub fn rebuild_filtered<F>(
+    /// rebuild walks the candidates' adjacency lists (`O(Σ_{c ∈ C} deg c)`)
+    /// instead of testing pairs with binary searches. Only a candidate whose
+    /// list is more than [`SKEWED_LISTS`] times the local universe (a hub in
+    /// a small root) searches the later local vertices in its list instead.
+    pub fn rebuild<F>(
         &mut self,
         g: &Graph,
-        vertices: &[VertexId],
+        candidates: &[VertexId],
+        excluded: &[VertexId],
         keep: F,
         position: &mut [u32],
     ) -> &mut Self
@@ -115,31 +148,60 @@ impl LocalGraph {
         F: Fn(usize) -> bool,
     {
         debug_assert_eq!(position.len(), g.n());
-        debug_assert!(position.iter().all(|&p| p == u32::MAX));
-        let k = vertices.len();
+        let c = candidates.len();
         self.orig.clear();
-        self.orig.extend_from_slice(vertices);
-        self.g_adj.reset(k);
-        self.cand_adj.reset(k);
+        self.orig.extend_from_slice(candidates);
+        self.orig.extend_from_slice(excluded);
+        let k = self.orig.len();
+        self.c_len = c;
+        self.c_rows.reset(c, k);
+        self.x_rows.reset(k - c, c);
+        self.cand_adj.reset(c, c);
 
-        for (i, &v) in vertices.iter().enumerate() {
+        for (i, &v) in self.orig.iter().enumerate() {
+            debug_assert_eq!(position[v as usize], u32::MAX, "{v} is stale or repeated");
             position[v as usize] = i as u32;
         }
-        for (i, &v) in vertices.iter().enumerate() {
-            let first_slot = g.csr_offsets()[v as usize];
-            for (s, &u) in (first_slot..).zip(g.neighbors(v)) {
-                let j = position[u as usize];
-                if j == u32::MAX || (j as usize) <= i {
-                    continue; // not local, or the (j, i) direction handles it
-                }
-                let j = j as usize;
-                self.g_adj.insert_sym(i, j);
+        let LocalGraph {
+            orig,
+            c_rows,
+            x_rows,
+            cand_adj,
+            ..
+        } = self;
+        // Records the edge from candidate `i` to the later local vertex `j`
+        // at CSR slot `s`.
+        let mut link = |i: usize, j: usize, s: usize| {
+            if j < c {
+                c_rows.insert_sym(i, j);
                 if keep(s) {
-                    self.cand_adj.insert_sym(i, j);
+                    cand_adj.insert_sym(i, j);
+                }
+            } else {
+                c_rows.insert(i, j);
+                x_rows.insert(j - c, i);
+            }
+        };
+        for (i, &v) in candidates.iter().enumerate() {
+            let (list, first_slot) = (g.neighbors(v), g.csr_offsets()[v as usize]);
+            if list.len() / SKEWED_LISTS > k {
+                // A hub among few local vertices: search them in its list.
+                for (j, w) in orig.iter().enumerate().skip(i + 1) {
+                    if let Ok(at) = list.binary_search(w) {
+                        link(i, j, first_slot + at);
+                    }
+                }
+                continue;
+            }
+            for (s, &u) in (first_slot..).zip(list) {
+                // Not local, or the (j, i) direction handles it.
+                let j = position[u as usize];
+                if j != u32::MAX && j as usize > i {
+                    link(i, j as usize, s);
                 }
             }
         }
-        for &v in vertices {
+        for &v in &self.orig {
             position[v as usize] = u32::MAX;
         }
         self
@@ -156,9 +218,9 @@ impl LocalGraph {
     where
         F: Fn(VertexId, VertexId) -> bool,
     {
-        let k = self.len();
-        let mut cand_adj = AdjMatrix::new(k);
-        for i in 0..k {
+        let c = self.c_len;
+        let mut cand_adj = AdjMatrix::new(c);
+        for i in 0..c {
             for j in self.cand_adj.row_iter(i) {
                 if j > i && keep(self.orig[i], self.orig[j]) {
                     cand_adj.insert_sym(i, j);
@@ -167,7 +229,9 @@ impl LocalGraph {
         }
         LocalGraph {
             orig: self.orig.clone(),
-            g_adj: self.g_adj.clone(),
+            c_len: c,
+            c_rows: self.c_rows.clone(),
+            x_rows: self.x_rows.clone(),
             cand_adj,
         }
     }
@@ -242,17 +306,93 @@ mod tests {
         let g = Graph::complete(5);
         let mut position = vec![u32::MAX; g.n()];
         let mut lg = LocalGraph::new();
-        lg.rebuild_filtered(&g, &[0, 1, 2, 3], |_| true, &mut position);
+        lg.rebuild(&g, &[0, 1, 2, 3], &[], |_| true, &mut position);
         assert_eq!(lg.len(), 4);
         assert!(lg.gadj_contains(0, 3));
         // Rebuild over a different (smaller) universe: stale bits must be gone.
-        lg.rebuild_filtered(&g, &[4, 1], |_| true, &mut position);
+        lg.rebuild(&g, &[4, 1], &[], |_| true, &mut position);
         assert_eq!(lg.len(), 2);
         assert_eq!(lg.orig, vec![4, 1]);
         assert!(lg.gadj_contains(0, 1));
         assert_eq!(lg.cand(0), lg.gadj(0));
         // The position scratch is restored to all-MAX for the next rebuild.
         assert!(position.iter().all(|&p| p == u32::MAX));
+    }
+
+    /// Checks every stored bit of `lg`, built over `candidates ++ excluded`
+    /// with the candidate filter `keep`, against the input graph.
+    fn check_layout(
+        g: &Graph,
+        lg: &LocalGraph,
+        candidates: &[VertexId],
+        keep: impl Fn(usize) -> bool,
+    ) {
+        let c = candidates.len();
+        let k = lg.len();
+        let words = |bits: usize| bits.div_ceil(64);
+        for a in 0..k {
+            let row = lg.gadj(a);
+            let span = if a < c { k } else { c };
+            assert_eq!(
+                row.len(),
+                words(span),
+                "row {a} covers C ∪ X for a candidate, C otherwise"
+            );
+            for b in 0..words(span) * 64 {
+                let bit = row[b / 64] >> (b % 64) & 1 == 1;
+                let edge = b < span && g.has_edge(lg.orig[a], lg.orig[b]);
+                assert_eq!(bit, edge, "true bit ({a}, {b})");
+            }
+        }
+        for a in 0..c {
+            assert_eq!(lg.cand(a).len(), words(c));
+            for b in 0..c {
+                let (u, v) = (lg.orig[a], lg.orig[b]);
+                let kept = g.slot(u, v).is_some_and(&keep);
+                assert_eq!(lg.cand_contains(a, b), kept, "candidate bit ({a}, {b})");
+            }
+        }
+    }
+
+    #[test]
+    fn candidates_come_first_and_exclusion_rows_cover_them_only() {
+        let g = Graph::complete(5);
+        let (candidates, excluded) = ([3, 1], [0, 4, 2]);
+        let asked = std::cell::RefCell::new(Vec::new());
+        let keep = |s| {
+            asked.borrow_mut().push(s);
+            true
+        };
+        let mut position = vec![u32::MAX; g.n()];
+        let mut lg = LocalGraph::new();
+        lg.rebuild(&g, &candidates, &excluded, keep, &mut position);
+        assert_eq!(lg.orig, vec![3, 1, 0, 4, 2]);
+        check_layout(&g, &lg, &candidates, |_| true);
+        // The filter is asked about the one edge between two candidates.
+        assert_eq!(*asked.borrow(), vec![g.slot(3, 1).unwrap()]);
+        assert!(position.iter().all(|&p| p == u32::MAX));
+        // No candidates: X rows are empty, whatever X holds.
+        lg.rebuild(&g, &[], &[0, 1, 2, 3, 4], |_| true, &mut position);
+        check_layout(&g, &lg, &[], |_| true);
+    }
+
+    #[test]
+    fn hub_candidates_search_the_local_vertices() {
+        // Hub 0 joined to 1..=300; the leaves 1, 2 and 3 also form a path.
+        let edges = (1..=300).map(|v| (0, v)).chain([(1, 2), (2, 3)]);
+        let g = Graph::from_edges(301, edges).unwrap();
+        let drop = [g.slot(0, 2).unwrap(), g.slot(2, 0).unwrap()];
+        let keep = |s: usize| !drop.contains(&s);
+        let mut position = vec![u32::MAX; g.n()];
+        let mut lg = LocalGraph::new();
+        for (candidates, excluded) in [
+            (&[2, 0][..], &[3, 1, 250][..]),
+            (&[0, 3][..], &[299, 2][..]),
+            (&[1, 2, 0][..], &[][..]),
+        ] {
+            lg.rebuild(&g, candidates, excluded, keep, &mut position);
+            check_layout(&g, &lg, candidates, keep);
+        }
     }
 
     #[test]

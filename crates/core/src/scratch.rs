@@ -307,14 +307,14 @@ pub(crate) struct WorkerState {
     /// Dense local view of the current root branch, rebuilt in place.
     pub lg: LocalGraph,
     /// Original-id → local-id scratch map (`u32::MAX` when unused); length is
-    /// the input graph's vertex count.
+    /// the input graph's vertex count. Edge roots and k-clique listing also
+    /// lend it to [`mce_graph::Graph::for_each_common_neighbor`] as its mark
+    /// array.
     pub position: Vec<u32>,
     /// Candidate vertices of the current root branch.
     pub candidates: Vec<VertexId>,
     /// Exclusion vertices of the current root branch.
     pub excluded: Vec<VertexId>,
-    /// Combined `candidates ++ excluded` universe of the current root branch.
-    pub vertices: Vec<VertexId>,
     /// The growing partial clique `S` (original vertex ids).
     pub partial: Vec<VertexId>,
     /// The splittable branch loops of the current work item, lent to its

@@ -741,11 +741,12 @@ impl<'g> Solver<'g> {
         let WorkerState {
             candidates,
             excluded,
+            position,
             ..
         } = worker;
         candidates.clear();
         excluded.clear();
-        eo.for_each_common_neighbor(g, rank, |w, later| {
+        eo.for_each_common_neighbor(g, rank, position, |w, later| {
             if later && !reduction.removed[w as usize] {
                 candidates.push(w);
             } else {
@@ -754,7 +755,8 @@ impl<'g> Solver<'g> {
         });
         ctx.stats.initial_branches += 1;
         // Eq. (2): edges already processed at the root are removed from the
-        // candidate graph of this branch.
+        // candidate graph of this branch. Only edges between two candidates
+        // are tested: nothing reads a candidate edge with an end in X.
         let rank = rank as u32;
         build_root_branch(g, worker, |s| eo.position[s] > rank);
         worker.partial.clear();
@@ -1172,9 +1174,10 @@ impl<'g> Solver<'g> {
 }
 
 /// Rebuilds the worker's local graph over `candidates ++ excluded`, keeping
-/// the candidate edges whose CSR slot passes `keep_edge`, and fills frame 0
-/// of the arena with the root's `C`/`X` sets. Reuses every buffer.
-/// Shared with the branch-and-bound engine in [`crate::maxclique`].
+/// the candidate edges whose CSR slot passes `keep_edge` (asked only about
+/// edges between two candidates), and fills frame 0 of the arena with the
+/// root's `C`/`X` sets. Reuses every buffer. Shared with the
+/// branch-and-bound engine in [`crate::maxclique`].
 pub(crate) fn build_root_branch<F>(g: &Graph, worker: &mut WorkerState, keep_edge: F)
 where
     F: Fn(usize) -> bool,
@@ -1185,14 +1188,10 @@ where
         position,
         candidates,
         excluded,
-        vertices,
         ..
     } = worker;
-    vertices.clear();
-    vertices.extend_from_slice(candidates);
-    vertices.extend_from_slice(excluded);
-    lg.rebuild_filtered(g, vertices, keep_edge, position);
-    let k = vertices.len();
+    lg.rebuild(g, candidates, excluded, keep_edge, position);
+    let k = lg.len();
     scratch.ensure(0);
     let f0 = scratch.frame_mut(0);
     f0.reset(k);

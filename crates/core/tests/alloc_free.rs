@@ -1,5 +1,6 @@
 //! Verifies the allocation-free steady state of the enumeration hot path,
-//! and the allocation bound of the graph loaders.
+//! that a root's local graph is sized by its candidates, and the allocation
+//! bound of the graph loaders.
 //!
 //! A counting global allocator wraps the system allocator; the tests run the
 //! solver once to warm an [`EnumerationState`]'s scratch buffers and then
@@ -20,8 +21,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use hbbmc::MaxCliqueState;
-use hbbmc::{maximum_clique_bb_with_state, CountReporter, EnumerationState, Solver, SolverConfig};
+use hbbmc::{
+    count_maximal_cliques, maximum_clique_bb_with_state, run_query, CountReporter,
+    EnumerationState, MaxCliqueState, Query, QuerySpec, Solver, SolverConfig,
+};
 use mce_gen::{erdos_renyi, moon_moser, random_t_plex};
 use mce_graph::io::MAX_DIMACS_VERTICES;
 use mce_graph::io::{read_dimacs, read_edge_list, write_dimacs, write_edge_list};
@@ -294,6 +297,127 @@ fn allocations_stay_flat_as_recursion_grows() {
         "allocations grew with recursion: {small_allocs} -> {large_allocs} \
          (calls {small_calls} -> {large_calls})"
     );
+}
+
+#[test]
+fn k_clique_listing_allocations_do_not_grow_with_the_roots() {
+    // Disjoint copies of K6: ten times the copies is ten times the edge
+    // roots and the k-clique search nodes, but the listing reuses one local
+    // graph, one candidate set per depth and one partial clique, so only the
+    // plan's O(m) vectors (and their logarithmic growth) may add
+    // allocations.
+    let copies = |c: u32| {
+        let edges = (0..c).flat_map(|i| {
+            (0..6u32).flat_map(move |u| (u + 1..6).map(move |v| (6 * i + u, 6 * i + v)))
+        });
+        Graph::from_edges(6 * c as usize, edges).unwrap()
+    };
+    let allocations = |g: &Graph| {
+        let mut sink = CountReporter::new();
+        let (result, allocations) = allocations_of(|| {
+            run_query(g, Query::new(QuerySpec::KClique { k: 4 }), &mut sink).unwrap()
+        });
+        assert!(!result.outcome.is_truncated());
+        (allocations, sink.count)
+    };
+    let (small_graph, large_graph) = (copies(20), copies(200));
+    let (small, small_cliques) = allocations(&small_graph);
+    let (large, large_cliques) = allocations(&large_graph);
+    assert_eq!((small_cliques, large_cliques), (20 * 15, 200 * 15));
+    assert!(
+        large < small + 60,
+        "k-clique allocations grew with the roots: {small} for 300 edge roots, \
+         {large} for 3000"
+    );
+}
+
+// ----------------------------------------------------------------------
+// Root local graphs are sized by their candidates
+// ----------------------------------------------------------------------
+
+/// Leaves of the hub inputs below: large enough that a local graph over a
+/// hub's whole neighbourhood (two 2^14 × 2^14 bit matrices, 64 MiB) stands
+/// out, small enough that the parent's layout still allocates it.
+const LEAVES: u32 = 1 << 14;
+
+/// The star: hub 0 joined to every leaf.
+fn star() -> Graph {
+    Graph::from_edges(LEAVES as usize + 1, (1..=LEAVES).map(|v| (0, v))).unwrap()
+}
+
+/// The book: the adjacent hubs 0 and 1 share every leaf.
+fn book() -> Graph {
+    let leaves = (2..LEAVES + 2).flat_map(|v| [(0, v), (1, v)]);
+    Graph::from_edges(LEAVES as usize + 2, std::iter::once((0, 1)).chain(leaves)).unwrap()
+}
+
+/// A star whose hub 0 also lies in the K5 {0, …, 4}, whose other members
+/// lie in the K6 {1, …, 6}. The degeneracy order peels the leaves and then
+/// the hub, so a vertex root at the hub has C = {1, 2, 3, 4} and every leaf
+/// in X.
+fn hub_in_k6() -> Graph {
+    let k5 = (1..5).map(|v| (0, v));
+    let k6 = (1..7u32).flat_map(|u| (u + 1..7).map(move |v| (u, v)));
+    let leaves = (7..LEAVES + 7).map(|v| (0, v));
+    Graph::from_edges(LEAVES as usize + 7, k5.chain(k6).chain(leaves)).unwrap()
+}
+
+/// Requested bytes allowed per vertex and edge: the plan's O(n + m)
+/// vectors (orderings, reduction, supports, the position map, growth
+/// included). The largest measured run requests 125 bytes per vertex and
+/// edge (HBBMC-dgn and the TopKBySize query on the hub in K6); before roots
+/// were sized by their candidates, a hub root alone requested about 67 MB
+/// here, 2000 bytes per vertex and edge.
+const BYTES_PER_VERTEX_AND_EDGE: u64 = 160;
+
+#[test]
+fn hub_roots_allocate_linear_memory() {
+    // Every preset whose roots follow a degeneracy, degree or edge order,
+    // and the Count, TopKBySize and KClique queries, on three inputs whose
+    // hubs put 2^14 leaves into some root's X. The natural-order presets
+    // (RRef, BK, BK_Pivot) have no such bound on C and are left out.
+    for (name, g) in [
+        ("star", star()),
+        ("book", book()),
+        ("hub in K6", hub_in_k6()),
+    ] {
+        let bound = BYTES_PER_VERTEX_AND_EDGE * (g.n() + g.m()) as u64 + (1 << 20);
+        let mut runs: Vec<(String, Box<dyn Fn()>)> = Vec::new();
+        for (preset, config) in SolverConfig::named_presets() {
+            if !matches!(preset, "RRef" | "BK" | "BK_Pivot") {
+                let g = &g;
+                runs.push((
+                    preset.to_string(),
+                    Box::new(move || {
+                        count_maximal_cliques(g, &config);
+                    }),
+                ));
+            }
+        }
+        for spec in [
+            QuerySpec::Count,
+            QuerySpec::TopKBySize { k: 10 },
+            QuerySpec::KClique { k: 3 },
+        ] {
+            let g = &g;
+            runs.push((
+                format!("{spec:?}"),
+                Box::new(move || {
+                    run_query(g, Query::new(spec.clone()), &mut CountReporter::new()).unwrap();
+                }),
+            ));
+        }
+        for (label, run) in &runs {
+            let ((), _, bytes) = measure(run);
+            assert!(
+                bytes <= bound,
+                "{label} on the {name}: requested {bytes} bytes, bound {bound} \
+                 (n {}, m {})",
+                g.n(),
+                g.m()
+            );
+        }
+    }
 }
 
 // ----------------------------------------------------------------------

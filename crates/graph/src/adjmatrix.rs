@@ -15,41 +15,40 @@
 //! adjacency layout of bit-parallel MCE solvers (San Segundo et al.), which
 //! is the dominant cost lever for dense branches.
 
-/// A dense, contiguous `n × n` bit matrix with one row per vertex.
+/// A dense, contiguous bit matrix: `rows` rows, each covering the columns
+/// `0..cols` in [`AdjMatrix::stride`] words. [`AdjMatrix::new`] makes the
+/// square `n × n` case; a local graph keeps rectangular blocks of rows.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AdjMatrix {
     words: Vec<u64>,
-    n: usize,
+    rows: usize,
     stride: usize,
 }
 
 const WORD_BITS: usize = 64;
 
 impl AdjMatrix {
-    /// Creates an all-zero matrix over `n` vertices.
+    /// Creates an all-zero `n × n` matrix.
     pub fn new(n: usize) -> Self {
-        let stride = n.div_ceil(WORD_BITS);
-        AdjMatrix {
-            words: vec![0; n * stride],
-            n,
-            stride,
-        }
+        let mut m = AdjMatrix::default();
+        m.reset(n, n);
+        m
     }
 
-    /// Empties the matrix and resizes it to `n` vertices, reusing the backing
-    /// allocation whenever it is large enough.
-    pub fn reset(&mut self, n: usize) {
-        let stride = n.div_ceil(WORD_BITS);
+    /// Empties the matrix and resizes it to `rows` rows over the columns
+    /// `0..cols`, reusing the backing allocation whenever it is large enough.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        let stride = cols.div_ceil(WORD_BITS);
         self.words.clear();
-        self.words.resize(n * stride, 0);
-        self.n = n;
+        self.words.resize(rows * stride, 0);
+        self.rows = rows;
         self.stride = stride;
     }
 
-    /// Number of vertices (rows).
+    /// Number of rows.
     #[inline]
-    pub fn n(&self) -> usize {
-        self.n
+    pub fn rows(&self) -> usize {
+        self.rows
     }
 
     /// Words per row.
@@ -61,14 +60,17 @@ impl AdjMatrix {
     /// Row `i` as a word slice of length [`AdjMatrix::stride`].
     #[inline]
     pub fn row(&self, i: usize) -> &[u64] {
-        debug_assert!(i < self.n, "row {i} out of {}", self.n);
+        debug_assert!(i < self.rows, "row {i} out of {}", self.rows);
         &self.words[i * self.stride..(i + 1) * self.stride]
     }
 
     /// Sets the directed bit `(i, j)`.
     #[inline]
     pub fn insert(&mut self, i: usize, j: usize) {
-        debug_assert!(i < self.n && j < self.n, "({i}, {j}) out of {}", self.n);
+        debug_assert!(
+            i < self.rows && j / WORD_BITS < self.stride,
+            "({i}, {j}) out of range"
+        );
         self.words[i * self.stride + j / WORD_BITS] |= 1 << (j % WORD_BITS);
     }
 
@@ -82,7 +84,10 @@ impl AdjMatrix {
     /// Whether bit `(i, j)` is set.
     #[inline]
     pub fn contains(&self, i: usize, j: usize) -> bool {
-        debug_assert!(i < self.n && j < self.n, "({i}, {j}) out of {}", self.n);
+        debug_assert!(
+            i < self.rows && j / WORD_BITS < self.stride,
+            "({i}, {j}) out of range"
+        );
         self.words[i * self.stride + j / WORD_BITS] & (1 << (j % WORD_BITS)) != 0
     }
 
@@ -116,7 +121,7 @@ mod tests {
     #[test]
     fn new_matrix_is_empty() {
         let m = AdjMatrix::new(100);
-        assert_eq!(m.n(), 100);
+        assert_eq!(m.rows(), 100);
         assert_eq!(m.stride(), 2);
         assert!((0..100).all(|i| m.row_len(i) == 0));
     }
@@ -149,20 +154,28 @@ mod tests {
     fn reset_reuses_and_clears() {
         let mut m = AdjMatrix::new(10);
         m.insert_sym(0, 9);
-        m.reset(5);
-        assert_eq!(m.n(), 5);
+        m.reset(5, 5);
+        assert_eq!(m.rows(), 5);
         assert!((0..5).all(|i| m.row_len(i) == 0));
         m.insert_sym(0, 4);
         assert!(m.contains(4, 0));
-        m.reset(130);
+        m.reset(130, 130);
         assert_eq!(m.stride(), 3);
         assert!((0..130).all(|i| m.row_len(i) == 0));
+        // Rectangular: 3 rows over 130 columns, then 200 rows over 3.
+        m.reset(3, 130);
+        assert_eq!((m.rows(), m.stride()), (3, 3));
+        m.insert(2, 129);
+        assert_eq!(m.row_iter(2).collect::<Vec<_>>(), vec![129]);
+        m.reset(200, 3);
+        assert_eq!((m.rows(), m.stride()), (200, 1));
+        assert!((0..200).all(|i| m.row_len(i) == 0));
     }
 
     #[test]
     fn zero_vertices_matrix() {
         let m = AdjMatrix::new(0);
-        assert_eq!(m.n(), 0);
+        assert_eq!(m.rows(), 0);
         assert_eq!(m.stride(), 0);
     }
 }

@@ -10,6 +10,28 @@ pub type VertexId = u32;
 /// `u32`, so the `2m` adjacency entries must not exceed `u32::MAX`.
 pub const MAX_EDGES: u64 = u32::MAX as u64 / 2;
 
+/// Length ratio above which scanning a long sorted list costs more than
+/// searching it once per entry of a short one: [`Graph::for_each_common_neighbor`]
+/// searches a neighbour list more than this many times longer than the
+/// other, instead of scanning it.
+pub const SKEWED_LISTS: usize = 32;
+
+/// Searches the sorted `list` for `w` like `binary_search`, in
+/// `O(log i)` steps for a result at index `i`: doubling probes bracket the
+/// position, then a binary search settles it inside the bracket.
+fn gallop(list: &[VertexId], w: VertexId) -> Result<usize, usize> {
+    let mut end = 1;
+    while end <= list.len() && list[end - 1] < w {
+        end *= 2;
+    }
+    // Every entry before `end / 2` is below `w`.
+    let start = end / 2;
+    match list[start..end.min(list.len())].binary_search(&w) {
+        Ok(i) => Ok(start + i),
+        Err(i) => Err(start + i),
+    }
+}
+
 /// Rejects an adjacency array with more than `u32::MAX` entries.
 fn check_adjacency_len(len: usize) -> Result<(), GraphError> {
     if len as u64 > 2 * MAX_EDGES {
@@ -343,32 +365,60 @@ impl Graph {
 
     /// Calls `f(w, su, sv)` for every common neighbour `w` of `u` and `v`, in
     /// increasing order, where `su` and `sv` are the slots of `u → w` and
-    /// `v → w`. One linear merge of the two sorted lists.
+    /// `v → w`.
+    ///
+    /// `mark` is the caller's scratch: `n()` entries, all `u32::MAX` outside
+    /// this call. The walk marks the shorter list's entries with their slots,
+    /// scans the longer list in order and then unmarks, so it costs
+    /// `O(deg u + deg v)` with one well-predicted test per scanned entry.
+    /// When the longer list is more than [`SKEWED_LISTS`] times the shorter
+    /// one (a hub against a low-degree vertex), it instead searches each
+    /// entry of the shorter list in the rest of the longer one, in
+    /// `O(min · log max)`, and leaves `mark` alone.
     #[inline]
-    pub fn for_each_common_neighbor<F>(&self, u: VertexId, v: VertexId, mut f: F)
+    pub fn for_each_common_neighbor<F>(&self, u: VertexId, v: VertexId, mark: &mut [u32], mut f: F)
     where
         F: FnMut(VertexId, usize, usize),
     {
-        let (mut i, a_end) = (self.offsets[u as usize], self.offsets[u as usize + 1]);
-        let (mut j, b_end) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
-        while i < a_end && j < b_end {
-            let (a, b) = (self.adjacency[i], self.adjacency[j]);
-            match a.cmp(&b) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    f(a, i, j);
-                    i += 1;
-                    j += 1;
+        debug_assert_eq!(mark.len(), self.n());
+        let swapped = self.degree(u) > self.degree(v);
+        let (short, long) = if swapped { (v, u) } else { (u, v) };
+        let short = self.offsets[short as usize]..self.offsets[short as usize + 1];
+        let long = self.offsets[long as usize]..self.offsets[long as usize + 1];
+        let mut visit = |w, ss, sl| {
+            if swapped {
+                f(w, sl, ss)
+            } else {
+                f(w, ss, sl)
+            }
+        };
+        if long.len() / SKEWED_LISTS > short.len() {
+            let mut from = long.start;
+            for ss in short {
+                let w = self.adjacency[ss];
+                match gallop(&self.adjacency[from..long.end], w) {
+                    Ok(i) => {
+                        visit(w, ss, from + i);
+                        from += i + 1;
+                    }
+                    Err(i) => from += i,
                 }
             }
+            return;
         }
-    }
-
-    /// Collects the common neighbours of `u` and `v` into `out` (cleared first).
-    pub fn common_neighbors_into(&self, u: VertexId, v: VertexId, out: &mut Vec<VertexId>) {
-        out.clear();
-        self.for_each_common_neighbor(u, v, |w, _, _| out.push(w));
+        for s in short.clone() {
+            mark[self.adjacency[s] as usize] = s as u32;
+        }
+        for sl in long {
+            let w = self.adjacency[sl];
+            let ss = mark[w as usize];
+            if ss != u32::MAX {
+                visit(w, ss as usize, sl);
+            }
+        }
+        for s in short {
+            mark[self.adjacency[s] as usize] = u32::MAX;
+        }
     }
 
     /// Returns whether the vertex set `vs` induces a clique in this graph.
@@ -484,18 +534,55 @@ mod tests {
     fn common_neighbors() {
         // Triangle 0-1-2 plus pendant 3 attached to 0 and 1.
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)]).unwrap();
-        let mut out = Vec::new();
-        g.common_neighbors_into(0, 1, &mut out);
-        assert_eq!(out, vec![2, 3]);
-        g.common_neighbors_into(2, 3, &mut out);
-        assert_eq!(out, vec![0, 1]); // both adjacent to 0 and 1
-        let mut seen = Vec::new();
-        g.for_each_common_neighbor(2, 3, |w, s2, s3| seen.push((w, s2, s3)));
+        let mut mark = vec![u32::MAX; g.n()];
         let slot = |u, v| g.slot(u, v).unwrap();
-        assert_eq!(
-            seen,
-            vec![(0, slot(2, 0), slot(3, 0)), (1, slot(2, 1), slot(3, 1))]
-        );
+        // deg 2 = deg 3, deg 0 > deg 2: both orders of the shorter list.
+        for (u, v) in [(2, 3), (3, 2), (0, 2), (2, 0)] {
+            let mut seen = Vec::new();
+            g.for_each_common_neighbor(u, v, &mut mark, |w, su, sv| seen.push((w, su, sv)));
+            let want: Vec<_> = (0..4)
+                .filter(|&w| g.has_edge(u, w) && g.has_edge(v, w))
+                .map(|w| (w, slot(u, w), slot(v, w)))
+                .collect();
+            assert_eq!(seen, want, "({u}, {v})");
+            assert!(mark.iter().all(|&m| m == u32::MAX));
+        }
+        let mut seen = Vec::new();
+        g.for_each_common_neighbor(2, 3, &mut mark, |w, _, _| seen.push(w));
+        assert_eq!(seen, vec![0, 1]); // both adjacent to 0 and 1
+    }
+
+    #[test]
+    fn gallop_agrees_with_binary_search() {
+        let list: Vec<VertexId> = (0..40).map(|i| 3 * i + 1).collect();
+        for len in 0..list.len() {
+            for w in 0..125 {
+                assert_eq!(gallop(&list[..len], w), list[..len].binary_search(&w));
+            }
+        }
+    }
+
+    #[test]
+    fn skewed_lists_are_searched() {
+        // Hub 0 joined to 1..=200; 1 also joined to 5 and 199, 2 to 7.
+        let n = 201;
+        let edges = (1..n as u32)
+            .map(|v| (0, v))
+            .chain([(1, 5), (1, 199), (2, 7)]);
+        let g = Graph::from_edges(n, edges).unwrap();
+        assert!(g.degree(0) / SKEWED_LISTS > g.degree(1));
+        let mut mark = vec![u32::MAX; n];
+        let slot = |u, v| g.slot(u, v).unwrap();
+        for (u, v, common) in [(0, 1, vec![5, 199]), (2, 0, vec![7]), (0, 3, vec![])] {
+            let mut seen = Vec::new();
+            g.for_each_common_neighbor(u, v, &mut mark, |w, su, sv| seen.push((w, su, sv)));
+            let want: Vec<_> = common
+                .into_iter()
+                .map(|w| (w, slot(u, w), slot(v, w)))
+                .collect();
+            assert_eq!(seen, want, "({u}, {v})");
+        }
+        assert!(mark.iter().all(|&m| m == u32::MAX));
     }
 
     #[test]

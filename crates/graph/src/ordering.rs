@@ -67,15 +67,16 @@ impl EdgeOrdering {
     /// Eq. (2)'s candidate rule for the `rank`-th edge `(u, v)`: calls
     /// `f(w, later)` for every common neighbour `w` of `u` and `v`, in
     /// increasing order, where `later` says whether both triangle edges
-    /// `(u, w)` and `(v, w)` come after `(u, v)` in the ordering.
+    /// `(u, w)` and `(v, w)` come after `(u, v)` in the ordering. `mark` is
+    /// the mark array of [`Graph::for_each_common_neighbor`].
     #[inline]
-    pub fn for_each_common_neighbor<F>(&self, g: &Graph, rank: usize, mut f: F)
+    pub fn for_each_common_neighbor<F>(&self, g: &Graph, rank: usize, mark: &mut [u32], mut f: F)
     where
         F: FnMut(VertexId, bool),
     {
         let (u, v) = self.order[rank];
         let rank = rank as u32;
-        g.for_each_common_neighbor(u, v, |w, uw, vw| {
+        g.for_each_common_neighbor(u, v, mark, |w, uw, vw| {
             f(w, self.position[uw] > rank && self.position[vw] > rank)
         });
     }

@@ -10,10 +10,11 @@
 //! sense that τ ≤ δ − 1 on any graph with at least one edge).
 //!
 //! The peeling is the standard bucket-queue truss decomposition over CSR
-//! slots: computing the supports and peeling each edge both take one linear
-//! merge of its endpoints' neighbour lists, `O(deg u + deg v)` per edge, and
-//! the merge yields the slots of both triangle edges, so nothing is looked
-//! up.
+//! slots. The supports are counted by marking ([`crate::edge_supports`]),
+//! and peeling an edge walks its endpoints' common neighbours by marking the
+//! shorter list in the peel's own mark array ([`Graph::for_each_common_neighbor`]):
+//! `O(deg u + deg v)` per edge, and less against a hub. The walk yields the
+//! slots of both triangle edges, so nothing is looked up.
 
 use crate::graph::{Graph, VertexId};
 use crate::triangles::supports;
@@ -41,9 +42,11 @@ pub(crate) fn peel(g: &Graph) -> (Vec<(VertexId, VertexId)>, Vec<u32>, usize) {
     const ALIVE: u32 = u32::MAX;
     let adjacency = g.csr_adjacency();
     let reverse = g.reverse_slots();
+    // The common-neighbour mark array of every walk below.
+    let mut mark = vec![u32::MAX; g.n()];
     // The peel keeps each edge's live support at its smaller slot, the one
     // in its smaller endpoint's list.
-    let mut support = supports(g, &reverse);
+    let mut support = supports(g, &reverse, &mut mark);
     let max_sup = support.iter().copied().max().unwrap_or(0) as usize;
 
     // Bucket queue of smaller slots keyed by current support; entries can be
@@ -85,7 +88,7 @@ pub(crate) fn peel(g: &Graph) -> (Vec<(VertexId, VertexId)>, Vec<u32>, usize) {
 
         // Every triangle (u, v, w) through e = (u, v) loses this edge: decrement
         // the supports of (u, w) and (v, w) if both are still alive.
-        g.for_each_common_neighbor(u, v, |_, uw, vw| {
+        g.for_each_common_neighbor(u, v, &mut mark, |_, uw, vw| {
             if step_of[uw] == ALIVE && step_of[vw] == ALIVE {
                 for f in [uw, vw] {
                     let f = f.min(reverse[f] as usize);
@@ -114,10 +117,11 @@ mod tests {
     fn later_common_neighbors(g: &Graph) -> Vec<usize> {
         let eo = edge_ordering(g, EdgeOrderingKind::Truss);
         assert_eq!(eo.order, truss_ordering(g).edges);
+        let mut mark = vec![u32::MAX; g.n()];
         (0..eo.order.len())
             .map(|rank| {
                 let mut later = 0;
-                eo.for_each_common_neighbor(g, rank, |_, l| later += l as usize);
+                eo.for_each_common_neighbor(g, rank, &mut mark, |_, l| later += l as usize);
                 later
             })
             .collect()

@@ -36,7 +36,8 @@ const EDGE_ORDERINGS: [EdgeOrderingKind; 3] = [
 /// The `later` flags Eq. (2)'s candidate rule yields for the `rank`-th edge.
 fn later_flags(g: &Graph, eo: &EdgeOrdering, rank: usize) -> Vec<(u32, bool)> {
     let mut flags = Vec::new();
-    eo.for_each_common_neighbor(g, rank, |w, later| flags.push((w, later)));
+    let mut mark = vec![u32::MAX; g.n()];
+    eo.for_each_common_neighbor(g, rank, &mut mark, |w, later| flags.push((w, later)));
     flags
 }
 
@@ -46,6 +47,44 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
         proptest::collection::vec((0..n as u32, 0..n as u32), 0..=max_edges.min(200))
             .prop_map(move |edges| Graph::from_edges(n, edges).expect("endpoints in range"))
     })
+}
+
+/// A sparse random graph plus a hub 0 joined to a random subset of the
+/// other vertices: lists of very different lengths meet, so the walk's
+/// skewed-list search runs as well as its marked scan.
+fn arb_hub_graph() -> impl Strategy<Value = Graph> {
+    (70usize..160).prop_flat_map(|n| {
+        (
+            proptest::collection::vec((1..n as u32, 1..n as u32), 0..2 * n),
+            proptest::collection::vec(0u32..4, n),
+        )
+            .prop_map(move |(edges, hub)| {
+                let spokes = (1..n as u32)
+                    .filter(|&v| hub[v as usize] > 0)
+                    .map(|v| (0, v));
+                Graph::from_edges(n, edges.into_iter().chain(spokes)).expect("endpoints in range")
+            })
+    })
+}
+
+/// Checks [`Graph::for_each_common_neighbor`] on every edge of `g`, in both
+/// argument orders, against `has_edge` and `slot`, and that the mark array
+/// is all-`u32::MAX` after each call.
+fn check_common_neighbor_walk(g: &Graph) {
+    let mut mark = vec![u32::MAX; g.n()];
+    // Each edge in both argument orders, so each side is the shorter
+    // (marked) list in one of them whenever the degrees differ.
+    for (u, v) in g.edges().flat_map(|(u, v)| [(u, v), (v, u)]) {
+        let want: Vec<_> = g
+            .vertices()
+            .filter(|&w| g.has_edge(u, w) && g.has_edge(v, w))
+            .map(|w| (w, g.slot(u, w).unwrap(), g.slot(v, w).unwrap()))
+            .collect();
+        let mut seen = Vec::new();
+        g.for_each_common_neighbor(u, v, &mut mark, |w, su, sv| seen.push((w, su, sv)));
+        assert_eq!(seen, want, "({u}, {v})");
+        assert!(mark.iter().all(|&m| m == u32::MAX), "mark array left dirty");
+    }
 }
 
 proptest! {
@@ -108,7 +147,18 @@ proptest! {
     fn edge_support_sum_is_three_times_triangles(g in arb_graph()) {
         let supports = edge_supports(&g);
         let sum: u64 = g.edges().map(|(u, v)| supports[g.slot(u, v).unwrap()] as u64).sum();
-        prop_assert_eq!(sum, 3 * triangle_count(&g));
+        // Vertex triples by brute force, independent of the supports.
+        let n = g.n() as u32;
+        let mut triangles = 0u64;
+        for a in 0..n {
+            for b in a + 1..n {
+                for c in b + 1..n {
+                    triangles += u64::from(g.has_edge(a, b) && g.has_edge(b, c) && g.has_edge(a, c));
+                }
+            }
+        }
+        prop_assert_eq!(sum, 3 * triangles);
+        prop_assert_eq!(triangle_count(&g), triangles);
         for (u, v) in g.edges() {
             prop_assert_eq!(supports[g.slot(u, v).unwrap()], supports[g.slot(v, u).unwrap()]);
         }
@@ -132,25 +182,13 @@ proptest! {
     }
 
     #[test]
-    fn common_neighbor_merge_yields_the_slots_of_both_triangle_edges(g in arb_graph()) {
-        let mut expected = Vec::new();
-        for (u, v) in g.edges() {
-            g.common_neighbors_into(u, v, &mut expected);
-            let naive: Vec<u32> = g
-                .neighbors(u)
-                .iter()
-                .copied()
-                .filter(|&w| g.has_edge(v, w))
-                .collect();
-            prop_assert_eq!(&expected, &naive);
-            let mut seen = Vec::new();
-            g.for_each_common_neighbor(u, v, |w, su, sv| seen.push((w, su, sv)));
-            let want: Vec<_> = expected
-                .iter()
-                .map(|&w| (w, g.slot(u, w).unwrap(), g.slot(v, w).unwrap()))
-                .collect();
-            prop_assert_eq!(seen, want);
-        }
+    fn marked_common_neighbor_walk_yields_the_slots_of_both_triangle_edges(g in arb_graph()) {
+        check_common_neighbor_walk(&g);
+    }
+
+    #[test]
+    fn common_neighbor_walk_handles_hub_lists(g in arb_hub_graph()) {
+        check_common_neighbor_walk(&g);
     }
 
     #[test]
