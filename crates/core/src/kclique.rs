@@ -81,9 +81,11 @@ pub(crate) fn for_each_k_clique_with_state(
     // common-neighbour walk.
     let mut position = vec![u32::MAX; g.n()];
     // One candidate set per depth below the root edge, and the partial
-    // clique: reused across all roots.
-    let mut levels = vec![BitSet::default(); k - 1];
-    let mut partial = Vec::with_capacity(k);
+    // clique: reused across all roots. Both are sized by the first root that
+    // can hold a k-clique, where `k <= |C| + 2 <= n + 2`; a `k` no root
+    // reaches allocates nothing.
+    let mut levels = Vec::new();
+    let mut partial = Vec::new();
     for (rank, &(u, v)) in eo.order.iter().enumerate() {
         if state.note_step() {
             return aborted + 1;
@@ -98,6 +100,9 @@ pub(crate) fn for_each_k_clique_with_state(
         });
         if candidates.len() + 2 < k {
             continue;
+        }
+        if levels.len() < k - 1 {
+            levels.resize(k - 1, BitSet::default());
         }
         // Inside the branch only edges ordered after the branching edge count,
         // so a k-clique is visited exactly once: at its earliest edge.
@@ -246,6 +251,9 @@ mod tests {
             assert_eq!(count_k_cliques(&g, i + 1), expected, "k = {}", i + 1);
         }
         assert_eq!(count_k_cliques(&g, 8), 0);
+        // No root reaches these, so nothing may be sized by k.
+        assert_eq!(count_k_cliques(&g, 1 << 40), 0);
+        assert_eq!(count_k_cliques(&g, usize::MAX), 0);
     }
 
     #[test]

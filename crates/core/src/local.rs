@@ -40,6 +40,10 @@
 use mce_graph::graph::SKEWED_LISTS;
 use mce_graph::{AdjMatrix, Graph, VertexId};
 
+/// Largest graph on which a debug build checks, at every
+/// [`LocalGraph::rebuild`], that the whole position map is clean.
+const FULL_POSITION_CHECK: usize = 1 << 12;
+
 /// Dense local view of a branch's vertex universe (`C ∪ X` of the root
 /// branch, candidates first).
 #[derive(Clone, Debug, Default)]
@@ -158,6 +162,12 @@ impl LocalGraph {
         self.x_rows.reset(k - c, c);
         self.cand_adj.reset(c, c);
 
+        // Scanning the whole map is O(n) per root, so debug builds do it
+        // only on graphs small enough for that not to swamp the rebuild.
+        debug_assert!(
+            g.n() > FULL_POSITION_CHECK || position.iter().all(|&p| p == u32::MAX),
+            "the position map holds a stale entry"
+        );
         for (i, &v) in self.orig.iter().enumerate() {
             debug_assert_eq!(position[v as usize], u32::MAX, "{v} is stale or repeated");
             position[v as usize] = i as u32;

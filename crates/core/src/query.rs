@@ -852,6 +852,22 @@ mod tests {
     }
 
     #[test]
+    fn kclique_spec_beyond_every_root_completes_empty() {
+        // `k` comes straight from `mce query --kclique` or a serve frame; a
+        // huge one must find nothing rather than size scratch by `k`.
+        let g = test_graph();
+        let mut collector = CollectReporter::new();
+        let result = run_query(
+            &g,
+            Query::new(QuerySpec::KClique { k: 1 << 40 }),
+            &mut collector,
+        )
+        .unwrap();
+        assert_eq!(result.outcome, Outcome::Complete);
+        assert!(collector.cliques.is_empty());
+    }
+
+    #[test]
     fn truncated_outcomes_always_report_budget_termination() {
         // Regression: non-streaming specs (Count, TopKBySize) and the
         // k-clique path used to report `terminated_by_budget == 0` on

@@ -22,6 +22,7 @@
 pub struct AdjMatrix {
     words: Vec<u64>,
     rows: usize,
+    cols: usize,
     stride: usize,
 }
 
@@ -42,6 +43,7 @@ impl AdjMatrix {
         self.words.clear();
         self.words.resize(rows * stride, 0);
         self.rows = rows;
+        self.cols = cols;
         self.stride = stride;
     }
 
@@ -68,8 +70,10 @@ impl AdjMatrix {
     #[inline]
     pub fn insert(&mut self, i: usize, j: usize) {
         debug_assert!(
-            i < self.rows && j / WORD_BITS < self.stride,
-            "({i}, {j}) out of range"
+            i < self.rows && j < self.cols,
+            "({i}, {j}) out of {} × {}",
+            self.rows,
+            self.cols
         );
         self.words[i * self.stride + j / WORD_BITS] |= 1 << (j % WORD_BITS);
     }
@@ -85,8 +89,10 @@ impl AdjMatrix {
     #[inline]
     pub fn contains(&self, i: usize, j: usize) -> bool {
         debug_assert!(
-            i < self.rows && j / WORD_BITS < self.stride,
-            "({i}, {j}) out of range"
+            i < self.rows && j < self.cols,
+            "({i}, {j}) out of {} × {}",
+            self.rows,
+            self.cols
         );
         self.words[i * self.stride + j / WORD_BITS] & (1 << (j % WORD_BITS)) != 0
     }
@@ -170,6 +176,16 @@ mod tests {
         m.reset(200, 3);
         assert_eq!((m.rows(), m.stride()), (200, 1));
         assert!((0..200).all(|i| m.row_len(i) == 0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "out of 3 × 70")]
+    fn a_padding_column_is_out_of_range() {
+        // Column 70 lies in row 0's second word but past the 70 columns.
+        let mut m = AdjMatrix::default();
+        m.reset(3, 70);
+        m.insert(0, 70);
     }
 
     #[test]

@@ -18,7 +18,10 @@ pub const SKEWED_LISTS: usize = 32;
 
 /// Searches the sorted `list` for `w` like `binary_search`, in
 /// `O(log i)` steps for a result at index `i`: doubling probes bracket the
-/// position, then a binary search settles it inside the bracket.
+/// position, then a binary search settles it inside the bracket. A leaf's
+/// common neighbours with a hub often sit near the front of the hub's
+/// list (the other hub of a book), where this costs O(1) and a plain
+/// binary search O(log deg).
 fn gallop(list: &[VertexId], w: VertexId) -> Result<usize, usize> {
     let mut end = 1;
     while end <= list.len() && list[end - 1] < w {
