@@ -149,15 +149,6 @@ fn parse_spec(p: &ParsedArgs) -> Result<QuerySpec, CliError> {
     }
 }
 
-/// Whether `spec` streams its cliques (`QueryValue::Stream`) rather than
-/// answering with a value.
-fn is_streaming(spec: &QuerySpec) -> bool {
-    matches!(
-        spec,
-        QuerySpec::Enumerate | QuerySpec::Anchored { .. } | QuerySpec::KClique { .. }
-    )
-}
-
 /// Runs the subcommand.
 pub fn run(args: &[String]) -> Result<(), CliError> {
     let p = ParsedArgs::parse(args, VALUE_OPTS, BOOL_FLAGS)?;
@@ -168,7 +159,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let min_size = p.usize_value("--min-size", 1, 1, usize::MAX)?;
     let budget = parse_budget(&p)?;
     let mode = parse_stream_mode(p.value("--output"))?;
-    let streaming = is_streaming(&spec);
+    let streaming = spec.streams();
     if p.value("--output").is_some() && !streaming {
         return Err(CliError::usage(
             "--output only applies to streaming queries (default, --anchor, --kclique)",
@@ -211,7 +202,7 @@ fn answer(
     min_size: usize,
     sink: &mut (dyn Write + Send),
 ) -> Result<QueryResult, CliError> {
-    let streaming = is_streaming(&query.spec);
+    let streaming = query.spec.streams();
     let session = ExecSession::new(graph, query)?;
     if streaming {
         return stream(session, mode, min_size, sink);

@@ -856,12 +856,7 @@ fn run_session<W: Write + Send>(
         &protocol::begin_frame(id, &entry.name, entry.generation),
     );
 
-    let streaming = matches!(
-        request.spec,
-        hbbmc::QuerySpec::Enumerate
-            | hbbmc::QuerySpec::Anchored { .. }
-            | hbbmc::QuerySpec::KClique { .. }
-    );
+    let streaming = request.spec.streams();
     let chaos_fuse = (shared.config.chaos_panic_graph.as_deref() == Some(request.graph.as_str()))
         .then_some(shared.config.chaos_panic_after);
     let run = if streaming {

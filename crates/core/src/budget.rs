@@ -247,6 +247,14 @@ impl BudgetState {
         false
     }
 
+    /// [`BudgetState::should_stop`], polling an armed deadline too: the
+    /// check between work items that take no branch steps, such as a chunk
+    /// of the truss peel.
+    #[inline]
+    pub fn poll(&self) -> bool {
+        self.should_stop() || self.check_deadline()
+    }
+
     /// Whether the armed deadline has passed, tripping the latch when so.
     fn check_deadline(&self) -> bool {
         match self.deadline {

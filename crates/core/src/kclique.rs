@@ -9,7 +9,8 @@
 //! the branching edge (so every k-clique is produced exactly once, at its
 //! earliest edge).
 
-use mce_graph::ordering::{edge_ordering, EdgeOrderingKind};
+use mce_graph::ordering::EdgeOrdering;
+use mce_graph::truss::TrussPeel;
 use mce_graph::{BitSet, Graph, VertexId};
 
 use crate::budget::{Budget, BudgetState};
@@ -74,11 +75,14 @@ pub(crate) fn for_each_k_clique_with_state(
     }
 
     let mut aborted = 0u64;
-    let eo = edge_ordering(g, EdgeOrderingKind::Truss);
+    // Each root's candidates come from the truss peel's own walk as it
+    // removes the root's edge: the common neighbours whose edges to both
+    // endpoints are still unpeeled, i.e. come after the branching edge.
+    let eo = EdgeOrdering::unranked(g);
+    let mut peel = TrussPeel::new(g);
     let mut candidates = Vec::new();
     let mut lg = LocalGraph::new();
-    // The local-id map of every rebuild, and the mark array of every
-    // common-neighbour walk.
+    // The local-id map of every rebuild.
     let mut position = vec![u32::MAX; g.n()];
     // One candidate set per depth below the root edge, and the partial
     // clique: reused across all roots. Both are sized by the first root that
@@ -86,18 +90,18 @@ pub(crate) fn for_each_k_clique_with_state(
     // reaches allocates nothing.
     let mut levels = Vec::new();
     let mut partial = Vec::new();
-    for (rank, &(u, v)) in eo.order.iter().enumerate() {
+    for rank in 0..eo.len() {
         if state.note_step() {
             return aborted + 1;
         }
-        // Candidates: common neighbours whose edges to both endpoints come
-        // after the branching edge in the truss ordering.
         candidates.clear();
-        eo.for_each_common_neighbor(g, rank, &mut position, |w, later| {
-            if later {
-                candidates.push(w);
-            }
-        });
+        let (u, v) = peel
+            .next(&eo, |w, later| {
+                if later {
+                    candidates.push(w);
+                }
+            })
+            .expect("the peel ranks every edge");
         if candidates.len() + 2 < k {
             continue;
         }
@@ -105,15 +109,10 @@ pub(crate) fn for_each_k_clique_with_state(
             levels.resize(k - 1, BitSet::default());
         }
         // Inside the branch only edges ordered after the branching edge count,
-        // so a k-clique is visited exactly once: at its earliest edge.
+        // so a k-clique is visited exactly once: at its earliest edge. The
+        // edges the peel has not reached yet read as later.
         let rank = rank as u32;
-        lg.rebuild(
-            g,
-            &candidates,
-            &[],
-            |s| eo.position[s] > rank,
-            &mut position,
-        );
+        lg.rebuild(g, &candidates, &[], |s| eo.rank(s) > rank, &mut position);
         let root = &mut levels[0];
         root.reset(lg.len());
         for i in 0..lg.len() {

@@ -133,17 +133,22 @@ pub(crate) struct TopKBound {
     seed_floor: usize,
     /// Scratch of the greedy-coloring upper bound.
     pub(crate) coloring: ColoringScratch,
+    /// Every vertex's core number: a clique through `v` has at most
+    /// `core[v] + 1` members.
+    pub(crate) core: Vec<usize>,
 }
 
 impl TopKBound {
     /// A bound for a top-`k` query; `seed_floor` is zero or a proven size
-    /// floor (see [`TopKBound::seed_floor`]).
-    pub(crate) fn new(k: usize, seed_floor: usize) -> Self {
+    /// floor (see [`TopKBound::seed_floor`]), and `core` the graph's core
+    /// numbers.
+    pub(crate) fn new(k: usize, seed_floor: usize, core: Vec<usize>) -> Self {
         TopKBound {
             k,
             sizes: BinaryHeap::new(),
             seed_floor,
             coloring: ColoringScratch::default(),
+            core,
         }
     }
 

@@ -11,12 +11,15 @@
 //! multi-threaded run goes through one engine on `std::thread::scope` scoped
 //! threads:
 //!
-//! * The graph reduction and root ordering are computed **once** into a
-//!   shared [`RootPlan`](crate::solver) — previously every worker redid the
-//!   `O(δm)` preprocessing, which dominated multi-threaded runs.
+//! * The graph reduction and root ordering form one shared
+//!   [`RootPlan`](crate::solver). The reduction and the rank-independent
+//!   output come first, on the calling thread. A depth-1 truss preset's
+//!   ordering is then streamed: worker 0 runs the truss peel and publishes
+//!   each chunk of ranks to the pool as soon as their edges are peeled, then
+//!   joins the others. Every other plan is whole before the workers start.
 //! * Workers claim from one `TaskPool` (the crate-private `pool` module,
 //!   built on `Mutex` + `Condvar` only): donated sub-branch tasks first, then
-//!   chunks of 16 root ranks in rank order.
+//!   chunks of 16 root ranks in rank order, below the published watermark.
 //! * Each chunk is one solver call into one flat clique block, with donation
 //!   armed: when the pool sees a starving worker, a worker that has spent a
 //!   threshold of branch steps in its current root packages the unexplored
@@ -61,11 +64,11 @@ use mce_graph::{Graph, VertexId};
 
 use crate::budget::{Budget, BudgetReporter, BudgetState, Outcome};
 use crate::config::{ConfigError, SolverConfig};
-use crate::pool::{BranchTask, DonationSink, PoolConfig, PoolWork, SeqKey, TaskPool, CHUNK};
+use crate::pool::{BranchTask, DonationSink, PoolConfig, PoolWork, SeqKey, TaskPool};
 use crate::query::{run_query, ExecSession, Query, QuerySpec, QueryValue};
 use crate::report::{CliqueReporter, CountReporter};
 use crate::scratch::WorkerState;
-use crate::solver::{RootPlan, Solver};
+use crate::solver::{PlanFeed, RootPlan, Solver};
 use crate::stats::EnumerationStats;
 
 // ----------------------------------------------------------------------
@@ -574,7 +577,7 @@ pub(crate) fn par_enumerate_ordered_driver<R: CliqueReporter + Send + ?Sized>(
     let start = Instant::now();
     let threads = threads.max(1);
     let solver = Solver::new(g, *config).expect("configuration validated at admission");
-    let plan = solver.prepare();
+    let (plan, mut feed) = solver.prepare();
     let total = plan.root_count();
     let hook = ProgressHook(progress);
     if let Some(p) = progress {
@@ -582,10 +585,32 @@ pub(crate) fn par_enumerate_ordered_driver<R: CliqueReporter + Send + ?Sized>(
     }
     let mut reporter = BudgetReporter::new(reporter, budget);
 
-    // Rank-independent output first (deterministic given the plan). This and
-    // the single-threaded path below run the caller's reporter on this
-    // thread, so a panic here unwinds no scope — but it is still converted
-    // to the typed error for a uniform contract.
+    // Paths that run the caller's reporter on this thread unwind no scope
+    // when it panics, but they still convert the panic to the typed error
+    // for a uniform contract.
+    if threads == 1 {
+        // Counted per clique and per chunk of roots, so progress counters
+        // tick while the run progresses, even inside one giant root.
+        let mut counted = CountingReporter {
+            inner: &mut reporter,
+            hook,
+        };
+        let mut stats = contain(|| {
+            solver.run_sequential(
+                &plan,
+                &mut feed,
+                &mut WorkerState::new(),
+                Some(budget),
+                &mut counted,
+                &mut |roots| hook.roots_done(roots),
+            )
+        })?;
+        stats.elapsed = start.elapsed();
+        stats.busy_time = stats.elapsed;
+        return Ok(stats);
+    }
+
+    // Rank-independent output first (deterministic given the plan).
     let mut merged = contain(|| {
         solver.run_on_plan(
             &plan,
@@ -599,45 +624,21 @@ pub(crate) fn par_enumerate_ordered_driver<R: CliqueReporter + Send + ?Sized>(
     })?;
     hook.cliques(merged.maximal_cliques);
 
-    if threads == 1 {
-        let mut state = WorkerState::new();
-        // Counted per clique and per chunk of roots, so progress counters
-        // tick while the run progresses, even inside one giant root.
-        let mut counted = CountingReporter {
-            inner: &mut reporter,
-            hook,
-        };
-        contain(|| {
-            for first in (0..total).step_by(CHUNK) {
-                let mut ranks = first..(first + CHUNK).min(total);
-                let stats = solver.run_on_plan(
-                    &plan,
-                    &mut ranks,
-                    false,
-                    &mut state,
-                    None,
-                    Some(budget),
-                    &mut counted,
-                );
-                hook.roots_done(ranks.start - first);
-                merged.merge(&stats);
-                if !ranks.is_empty() {
-                    break; // the budget stopped the run
-                }
-            }
-        })?;
-        merged.elapsed = start.elapsed();
-        merged.busy_time = merged.elapsed;
-        return Ok(merged);
-    }
-
-    let pool = TaskPool::new(total, pool_config);
+    // Worker 0 peels a streamed plan; a whole one is published at once.
+    let mut feed = feed.streams().then_some(feed);
+    let published = if feed.is_some() { 0 } else { total };
+    let pool = TaskPool::new(total, published, pool_config);
     let sequencer = Mutex::new(Sequencer::new(&mut reporter));
     let fault = FaultCell::new();
     let worker_stats: Vec<EnumerationStats> = thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                scope.spawn(|| run_worker(&solver, &plan, &pool, &sequencer, hook, budget, &fault))
+                let feed = feed.take();
+                let (solver, plan, pool, sequencer, fault) =
+                    (&solver, &plan, &pool, &sequencer, &fault);
+                scope.spawn(move || {
+                    run_worker(solver, plan, feed, pool, sequencer, hook, budget, fault)
+                })
             })
             .collect();
         handles
@@ -671,16 +672,22 @@ pub(crate) fn par_enumerate_ordered_driver<R: CliqueReporter + Send + ?Sized>(
 
 /// The engine's one worker loop: claims donated tasks or chunks of root
 /// ranks until the pool drains, runs each into a clique block with donation
-/// armed, and deposits the block under its slot and key.
+/// armed, and deposits the block under its slot and key. The worker given
+/// the `feed` of a streamed plan first runs its peel, publishing each chunk
+/// of ranks to the pool as soon as they are final.
 ///
 /// After a budget stop or a fault the pool still drains, so the sequencer's
 /// parts-per-slot accounting stays exact: every remaining item is claimed and
 /// answered with an empty truncated part, and `complete()` runs for every
 /// claimed item even when its body panicked (`run_part` catches the panic) —
 /// a claimed-but-never-completed item would hang every sibling's `claim()`.
+/// For the same reason a peel that stops early, by the budget or by a panic,
+/// closes the pool: ranks it never published are never claimed.
+#[allow(clippy::too_many_arguments)]
 fn run_worker<R: CliqueReporter + Send + ?Sized>(
     solver: &Solver<'_>,
     plan: &RootPlan,
+    feed: Option<PlanFeed<'_>>,
     pool: &TaskPool,
     sequencer: &Mutex<Sequencer<'_, R>>,
     hook: ProgressHook<'_>,
@@ -714,6 +721,37 @@ fn run_worker<R: CliqueReporter + Send + ?Sized>(
         pool.set_parked(seq.buffered_cliques);
         seq.spare_block()
     };
+    if let Some(mut feed) = feed {
+        while !feed.is_done() {
+            // A stopped session stops the peel, and so does a panic in it,
+            // which is contained like a work item's.
+            let published = !budget.poll()
+                && match catch_unwind(AssertUnwindSafe(|| {
+                    let ranks = feed.advance(plan, None);
+                    #[cfg(test)]
+                    pool.peel_hooks(ranks.end, || budget.poll());
+                    pool.publish(ranks.end);
+                })) {
+                    Ok(()) => true,
+                    Err(payload) => {
+                        fault.record_payload(payload);
+                        budget.halt_for_fault();
+                        false
+                    }
+                };
+            if !published {
+                // The stream ends where the ranks never handed out begin: an
+                // empty truncated part there closes it once every chunk
+                // below has been deposited.
+                let cut = pool.close();
+                block.clear();
+                block = deposit(cut, Some(cut), SeqKey::root(), mem::take(&mut block), true);
+                break;
+            }
+        }
+        stats.ordering_time += feed.peel_time();
+        stats.busy_time += feed.peel_time();
+    }
     while let Some(work) = pool.claim() {
         let truncated = match work {
             // One slot per run of ranks up to and including a donating one.
@@ -779,7 +817,9 @@ mod tests {
     use std::ops::Range;
 
     use super::*;
+    use crate::budget::CancelToken;
     use crate::naive::naive_maximal_cliques;
+    use crate::pool::CHUNK;
     use crate::report::{CliqueLineFormat, CollectReporter, WriterReporter};
     use crate::solver::count_maximal_cliques;
     use mce_graph::Graph;
@@ -1277,7 +1317,7 @@ mod tests {
     /// starts (`marks[rank]`), plus the whole run's (`marks[root_count]`).
     fn step_marks(g: &Graph, cfg: &SolverConfig) -> Vec<u64> {
         let solver = Solver::new(g, *cfg).unwrap();
-        let plan = solver.prepare();
+        let plan = solver.whole_plan();
         let state = BudgetState::new(&Budget::unlimited());
         let mut worker = WorkerState::new();
         let mut sink = CountReporter::new();
@@ -1305,7 +1345,7 @@ mod tests {
     /// The sequential stream of the rank-independent output and `ranks`.
     fn sequential_bytes(g: &Graph, cfg: &SolverConfig, mut ranks: Range<usize>) -> Vec<u8> {
         let solver = Solver::new(g, *cfg).unwrap();
-        let plan = solver.prepare();
+        let plan = solver.whole_plan();
         let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
         solver.run_on_plan(
             &plan,
@@ -1363,9 +1403,10 @@ mod tests {
 
     #[test]
     fn seeded_interleavings_keep_bytes_and_budget_prefixes() {
-        // The interleaving hook yields at every claim, deposit, donation and
-        // budget check on a schedule drawn from the seed; with the aggressive
-        // pool and a tiny cap every protocol step races.
+        // The interleaving hook yields at every claim, deposit, donation,
+        // budget check and (the default preset streams its truss peel) every
+        // publish of a chunk of ranks, on a schedule drawn from the seed;
+        // with the aggressive pool and a tiny cap every protocol step races.
         let g = many_roots_graph();
         for cfg in both_presets() {
             let baseline = ordered_bytes(&g, &cfg, 1);
@@ -1390,6 +1431,123 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// Cancels its token once it has been handed `after` cliques.
+    struct CancelAfter<'a> {
+        inner: &'a mut WriterReporter<Vec<u8>>,
+        token: &'a CancelToken,
+        after: usize,
+    }
+
+    impl CliqueReporter for CancelAfter<'_> {
+        fn report(&mut self, clique: &[VertexId]) {
+            self.inner.report(clique);
+            self.after = self.after.saturating_sub(1);
+            if self.after == 0 {
+                self.token.cancel();
+            }
+        }
+    }
+
+    #[test]
+    fn budget_cuts_while_the_peel_runs_are_byte_prefixes() {
+        // The peel publishes the chunks up to the one of the first rank that
+        // takes a branch step, and then holds until the session stops.
+        // So a step cut at that rank, and a cancel after the first emitted
+        // clique, both land while the peel still runs. The peel must stop,
+        // and the stream must end at an exact prefix.
+        let g = many_roots_graph();
+        let cfg = SolverConfig::hbbmc_pp();
+        let baseline = ordered_bytes(&g, &cfg, 1);
+        let marks = step_marks(&g, &cfg);
+        let first = (0..marks.len() - 1)
+            .find(|&r| marks[r + 1] > marks[r])
+            .expect("some rank takes a branch step");
+        let hold_at = (first / CHUNK + 2) * CHUNK;
+        assert!(hold_at + CHUNK < marks.len(), "the held peel would be done");
+        // The budget runs out at that rank's first step.
+        let steps = marks[first];
+        for threads in [2usize, 4] {
+            for (name, pool) in both_pools() {
+                let pool = PoolConfig {
+                    peel_hold_at: Some(hold_at),
+                    ..pool
+                };
+                let label = format!("{name} x{threads}");
+                let (bytes, outcome) =
+                    budgeted_bytes(&g, &cfg, threads, pool, &Budget::steps(steps));
+                assert_eq!(
+                    outcome,
+                    Outcome::Truncated {
+                        reason: crate::TruncationReason::StepLimit
+                    },
+                    "{label}"
+                );
+                assert!(baseline.starts_with(&bytes), "{label}: steps");
+                assert!(bytes.len() < baseline.len(), "{label}: steps");
+
+                let token = CancelToken::new();
+                let state = BudgetState::new(&Budget::unlimited().with_cancel(token.clone()));
+                let mut writer = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
+                let mut reporter = CancelAfter {
+                    inner: &mut writer,
+                    token: &token,
+                    after: 1,
+                };
+                par_enumerate_ordered_driver(&g, &cfg, threads, pool, None, &state, &mut reporter)
+                    .unwrap();
+                assert_eq!(
+                    state.outcome(),
+                    Outcome::Truncated {
+                        reason: crate::TruncationReason::Cancelled
+                    },
+                    "{label}"
+                );
+                let bytes = writer.finish().unwrap();
+                assert!(!bytes.is_empty(), "{label}");
+                assert!(baseline.starts_with(&bytes), "{label}: cancel");
+                assert!(bytes.len() < baseline.len(), "{label}: cancel");
+            }
+        }
+    }
+
+    #[test]
+    fn peel_panic_returns_a_typed_error_without_hanging() {
+        // A panic in the peel after it published two chunks: the workers
+        // waiting for the rest must not wait forever, and the stream must
+        // stop at a prefix of what it would have been.
+        let g = many_roots_graph();
+        let cfg = SolverConfig::hbbmc_pp();
+        let baseline = ordered_bytes(&g, &cfg, 1);
+        for threads in [2usize, 4] {
+            for (name, pool) in both_pools() {
+                let pool = PoolConfig {
+                    peel_panic_at: Some(3 * CHUNK),
+                    ..pool
+                };
+                let state = unlimited();
+                let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
+                let err = par_enumerate_ordered_driver(
+                    &g,
+                    &cfg,
+                    threads,
+                    pool,
+                    None,
+                    &state,
+                    &mut reporter,
+                )
+                .unwrap_err();
+                let EngineError::WorkerPanic { detail } = err;
+                assert_eq!(detail, "injected peel fault", "{name} x{threads}");
+                assert!(
+                    state.should_stop(),
+                    "{name} x{threads}: siblings not halted"
+                );
+                let bytes = reporter.finish().unwrap();
+                assert!(baseline.starts_with(&bytes), "{name} x{threads}");
             }
         }
     }
@@ -1482,7 +1640,7 @@ mod tests {
 
     #[test]
     fn stealing_ranks_cover_every_rank_exactly_once() {
-        let pool = TaskPool::new(100, PoolConfig::default());
+        let pool = TaskPool::new(100, 100, PoolConfig::default());
         let mut seen = vec![0usize; 100];
         // Two workers claiming in turn from the same pool.
         thread::scope(|scope| {

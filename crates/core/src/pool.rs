@@ -3,7 +3,10 @@
 //! hands out donated tasks and chunks of root ranks.
 //!
 //! Workers claim from one [`TaskPool`]: donated tasks first (FIFO), then
-//! chunks of [`CHUNK`] consecutive root ranks in rank order. Root branches are
+//! chunks of [`CHUNK`] consecutive root ranks in rank order, below the
+//! plan's published watermark. A streamed plan starts with nothing published:
+//! the worker running its truss peel publishes each chunk of ranks once the
+//! peel has removed their edges. Root branches are
 //! heavily skewed, and a run that only hands out whole roots can never finish
 //! faster than its largest root subtree. Every chunk therefore runs with
 //! **mid-branch work donation** armed: a worker that has been grinding one
@@ -56,6 +59,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::thread;
+#[cfg(test)]
+use std::time::{Duration, Instant};
 
 use mce_graph::{BitSet, VertexId};
 
@@ -152,6 +157,13 @@ pub(crate) struct PoolConfig {
     pub yield_seed: Option<u64>,
     /// Parked out-of-order cliques above which no new chunk is handed out.
     pub parked_cap: usize,
+    /// Test-only: the peel panics before publishing this rank.
+    #[cfg(test)]
+    pub peel_panic_at: Option<usize>,
+    /// Test-only: the peel waits before publishing this rank until the
+    /// session stops, so a budget cut lands while the peel runs.
+    #[cfg(test)]
+    pub peel_hold_at: Option<usize>,
 }
 
 impl Default for PoolConfig {
@@ -161,6 +173,10 @@ impl Default for PoolConfig {
             always_hungry: false,
             yield_seed: None,
             parked_cap: SEQUENCER_BUFFER_CAP,
+            #[cfg(test)]
+            peel_panic_at: None,
+            #[cfg(test)]
+            peel_hold_at: None,
         }
     }
 }
@@ -179,6 +195,8 @@ struct PoolState {
     tasks: VecDeque<BranchTask>,
     /// First root rank not yet handed out.
     next_rank: usize,
+    /// Ranks below this are final in the plan and may be handed out.
+    published: usize,
     /// Workers currently executing claimed work (a donor counts as active,
     /// so the pool can only drain once every potential producer is done).
     active: usize,
@@ -210,12 +228,14 @@ pub(crate) struct TaskPool {
 }
 
 impl TaskPool {
-    /// A pool over the root ranks `0..total`.
-    pub fn new(total: usize, config: PoolConfig) -> Self {
+    /// A pool over the root ranks `0..total`, of which `0..published` may be
+    /// handed out so far.
+    pub fn new(total: usize, published: usize, config: PoolConfig) -> Self {
         TaskPool {
             state: Mutex::new(PoolState {
                 tasks: VecDeque::new(),
                 next_rank: 0,
+                published,
                 active: 0,
             }),
             ready: Condvar::new(),
@@ -228,8 +248,9 @@ impl TaskPool {
     }
 
     /// Blocks until work is available or the run is complete. Returns `None`
-    /// exactly once per worker, when no work remains *and* no active worker
-    /// could still donate more.
+    /// exactly once per worker, when every rank was handed out, no task
+    /// remains *and* no active worker could still donate more. While the
+    /// peel has ranks left to publish, an idle pool has not drained.
     ///
     /// New chunks are held back while the sequencer parks more than the cap
     /// and some worker is active — that worker's deposit is what drains the
@@ -248,13 +269,13 @@ impl TaskPool {
             }
             let held_back =
                 state.active > 0 && self.parked.load(Ordering::Relaxed) > self.config.parked_cap;
-            if state.next_rank < self.total && !held_back {
+            if state.next_rank < state.published && !held_back {
                 let start = state.next_rank;
-                state.next_rank = (start + CHUNK).min(self.total);
+                state.next_rank = (start + CHUNK).min(state.published);
                 state.active += 1;
                 return Some(PoolWork::Chunk(start..state.next_rank));
             }
-            if state.active == 0 {
+            if state.active == 0 && state.next_rank == self.total {
                 // Termination: every chunk claimed, every task executed, no
                 // producer left. Wake the other sleepers so they exit too.
                 self.ready.notify_all();
@@ -304,12 +325,52 @@ impl TaskPool {
         self.parked.store(cliques, Ordering::Relaxed);
     }
 
+    /// Makes the root ranks below `end` claimable, once the peel has ranked
+    /// their edges. The state lock orders the peel's relaxed rank stores
+    /// before any claim that hands those ranks out. Wakes one starving
+    /// worker for the new chunk, or all of them once every rank is
+    /// published.
+    pub fn publish(&self, end: usize) {
+        self.interleave();
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.published = state.published.max(end);
+        drop(state);
+        if end == self.total {
+            self.ready.notify_all();
+        } else {
+            self.ready.notify_one();
+        }
+    }
+
     /// Hands out no further root chunks: the ordered stream was cut, so
     /// nothing a later chunk produces could be emitted. Donated tasks still
-    /// drain, keeping the sequencer's part accounting exact.
-    pub fn close(&self) {
+    /// drain, keeping the sequencer's part accounting exact. Returns the
+    /// first rank that was never handed out.
+    pub fn close(&self) -> usize {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let cut = state.next_rank;
         state.next_rank = self.total;
+        drop(state);
+        self.ready.notify_all();
+        cut
+    }
+
+    /// The peel's test hooks, run before it publishes the ranks below `end`:
+    /// [`PoolConfig::peel_panic_at`] panics, and
+    /// [`PoolConfig::peel_hold_at`] waits until `stopped()` (giving up with
+    /// a panic after ten seconds).
+    #[cfg(test)]
+    pub fn peel_hooks(&self, end: usize, stopped: impl Fn() -> bool) {
+        if self.config.peel_panic_at.is_some_and(|at| end >= at) {
+            panic!("injected peel fault");
+        }
+        if self.config.peel_hold_at.is_some_and(|at| end >= at) {
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while !stopped() {
+                assert!(Instant::now() < give_up, "the held peel was never stopped");
+                thread::yield_now();
+            }
+        }
     }
 
     /// The interleaving hook: with [`PoolConfig::yield_seed`] set, yields the
@@ -370,7 +431,7 @@ mod tests {
 
     #[test]
     fn pool_hands_out_chunks_then_terminates() {
-        let pool = TaskPool::new(CHUNK + 3, PoolConfig::default());
+        let pool = TaskPool::new(CHUNK + 3, CHUNK + 3, PoolConfig::default());
         let Some(PoolWork::Chunk(a)) = pool.claim() else {
             panic!("expected a chunk")
         };
@@ -385,7 +446,7 @@ mod tests {
 
     #[test]
     fn pool_prefers_donated_tasks_fifo() {
-        let pool = TaskPool::new(1, PoolConfig::default());
+        let pool = TaskPool::new(1, 1, PoolConfig::default());
         pool.push(task(3));
         pool.push(task(5));
         match pool.claim() {
@@ -400,7 +461,7 @@ mod tests {
 
     #[test]
     fn starving_workers_wake_on_donation() {
-        let pool = TaskPool::new(1, PoolConfig::default());
+        let pool = TaskPool::new(1, 1, PoolConfig::default());
         // A "donor" holds the only chunk, keeping the pool active.
         assert!(matches!(pool.claim(), Some(PoolWork::Chunk(r)) if r == (0..1)));
         std::thread::scope(|scope| {
@@ -422,7 +483,7 @@ mod tests {
             parked_cap: 1,
             ..PoolConfig::default()
         };
-        let pool = TaskPool::new(3 * CHUNK, config);
+        let pool = TaskPool::new(3 * CHUNK, 3 * CHUNK, config);
         assert!(matches!(pool.claim(), Some(PoolWork::Chunk(_))));
         pool.set_parked(2);
         pool.push(task(0));
@@ -445,8 +506,31 @@ mod tests {
     }
 
     #[test]
+    fn streamed_pool_hands_out_published_ranks_only() {
+        let pool = TaskPool::new(3 * CHUNK, 0, PoolConfig::default());
+        std::thread::scope(|scope| {
+            // Nothing published and nobody active: not drained, so wait.
+            let waiting = scope.spawn(|| pool.claim());
+            while !pool.hungry() {
+                std::thread::yield_now();
+            }
+            pool.publish(CHUNK + 3);
+            let got = waiting.join().expect("claimer panicked");
+            assert!(matches!(got, Some(PoolWork::Chunk(r)) if r == (0..CHUNK)));
+        });
+        // A chunk never reaches past the watermark.
+        assert!(matches!(pool.claim(), Some(PoolWork::Chunk(r)) if r == (CHUNK..CHUNK + 3)));
+        pool.complete();
+        pool.complete();
+        // The peel stops: the first rank never handed out is where the
+        // stream ends, and the pool then drains.
+        assert_eq!(pool.close(), CHUNK + 3);
+        assert!(pool.claim().is_none());
+    }
+
+    #[test]
     fn closed_pool_hands_out_no_more_chunks() {
-        let pool = TaskPool::new(4 * CHUNK, PoolConfig::default());
+        let pool = TaskPool::new(4 * CHUNK, 4 * CHUNK, PoolConfig::default());
         assert!(matches!(pool.claim(), Some(PoolWork::Chunk(_))));
         pool.close();
         pool.complete();
@@ -455,15 +539,16 @@ mod tests {
 
     #[test]
     fn empty_pool_terminates_immediately() {
-        let pool = TaskPool::new(0, PoolConfig::default());
+        let pool = TaskPool::new(0, 0, PoolConfig::default());
         assert!(pool.claim().is_none());
     }
 
     #[test]
     fn hungry_reflects_starvation_and_test_override() {
-        let pool = TaskPool::new(0, PoolConfig::default());
+        let pool = TaskPool::new(0, 0, PoolConfig::default());
         assert!(!pool.hungry());
         let aggressive = TaskPool::new(
+            0,
             0,
             PoolConfig {
                 always_hungry: true,

@@ -99,6 +99,17 @@ pub enum QuerySpec {
     },
 }
 
+impl QuerySpec {
+    /// Whether the spec streams its cliques to the session's reporter
+    /// ([`QueryValue::Stream`]) rather than answering with a value.
+    pub fn streams(&self) -> bool {
+        matches!(
+            self,
+            QuerySpec::Enumerate | QuerySpec::Anchored { .. } | QuerySpec::KClique { .. }
+        )
+    }
+}
+
 /// A complete query plan: spec × solver configuration × parallelism × budget.
 #[derive(Clone, Debug)]
 pub struct Query {
@@ -849,6 +860,25 @@ mod tests {
         .unwrap();
         assert_eq!(capped.cliques.len(), 2);
         assert!(result.outcome.is_truncated());
+    }
+
+    #[test]
+    fn streaming_specs_are_exactly_the_stream_valued_ones() {
+        let g = Graph::from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]).unwrap();
+        for spec in [
+            QuerySpec::Enumerate,
+            QuerySpec::Count,
+            QuerySpec::TopKBySize { k: 2 },
+            QuerySpec::Anchored { vertices: vec![2] },
+            QuerySpec::Anchored { vertices: vec![] },
+            QuerySpec::MaximumClique,
+            QuerySpec::KClique { k: 3 },
+        ] {
+            let streams = spec.streams();
+            let result =
+                run_query(&g, Query::new(spec.clone()), &mut CountReporter::new()).unwrap();
+            assert_eq!(streams, result.value == QueryValue::Stream, "{spec:?}");
+        }
     }
 
     #[test]

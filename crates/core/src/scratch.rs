@@ -320,6 +320,63 @@ pub(crate) struct WorkerState {
     /// The splittable branch loops of the current work item, lent to its
     /// donor so a warm worker allocates nothing per chunk or stolen task.
     pub split_stack: Vec<SplitFrame>,
+    /// The C/X splits the truss peel recorded for the chunk of edge roots a
+    /// sequential run is about to start.
+    pub splits: RootSplits,
+}
+
+/// The C/X splits of a run of consecutive edge roots, recorded by the truss
+/// peel's own common-neighbour walk as it removes each root's edge, so a
+/// sequential run does not walk every edge's common neighbours twice.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RootSplits {
+    /// Rank of the first recorded root.
+    first: usize,
+    /// Every recorded root's candidates, back to back.
+    candidates: Vec<VertexId>,
+    /// Every recorded root's excluded vertices, back to back.
+    excluded: Vec<VertexId>,
+    /// Per recorded root: where its candidates and its excluded vertices end.
+    ends: Vec<(usize, usize)>,
+}
+
+impl RootSplits {
+    /// Forgets every split; the next root recorded has rank `first`.
+    pub fn start(&mut self, first: usize) {
+        self.first = first;
+        self.candidates.clear();
+        self.excluded.clear();
+        self.ends.clear();
+    }
+
+    /// Adds `w` to the root being recorded, as a candidate or as excluded.
+    #[inline]
+    pub fn push(&mut self, w: VertexId, candidate: bool) {
+        if candidate {
+            self.candidates.push(w);
+        } else {
+            self.excluded.push(w);
+        }
+    }
+
+    /// Ends the root being recorded.
+    pub fn end_root(&mut self) {
+        self.ends.push((self.candidates.len(), self.excluded.len()));
+    }
+
+    /// The candidates and excluded vertices of root `rank`, if recorded.
+    pub fn get(&self, rank: usize) -> Option<(&[VertexId], &[VertexId])> {
+        let i = rank.checked_sub(self.first)?;
+        let &(c_end, x_end) = self.ends.get(i)?;
+        let (c_start, x_start) = match i {
+            0 => (0, 0),
+            _ => self.ends[i - 1],
+        };
+        Some((
+            &self.candidates[c_start..c_end],
+            &self.excluded[x_start..x_end],
+        ))
+    }
 }
 
 impl WorkerState {

@@ -8,11 +8,16 @@
 //!
 //! 1. **Root phase.** The universal branch `(∅, G, ∅)` is partitioned either
 //!    vertex-wise (Eq. 1, over a chosen vertex ordering) or edge-wise
-//!    (Eq. 2 + Eq. 3, over a chosen edge ordering). The orderings and the
-//!    graph reduction are computed **once** into a `RootPlan`; each root
-//!    branch then extracts the relevant neighbourhood into a dense
-//!    `LocalGraph` — bounded by the degeneracy δ (vertex roots) or the truss
-//!    parameter τ (edge roots).
+//!    (Eq. 2 + Eq. 3, over a chosen edge ordering). The graph reduction and
+//!    the ordering form a `RootPlan`, shared by every worker of a run. The
+//!    depth-1 truss presets stream it: a `PlanFeed` runs the truss peel a
+//!    chunk of edges at a time, and root `r` runs as soon as the peel has
+//!    removed edge `r`, since Eq. (2) only asks which edges were removed
+//!    before it. A sequential run takes each root's `C`/`X` split from the
+//!    peel's own walk. Every other plan is computed whole before the first
+//!    root. Each root branch then extracts the relevant neighbourhood into a
+//!    dense `LocalGraph` — bounded by the degeneracy δ (vertex roots) or the
+//!    truss parameter τ (edge roots).
 //! 2. **Recursive phase.** Inside the local graph the branch `(S, C, X)` is
 //!    refined by vertex-oriented branching with pivoting (Algorithm 1), the
 //!    `BK_Rcd` top-down rule, or — for hybrid depths `d ≥ 2` (Table IV) —
@@ -40,7 +45,8 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use mce_graph::ordering::{edge_ordering, vertex_ordering, EdgeOrdering};
-use mce_graph::{degeneracy_ordering, BitsRef, Graph, VertexId};
+use mce_graph::truss::TrussPeel;
+use mce_graph::{degeneracy_ordering, BitsRef, EdgeOrderingKind, Graph, VertexId};
 
 use crate::budget::BudgetState;
 use crate::config::{
@@ -50,10 +56,10 @@ use crate::early_term::enumerate_plex_branch;
 use crate::local::LocalGraph;
 use crate::maxclique::{greedy_clique, TopKBound};
 use crate::pivot::{plex_condition, scan_branch};
-use crate::pool::{BranchTask, DonationSink, SeqKey};
+use crate::pool::{BranchTask, DonationSink, SeqKey, CHUNK};
 use crate::reduction::{reduce, Reduction};
 use crate::report::{CliqueReporter, CollectReporter, CountReporter};
-use crate::scratch::{Frame, SearchScratch, SplitFrame, WorkerState};
+use crate::scratch::{Frame, RootSplits, SearchScratch, SplitFrame, WorkerState};
 use crate::stats::EnumerationStats;
 
 /// Maximal clique enumeration driver for a fixed graph and configuration.
@@ -67,13 +73,87 @@ pub struct Solver<'g> {
     config: SolverConfig,
 }
 
-/// The precomputed root phase: graph reduction plus the vertex or edge
-/// ordering. Computed once per run (or once per parallel run, shared by all
-/// workers) — recomputing it per worker used to dominate multi-threaded runs.
+/// The root phase: graph reduction plus the vertex or edge ordering, shared
+/// by all workers of a run. A streamed plan's edge ordering is ranked while
+/// the run goes on (see [`PlanFeed`]); ranks below the feed's cursor are
+/// final.
 pub(crate) struct RootPlan {
     pub reduction: Reduction,
     pub kind: RootKind,
+    /// Time [`Solver::prepare`] spent on the ordering: all of it for a whole
+    /// plan, the support count for a streamed one.
     pub ordering_time: Duration,
+}
+
+/// The cursor over a plan's ranks, and the part of the plan still to be
+/// computed. A streamed plan (the depth-1 truss presets) ranks its edges
+/// with an incremental [`TrussPeel`], a chunk at a time; every other plan is
+/// whole once [`Solver::prepare`] returns, and its feed only counts ranks
+/// off.
+pub(crate) struct PlanFeed<'g> {
+    /// The peel of a streamed plan, dropped once it has ranked every edge.
+    peel: Option<TrussPeel<'g>>,
+    /// First rank not handed out yet.
+    next: usize,
+    total: usize,
+    /// Wall time spent peeling so far.
+    peel_time: Duration,
+}
+
+impl PlanFeed<'_> {
+    /// Whether ranks are still to be computed.
+    pub fn streams(&self) -> bool {
+        self.peel.is_some()
+    }
+
+    /// Whether every rank was handed out.
+    pub fn is_done(&self) -> bool {
+        self.next == self.total
+    }
+
+    /// Wall time spent peeling so far, timed per chunk.
+    pub fn peel_time(&self) -> Duration {
+        self.peel_time
+    }
+
+    /// Hands out the next (up to) [`CHUNK`] ranks, in order. A streamed plan
+    /// peels their edges first; with `splits`, the peel's walk records each
+    /// root's `C`/`X` split there, so the root need not walk its edge again.
+    pub fn advance(
+        &mut self,
+        plan: &RootPlan,
+        mut splits: Option<&mut RootSplits>,
+    ) -> Range<usize> {
+        let ranks = self.next..(self.next + CHUNK).min(self.total);
+        if let Some(splits) = splits.as_deref_mut() {
+            splits.start(ranks.start);
+        }
+        if let Some(peel) = self.peel.as_mut() {
+            let start = Instant::now();
+            let RootKind::Edge { eo, .. } = &plan.kind else {
+                unreachable!("only edge plans stream")
+            };
+            let removed = &plan.reduction.removed;
+            for _ in ranks.clone() {
+                let peeled = match splits.as_deref_mut() {
+                    Some(splits) => {
+                        let peeled =
+                            peel.next(eo, |w, later| splits.push(w, later && !removed[w as usize]));
+                        splits.end_root();
+                        peeled
+                    }
+                    None => peel.next(eo, |_, _| {}),
+                };
+                debug_assert!(peeled.is_some(), "the peel ended before the plan");
+            }
+            if ranks.end == self.total {
+                self.peel = None;
+            }
+            self.peel_time += start.elapsed();
+        }
+        self.next = ranks.end;
+        ranks
+    }
 }
 
 /// Which initial branching the plan's root tasks follow.
@@ -92,7 +172,7 @@ impl RootPlan {
     pub fn root_count(&self) -> usize {
         match &self.kind {
             RootKind::Vertex { order, .. } => order.len(),
-            RootKind::Edge { eo, .. } => eo.order.len(),
+            RootKind::Edge { eo, .. } => eo.len(),
         }
     }
 }
@@ -205,6 +285,34 @@ impl Ctx<'_> {
         false
     }
 
+    /// The `TopKBySize` core-number bound at root `rank`: `true` when no
+    /// clique through the root can change the retained top-k, because a
+    /// clique through `v` has at most `core(v) + 1` members. The root is
+    /// then pruned (counted in
+    /// [`EnumerationStats::branches_pruned_by_core`]). Always `false`
+    /// outside a top-k run or before `k` cliques have been observed.
+    fn topk_closes_root(&mut self, plan: &RootPlan, rank: usize) -> bool {
+        let Some(tb) = self.topk.as_deref() else {
+            return false;
+        };
+        let Some(min) = tb.min_interesting() else {
+            return false;
+        };
+        let core = &tb.core;
+        let bound = match &plan.kind {
+            RootKind::Vertex { order, .. } => core[order[rank] as usize] + 1,
+            RootKind::Edge { eo, .. } => {
+                let (u, v) = eo.edge(rank);
+                core[u as usize].min(core[v as usize]) + 1
+            }
+        };
+        if bound < min {
+            self.stats.branches_pruned_by_core += 1;
+            return true;
+        }
+        false
+    }
+
     /// Accounts one branch step against the session budget; `true` means the
     /// enclosing loop must abandon its frame and unwind. Free (a single
     /// `Option` check) when no budget is attached.
@@ -291,15 +399,14 @@ impl<'g> Solver<'g> {
         state: &mut EnumerationState,
         reporter: &mut dyn CliqueReporter,
     ) -> EnumerationStats {
-        let plan = self.prepare();
-        self.run_on_plan(
+        let (plan, mut feed) = self.prepare();
+        self.run_sequential(
             &plan,
-            &mut (0..plan.root_count()),
-            true,
+            &mut feed,
             &mut state.worker,
             None,
-            None,
             reporter,
+            &mut |_| {},
         )
     }
 
@@ -307,8 +414,11 @@ impl<'g> Solver<'g> {
     // Root phase
     // ------------------------------------------------------------------
 
-    /// Computes the graph reduction and the root ordering once.
-    pub(crate) fn prepare(&self) -> RootPlan {
+    /// Computes the graph reduction and the root ordering, or for the
+    /// depth-1 truss presets the start of a streamed ordering: the supports
+    /// are counted, and the returned feed peels the edges as the run asks for
+    /// them.
+    pub(crate) fn prepare(&self) -> (RootPlan, PlanFeed<'g>) {
         let g = self.graph;
         let reduction = if self.config.graph_reduction {
             reduce(g)
@@ -316,6 +426,7 @@ impl<'g> Solver<'g> {
             Reduction::disabled(g.n())
         };
         let ordering_start = Instant::now();
+        let mut peel = None;
         let kind = match self.config.initial {
             InitialBranching::Vertex(kind) => {
                 let order = vertex_ordering(g, kind);
@@ -325,16 +436,103 @@ impl<'g> Solver<'g> {
                 }
                 RootKind::Vertex { order, position }
             }
+            // Root r reads only which edges come before edge r. Deeper edge
+            // levels sort their C–C edges by rank, so they need every rank
+            // first; the other edge orders are sorts, not peels.
+            InitialBranching::Edge {
+                ordering: EdgeOrderingKind::Truss,
+                depth: 1,
+            } => {
+                peel = Some(TrussPeel::new(g));
+                RootKind::Edge {
+                    eo: EdgeOrdering::unranked(g),
+                    depth: 1,
+                }
+            }
             InitialBranching::Edge { ordering, depth } => RootKind::Edge {
                 eo: edge_ordering(g, ordering),
                 depth,
             },
         };
-        RootPlan {
+        let plan = RootPlan {
             reduction,
             kind,
             ordering_time: ordering_start.elapsed(),
+        };
+        let feed = PlanFeed {
+            peel,
+            next: 0,
+            total: plan.root_count(),
+            peel_time: Duration::ZERO,
+        };
+        (plan, feed)
+    }
+
+    /// The plan computed whole, as a parallel run's workers see it once the
+    /// peel has published every rank.
+    #[cfg(test)]
+    pub(crate) fn whole_plan(&self) -> RootPlan {
+        let (plan, mut feed) = self.prepare();
+        while !feed.is_done() {
+            feed.advance(&plan, None);
         }
+        plan
+    }
+
+    /// A sequential run over the plan `feed` hands out: the rank-independent
+    /// output, then chunk by chunk, the feed's next ranks. Each chunk of a
+    /// streamed plan is peeled first, and its roots take their `C`/`X` split
+    /// from the peel's walk. Between chunks the budget is checked, its
+    /// deadline included, and `roots_done` hears how many roots the chunk
+    /// ran.
+    pub(crate) fn run_sequential(
+        &self,
+        plan: &RootPlan,
+        feed: &mut PlanFeed<'_>,
+        worker: &mut WorkerState,
+        budget: Option<&BudgetState>,
+        reporter: &mut dyn CliqueReporter,
+        roots_done: &mut dyn FnMut(usize),
+    ) -> EnumerationStats {
+        let start = Instant::now();
+        let mut ctx = Ctx {
+            config: self.config,
+            stats: EnumerationStats::default(),
+            reporter,
+            donor: None,
+            budget,
+            topk: None,
+        };
+        self.run_chunks(plan, feed, worker, &mut ctx, roots_done);
+        ctx.stats.elapsed = start.elapsed();
+        ctx.stats.busy_time = ctx.stats.elapsed;
+        ctx.stats
+    }
+
+    /// The loop of [`Solver::run_sequential`], under the caller's context.
+    fn run_chunks(
+        &self,
+        plan: &RootPlan,
+        feed: &mut PlanFeed<'_>,
+        worker: &mut WorkerState,
+        ctx: &mut Ctx<'_>,
+        roots_done: &mut dyn FnMut(usize),
+    ) {
+        worker.prepare_for(self.graph.n());
+        ctx.stats.ordering_time = plan.ordering_time;
+        self.emit_static(plan, ctx);
+        while !feed.is_done() && !ctx.budget.is_some_and(BudgetState::poll) {
+            let mut ranks = feed.advance(plan, Some(&mut worker.splits));
+            let first = ranks.start;
+            self.run_ranks(plan, &mut ranks, worker, ctx);
+            roots_done(ranks.start - first);
+            if !ranks.is_empty() {
+                break; // the budget stopped the run
+            }
+        }
+        // The splits belong to this plan.
+        worker.splits.start(0);
+        ctx.stats.ordering_time += feed.peel_time();
     }
 
     /// Runs root ranks from the front of `ranks` over a prepared plan,
@@ -386,23 +584,35 @@ impl<'g> Solver<'g> {
             ctx.stats.ordering_time = plan.ordering_time;
             self.emit_static(plan, &mut ctx);
         }
-        while ranks.start < ranks.end && !ctx.budget_stopped() {
-            let rank = ranks.start;
-            ranks.start += 1;
-            if let Some(donor) = ctx.donor.as_mut() {
-                donor.steps = 0;
-            }
-            self.run_root(plan, rank, worker, &mut ctx);
-            if ctx.donor.as_ref().is_some_and(Donor::donated) {
-                break;
-            }
-        }
+        self.run_ranks(plan, ranks, worker, &mut ctx);
         if let Some(donor) = ctx.donor.take() {
             worker.split_stack = donor.stack;
         }
         ctx.stats.elapsed = start.elapsed();
         ctx.stats.busy_time = ctx.stats.elapsed;
         ctx.stats
+    }
+
+    /// Runs root ranks from the front of `ranks` until they run out, the
+    /// budget stops the session, or a rank donates.
+    fn run_ranks(
+        &self,
+        plan: &RootPlan,
+        ranks: &mut Range<usize>,
+        worker: &mut WorkerState,
+        ctx: &mut Ctx<'_>,
+    ) {
+        while ranks.start < ranks.end && !ctx.budget_stopped() {
+            let rank = ranks.start;
+            ranks.start += 1;
+            if let Some(donor) = ctx.donor.as_mut() {
+                donor.steps = 0;
+            }
+            self.run_root(plan, rank, worker, ctx);
+            if ctx.donor.as_ref().is_some_and(Donor::donated) {
+                break;
+            }
+        }
     }
 
     /// Resumes a stolen [`BranchTask`] through the same allocation-free
@@ -545,7 +755,7 @@ impl<'g> Solver<'g> {
     ) -> EnumerationStats {
         let g = self.graph;
         let start = Instant::now();
-        let plan = self.prepare();
+        let (plan, mut feed) = self.prepare();
         // Core numbers bound every root: a clique through `v` has at most
         // core(v) + 1 members. For k == 1 the greedy clique along the
         // reverse degeneracy order seeds a proven size floor — the stream
@@ -558,7 +768,7 @@ impl<'g> Solver<'g> {
         } else {
             0
         };
-        let mut bound = TopKBound::new(k, seed_floor);
+        let mut bound = TopKBound::new(k, seed_floor, deg.core);
         let mut ctx = Ctx {
             config: self.config,
             stats: EnumerationStats::default(),
@@ -567,28 +777,7 @@ impl<'g> Solver<'g> {
             budget,
             topk: Some(&mut bound),
         };
-        worker.prepare_for(g.n());
-        ctx.stats.ordering_time = plan.ordering_time;
-        self.emit_static(&plan, &mut ctx);
-        for rank in 0..plan.root_count() {
-            if ctx.budget_stopped() {
-                break;
-            }
-            if let Some(min) = ctx.topk.as_deref().and_then(TopKBound::min_interesting) {
-                let core_bound = match &plan.kind {
-                    RootKind::Vertex { order, .. } => deg.core[order[rank] as usize] + 1,
-                    RootKind::Edge { eo, .. } => {
-                        let (u, v) = eo.order[rank];
-                        deg.core[u as usize].min(deg.core[v as usize]) + 1
-                    }
-                };
-                if core_bound < min {
-                    ctx.stats.branches_pruned_by_core += 1;
-                    continue;
-                }
-            }
-            self.run_root(&plan, rank, worker, &mut ctx);
-        }
+        self.run_chunks(&plan, &mut feed, worker, &mut ctx, &mut |_| {});
         ctx.stats.elapsed = start.elapsed();
         ctx.stats.busy_time = ctx.stats.elapsed;
         ctx.stats
@@ -676,6 +865,9 @@ impl<'g> Solver<'g> {
 
     /// Processes one root task.
     fn run_root(&self, plan: &RootPlan, rank: usize, worker: &mut WorkerState, ctx: &mut Ctx<'_>) {
+        if ctx.topk_closes_root(plan, rank) {
+            return;
+        }
         match &plan.kind {
             RootKind::Vertex { order, position } => {
                 self.vertex_root(&plan.reduction, order, position, rank, worker, ctx)
@@ -734,7 +926,7 @@ impl<'g> Solver<'g> {
         ctx: &mut Ctx<'_>,
     ) {
         let g = self.graph;
-        let (u, v) = eo.order[rank];
+        let (u, v) = eo.edge(rank);
         if reduction.removed[u as usize] || reduction.removed[v as usize] {
             return;
         }
@@ -742,23 +934,31 @@ impl<'g> Solver<'g> {
             candidates,
             excluded,
             position,
+            splits,
             ..
         } = worker;
         candidates.clear();
         excluded.clear();
-        eo.for_each_common_neighbor(g, rank, position, |w, later| {
-            if later && !reduction.removed[w as usize] {
-                candidates.push(w);
-            } else {
-                excluded.push(w);
-            }
-        });
+        if let Some((c, x)) = splits.get(rank) {
+            // The peel's walk at this rank already split the common
+            // neighbours.
+            candidates.extend_from_slice(c);
+            excluded.extend_from_slice(x);
+        } else {
+            eo.for_each_common_neighbor(g, rank, position, |w, later| {
+                if later && !reduction.removed[w as usize] {
+                    candidates.push(w);
+                } else {
+                    excluded.push(w);
+                }
+            });
+        }
         ctx.stats.initial_branches += 1;
         // Eq. (2): edges already processed at the root are removed from the
         // candidate graph of this branch. Only edges between two candidates
         // are tested: nothing reads a candidate edge with an end in X.
         let rank = rank as u32;
-        build_root_branch(g, worker, |s| eo.position[s] > rank);
+        build_root_branch(g, worker, |s| eo.rank(s) > rank);
         worker.partial.clear();
         worker.partial.push(u);
         worker.partial.push(v);
@@ -847,7 +1047,7 @@ impl<'g> Solver<'g> {
                 for &b in &f.branch[i + 1..] {
                     if lg.cand_contains(a, b) {
                         if let Some(s) = self.graph.slot(lg.orig[a], lg.orig[b]) {
-                            f.edges.push((eo.position[s], a, b));
+                            f.edges.push((eo.rank(s), a, b));
                         }
                     }
                 }
@@ -867,9 +1067,7 @@ impl<'g> Solver<'g> {
             // neighbour whose edge to `a` or `b` was already processed belongs
             // to the exclusion side.
             let child_lg = lg.restrict_candidate(|pu, pv| {
-                self.graph
-                    .slot(pu, pv)
-                    .map_or(true, |s| eo.position[s] > pos)
+                self.graph.slot(pu, pv).map_or(true, |s| eo.rank(s) > pos)
             });
             {
                 let (parent, child) = scratch.pair(depth);
@@ -1466,7 +1664,7 @@ mod tests {
         .unwrap();
         let expected = naive_maximal_cliques(&g);
         let solver = Solver::new(&g, SolverConfig::hbbmc_pp()).unwrap();
-        let plan = solver.prepare();
+        let plan = solver.whole_plan();
         let total = plan.root_count();
         let mut worker = WorkerState::new();
         for parts in [1usize, 2, 3, 5] {

@@ -60,7 +60,13 @@ pub struct EnumerationStats {
     pub lb_updates: u64,
     /// Wall-clock time of the whole run (ordering + reduction + enumeration).
     pub elapsed: Duration,
-    /// Wall-clock time spent computing the vertex/edge ordering of the root.
+    /// Wall-clock time spent computing the vertex/edge ordering of the root,
+    /// summed over the threads that computed it. A whole ordering is timed
+    /// once, before the first root. For the depth-1 truss presets it is the
+    /// support count plus every chunk of the incremental truss peel, which
+    /// runs between chunks of roots (sequential runs) or on worker 0 while
+    /// the other workers run roots (parallel runs, where it also counts in
+    /// `busy_time`).
     pub ordering_time: Duration,
     /// Summed per-worker wall time spent executing enumeration work (as
     /// opposed to waiting for work). `busy_time / (elapsed × threads)` is the

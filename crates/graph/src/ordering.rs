@@ -11,9 +11,11 @@
 //!   (`HBBMC-dgn`) and edges ordered by the minimum degree of their endpoints
 //!   (`HBBMC-mdg`).
 
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+
 use crate::degeneracy::degeneracy_ordering;
 use crate::graph::{Graph, VertexId};
-use crate::truss::peel;
+use crate::truss::peel_to_end;
 
 /// Vertex orderings used for the initial vertex-oriented branching.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -54,16 +56,73 @@ pub fn vertex_ordering(g: &Graph, kind: VertexOrderingKind) -> Vec<VertexId> {
 
 /// An edge ordering: the edges in branching order, and the rank of every
 /// edge stored at both of its CSR slots ([`Graph::slot`]).
-#[derive(Clone, Debug)]
+///
+/// Both are atomics, so the enumeration's workers can read an ordering that a
+/// [`TrussPeel`](crate::truss::TrussPeel) on another thread is still
+/// ranking. An edge the peel has not reached reads rank `u32::MAX`, which is
+/// greater than every rank: Eq. (2)'s test "ranked after edge `r`" gives the
+/// same answer at rank `r` once the peel has removed edge `r`, however far it
+/// has got since. Loads and stores are `Relaxed`, which compile to plain ones
+/// on x86-64. The caller publishes ranks to other threads by a lock: the
+/// peeling thread releases it after ranking edges `0..r`, and a reader
+/// acquires it before reading edge `r`. A later edge's rank may then read
+/// either `u32::MAX` or its final rank, and both are greater than `r`.
+#[derive(Debug)]
 pub struct EdgeOrdering {
-    /// Edges `(u, v)` with `u < v`, in branching order.
-    pub order: Vec<(VertexId, VertexId)>,
-    /// `position[s]` = rank in [`EdgeOrdering::order`] of the edge at CSR
-    /// slot `s`; both slots of an edge hold the same rank.
-    pub position: Vec<u32>,
+    /// The `rank`-th edge `(u, v)`, `u < v`, packed as `u << 32 | v`.
+    order: Vec<AtomicU64>,
+    /// The rank of the edge at each CSR slot; `u32::MAX` while unranked.
+    ranks: Vec<AtomicU32>,
 }
 
 impl EdgeOrdering {
+    /// An ordering of `g`'s edges in which no edge is ranked yet; a
+    /// [`TrussPeel`](crate::truss::TrussPeel) ranks them one at a time.
+    pub fn unranked(g: &Graph) -> Self {
+        EdgeOrdering {
+            order: (0..g.m()).map(|_| AtomicU64::new(0)).collect(),
+            ranks: (0..2 * g.m()).map(|_| AtomicU32::new(u32::MAX)).collect(),
+        }
+    }
+
+    /// The number of edges.
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Whether the graph has no edge.
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    /// The `rank`-th edge `(u, v)`, with `u < v`.
+    #[inline]
+    pub fn edge(&self, rank: usize) -> (VertexId, VertexId) {
+        let packed = self.order[rank].load(Ordering::Relaxed);
+        ((packed >> 32) as VertexId, packed as VertexId)
+    }
+
+    /// The rank of the edge at CSR slot `slot`, or `u32::MAX` while it is
+    /// unranked.
+    #[inline]
+    pub fn rank(&self, slot: usize) -> u32 {
+        self.ranks[slot].load(Ordering::Relaxed)
+    }
+
+    /// The edges in rank order.
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = (VertexId, VertexId)> + '_ {
+        (0..self.len()).map(|rank| self.edge(rank))
+    }
+
+    /// Ranks the edge `(u, v)`, `u < v`, whose slots are `slots`.
+    #[inline]
+    pub(crate) fn record(&self, rank: u32, (u, v): (VertexId, VertexId), slots: [usize; 2]) {
+        self.order[rank as usize].store(u64::from(u) << 32 | u64::from(v), Ordering::Relaxed);
+        for s in slots {
+            self.ranks[s].store(rank, Ordering::Relaxed);
+        }
+    }
+
     /// Eq. (2)'s candidate rule for the `rank`-th edge `(u, v)`: calls
     /// `f(w, later)` for every common neighbour `w` of `u` and `v`, in
     /// increasing order, where `later` says whether both triangle edges
@@ -74,10 +133,10 @@ impl EdgeOrdering {
     where
         F: FnMut(VertexId, bool),
     {
-        let (u, v) = self.order[rank];
+        let (u, v) = self.edge(rank);
         let rank = rank as u32;
         g.for_each_common_neighbor(u, v, mark, |w, uw, vw| {
-            f(w, self.position[uw] > rank && self.position[vw] > rank)
+            f(w, self.rank(uw) > rank && self.rank(vw) > rank)
         });
     }
 }
@@ -85,10 +144,7 @@ impl EdgeOrdering {
 /// Computes an edge ordering of `g` of the requested kind.
 pub fn edge_ordering(g: &Graph, kind: EdgeOrderingKind) -> EdgeOrdering {
     match kind {
-        EdgeOrderingKind::Truss => {
-            let (order, position, _) = peel(g);
-            EdgeOrdering { order, position }
-        }
+        EdgeOrderingKind::Truss => peel_to_end(g).0,
         EdgeOrderingKind::DegeneracyLex => {
             let deg_pos = degeneracy_ordering(g).position;
             order_by_key(g, |u, v| {
@@ -129,15 +185,12 @@ where
         let (u, v) = endpoints(s);
         key(u, v)
     });
-    let mut position = vec![0u32; adjacency.len()];
+    let eo = EdgeOrdering::unranked(g);
     for (rank, &s) in slots.iter().enumerate() {
-        position[s as usize] = rank as u32;
-        position[reverse[s as usize] as usize] = rank as u32;
+        let r = reverse[s as usize] as usize;
+        eo.record(rank as u32, endpoints(s), [s as usize, r]);
     }
-    EdgeOrdering {
-        order: slots.into_iter().map(endpoints).collect(),
-        position,
-    }
+    eo
 }
 
 #[cfg(test)]
@@ -193,12 +246,11 @@ mod tests {
     fn truss_edge_ordering_round_trips_positions() {
         let g = sample();
         let eo = edge_ordering(&g, EdgeOrderingKind::Truss);
-        assert_eq!(eo.order.len(), g.m());
-        assert_eq!(eo.position.len(), 2 * g.m());
-        for (rank, &(u, v)) in eo.order.iter().enumerate() {
+        assert_eq!(eo.len(), g.m());
+        for (rank, (u, v)) in eo.edges().enumerate() {
             assert!(u < v);
-            assert_eq!(eo.position[g.slot(u, v).unwrap()], rank as u32);
-            assert_eq!(eo.position[g.slot(v, u).unwrap()], rank as u32);
+            assert_eq!(eo.rank(g.slot(u, v).unwrap()), rank as u32);
+            assert_eq!(eo.rank(g.slot(v, u).unwrap()), rank as u32);
         }
     }
 
@@ -225,7 +277,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let order = |kind| edge_ordering(&g, kind).order;
+        let order = |kind| edge_ordering(&g, kind).edges().collect::<Vec<_>>();
         assert_eq!(
             order(EdgeOrderingKind::Truss),
             [
@@ -284,9 +336,8 @@ mod tests {
         let g = sample();
         let eo = edge_ordering(&g, EdgeOrderingKind::MinDegree);
         let keys: Vec<usize> = eo
-            .order
-            .iter()
-            .map(|&(u, v)| g.degree(u).min(g.degree(v)))
+            .edges()
+            .map(|(u, v)| g.degree(u).min(g.degree(v)))
             .collect();
         for w in keys.windows(2) {
             assert!(w[0] <= w[1]);
@@ -298,15 +349,15 @@ mod tests {
         let g = sample();
         let eo = edge_ordering(&g, EdgeOrderingKind::DegeneracyLex);
         // Positions must be a permutation.
-        let mut pos = eo.position.clone();
+        let mut pos: Vec<u32> = (0..2 * g.m()).map(|s| eo.rank(s)).collect();
         pos.sort_unstable();
         pos.dedup();
         assert_eq!(pos, (0..g.m() as u32).collect::<Vec<_>>());
         // The first edge's earlier endpoint must be among the earliest peeled vertices.
         let deg = degeneracy_ordering(&g);
-        let (u, v) = eo.order[0];
+        let (u, v) = eo.edge(0);
         let first_pos = deg.position[u as usize].min(deg.position[v as usize]);
-        for &(a, b) in &eo.order[1..] {
+        for (a, b) in eo.edges().skip(1) {
             let p = deg.position[a as usize].min(deg.position[b as usize]);
             assert!(first_pos <= p);
         }
@@ -321,8 +372,7 @@ mod tests {
             EdgeOrderingKind::MinDegree,
         ] {
             let eo = edge_ordering(&g, kind);
-            assert!(eo.order.is_empty());
-            assert!(eo.position.is_empty());
+            assert!(eo.is_empty());
         }
     }
 }

@@ -10,13 +10,20 @@
 //! sense that τ ≤ δ − 1 on any graph with at least one edge).
 //!
 //! The peeling is the standard bucket-queue truss decomposition over CSR
-//! slots. The supports are counted by marking ([`crate::edge_supports`]),
-//! and peeling an edge walks its endpoints' common neighbours by marking the
-//! shorter list in the peel's own mark array ([`Graph::for_each_common_neighbor`]):
-//! `O(deg u + deg v)` per edge, and less against a hub. The walk yields the
-//! slots of both triangle edges, so nothing is looked up.
+//! slots, run one edge at a time by [`TrussPeel`]: the enumeration can start
+//! the branch of edge `r` as soon as the peel has removed it, because Eq. (2)
+//! only asks which edges were removed before it. The supports are counted by
+//! marking ([`crate::edge_supports`]), and peeling an edge walks its
+//! endpoints' common neighbours by marking the shorter list in the peel's own
+//! mark array ([`Graph::for_each_common_neighbor`]): `O(deg u + deg v)` per
+//! edge, and less against a hub. The walk yields the slots of both triangle
+//! edges, so nothing is looked up, and it tells the caller which common
+//! neighbours are Eq. (2)'s candidates of the peeled edge.
+//! [`truss_ordering`] and [`edge_ordering`](crate::ordering::edge_ordering)
+//! run the same peel to the end.
 
 use crate::graph::{Graph, VertexId};
+use crate::ordering::EdgeOrdering;
 use crate::triangles::supports;
 
 /// The truss-based edge ordering of a graph.
@@ -31,78 +38,145 @@ pub struct TrussOrdering {
 
 /// Computes the truss-based edge ordering and the truss parameter τ of `g`.
 pub fn truss_ordering(g: &Graph) -> TrussOrdering {
-    let (edges, _, tau) = peel(g);
-    TrussOrdering { edges, tau }
+    let (eo, tau) = peel_to_end(g);
+    TrussOrdering {
+        edges: eo.edges().collect(),
+        tau,
+    }
 }
 
-/// The peel behind [`truss_ordering`]: the edges in peeling order, each
-/// edge's peeling step stored at both of its CSR slots, and τ.
-pub(crate) fn peel(g: &Graph) -> (Vec<(VertexId, VertexId)>, Vec<u32>, usize) {
-    /// Step of an edge that is not peeled yet.
-    const ALIVE: u32 = u32::MAX;
-    let adjacency = g.csr_adjacency();
-    let reverse = g.reverse_slots();
-    // The common-neighbour mark array of every walk below.
-    let mut mark = vec![u32::MAX; g.n()];
-    // The peel keeps each edge's live support at its smaller slot, the one
-    // in its smaller endpoint's list.
-    let mut support = supports(g, &reverse, &mut mark);
-    let max_sup = support.iter().copied().max().unwrap_or(0) as usize;
+/// Runs a [`TrussPeel`] of `g` to the end: the ranked ordering and τ.
+pub(crate) fn peel_to_end(g: &Graph) -> (EdgeOrdering, usize) {
+    let eo = EdgeOrdering::unranked(g);
+    let mut peel = TrussPeel::new(g);
+    while peel.next(&eo, |_, _| {}).is_some() {}
+    (eo, peel.tau())
+}
 
-    // Bucket queue of smaller slots keyed by current support; entries can be
-    // stale.
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_sup + 1];
-    for (s, &r) in reverse.iter().enumerate() {
-        if (s as u32) < r {
-            buckets[support[s] as usize].push(s as u32);
+/// The truss peel, one edge at a time: each [`TrussPeel::next`] removes the
+/// remaining edge of smallest remaining support and ranks it in an
+/// [`EdgeOrdering`].
+#[derive(Debug)]
+pub struct TrussPeel<'g> {
+    g: &'g Graph,
+    reverse: Vec<u32>,
+    /// The common-neighbour mark array of every walk.
+    mark: Vec<u32>,
+    /// Each edge's live support, kept at its smaller slot: the one in its
+    /// smaller endpoint's list.
+    support: Vec<u32>,
+    /// Bucket queue of smaller slots keyed by support; entries can be stale.
+    buckets: Vec<Vec<u32>>,
+    /// No live entry sits in a bucket below this one.
+    current: usize,
+    /// Edges peeled so far: the rank of the next one.
+    steps: usize,
+    tau: usize,
+}
+
+impl<'g> TrussPeel<'g> {
+    /// Counts the supports of `g`'s edges and fills the bucket queue.
+    pub fn new(g: &'g Graph) -> Self {
+        let reverse = g.reverse_slots();
+        let mut mark = vec![u32::MAX; g.n()];
+        let support = supports(g, &reverse, &mut mark);
+        let max_sup = support.iter().copied().max().unwrap_or(0) as usize;
+        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_sup + 1];
+        for (s, &r) in reverse.iter().enumerate() {
+            if (s as u32) < r {
+                buckets[support[s] as usize].push(s as u32);
+            }
+        }
+        TrussPeel {
+            g,
+            reverse,
+            mark,
+            support,
+            buckets,
+            current: 0,
+            steps: 0,
+            tau: 0,
         }
     }
 
-    let mut step_of = vec![ALIVE; adjacency.len()];
-    let mut order = Vec::with_capacity(g.m());
-    let mut tau = 0usize;
-    let mut current = 0usize;
+    /// The number of edges peeled so far.
+    pub fn steps(&self) -> usize {
+        self.steps
+    }
 
-    for step in 0..g.m() as u32 {
+    /// The largest support an edge had when it was peeled, so far: τ once
+    /// every edge is peeled.
+    pub fn tau(&self) -> usize {
+        self.tau
+    }
+
+    /// Peels the next edge `(u, v)`, `u < v`, and returns it, or `None` once
+    /// every edge is peeled. Its step, [`TrussPeel::steps`] before the call,
+    /// becomes its rank in `eo`, which must be [`EdgeOrdering::unranked`]
+    /// of the same graph and ranked by this peel only. Then `f(w, later)`
+    /// is called for every common neighbour `w` of `u` and `v`, in
+    /// increasing order, where `later` says whether both triangle edges
+    /// `(u, w)` and `(v, w)` are still unpeeled: the flags
+    /// [`EdgeOrdering::for_each_common_neighbor`] gives at this rank.
+    pub fn next<F>(&mut self, eo: &EdgeOrdering, mut f: F) -> Option<(VertexId, VertexId)>
+    where
+        F: FnMut(VertexId, bool),
+    {
+        /// Rank of an edge that is not peeled yet.
+        const ALIVE: u32 = u32::MAX;
+        if self.steps == self.g.m() {
+            return None;
+        }
+        let TrussPeel {
+            g,
+            reverse,
+            mark,
+            support,
+            buckets,
+            current,
+            steps,
+            tau,
+        } = self;
         let s = loop {
-            if current > max_sup {
+            let Some(bucket) = buckets.get_mut(*current) else {
                 unreachable!("support bucket queue exhausted before all edges were peeled");
-            }
-            match buckets[current].pop() {
+            };
+            match bucket.pop() {
                 Some(s)
-                    if step_of[s as usize] == ALIVE && support[s as usize] as usize == current =>
+                    if eo.rank(s as usize) == ALIVE && support[s as usize] as usize == *current =>
                 {
                     break s as usize
                 }
                 Some(_) => continue,
-                None => current += 1,
+                None => *current += 1,
             }
         };
 
         let r = reverse[s] as usize;
-        step_of[s] = step;
-        step_of[r] = step;
-        tau = tau.max(support[s] as usize);
-        let (u, v) = (adjacency[r], adjacency[s]);
-        order.push((u, v));
+        let step = *steps as u32;
+        let (u, v) = (g.csr_adjacency()[r], g.csr_adjacency()[s]);
+        eo.record(step, (u, v), [s, r]);
+        *steps += 1;
+        *tau = (*tau).max(support[s] as usize);
 
         // Every triangle (u, v, w) through e = (u, v) loses this edge: decrement
         // the supports of (u, w) and (v, w) if both are still alive.
-        g.for_each_common_neighbor(u, v, &mut mark, |_, uw, vw| {
-            if step_of[uw] == ALIVE && step_of[vw] == ALIVE {
-                for f in [uw, vw] {
-                    let f = f.min(reverse[f] as usize);
-                    if support[f] > 0 {
-                        support[f] -= 1;
-                        buckets[support[f] as usize].push(f as u32);
-                        current = current.min(support[f] as usize);
+        g.for_each_common_neighbor(u, v, mark, |w, uw, vw| {
+            let later = eo.rank(uw) == ALIVE && eo.rank(vw) == ALIVE;
+            if later {
+                for e in [uw, vw] {
+                    let e = e.min(reverse[e] as usize);
+                    if support[e] > 0 {
+                        support[e] -= 1;
+                        buckets[support[e] as usize].push(e as u32);
+                        *current = (*current).min(support[e] as usize);
                     }
                 }
             }
+            f(w, later);
         });
+        Some((u, v))
     }
-
-    (order, step_of, tau)
 }
 
 #[cfg(test)]
@@ -116,9 +190,9 @@ mod tests {
     /// edge's support when it is peeled.
     fn later_common_neighbors(g: &Graph) -> Vec<usize> {
         let eo = edge_ordering(g, EdgeOrderingKind::Truss);
-        assert_eq!(eo.order, truss_ordering(g).edges);
+        assert!(eo.edges().eq(truss_ordering(g).edges));
         let mut mark = vec![u32::MAX; g.n()];
-        (0..eo.order.len())
+        (0..eo.len())
             .map(|rank| {
                 let mut later = 0;
                 eo.for_each_common_neighbor(g, rank, &mut mark, |_, l| later += l as usize);

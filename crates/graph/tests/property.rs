@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use mce_graph::degeneracy::degeneracy_ordering;
 use mce_graph::ordering::{edge_ordering, EdgeOrdering};
 use mce_graph::triangles::{edge_supports, triangle_count};
-use mce_graph::truss::truss_ordering;
+use mce_graph::truss::{truss_ordering, TrussPeel};
 use mce_graph::{AdjMatrix, BitSet, BitsMut, BitsRef, EdgeOrderingKind, Graph, GraphStats};
 use proptest::prelude::*;
 
@@ -39,6 +39,32 @@ fn later_flags(g: &Graph, eo: &EdgeOrdering, rank: usize) -> Vec<(u32, bool)> {
     let mut mark = vec![u32::MAX; g.n()];
     eo.for_each_common_neighbor(g, rank, &mut mark, |w, later| flags.push((w, later)));
     flags
+}
+
+/// Peels `g` one edge at a time and checks every step against the whole
+/// truss ordering: the same edge, the same rank at both of its slots, the
+/// `later` flags the finished ordering gives at that rank, and the same τ.
+fn check_truss_peel(g: &Graph) {
+    let whole = truss_ordering(g);
+    let full = edge_ordering(g, EdgeOrderingKind::Truss);
+    let eo = EdgeOrdering::unranked(g);
+    let mut peel = TrussPeel::new(g);
+    for (rank, &edge) in whole.edges.iter().enumerate() {
+        assert_eq!(peel.steps(), rank);
+        let mut flags = Vec::new();
+        let peeled = peel.next(&eo, |w, later| flags.push((w, later)));
+        assert_eq!(peeled, Some(edge));
+        assert_eq!(eo.edge(rank), edge);
+        let (u, v) = edge;
+        assert_eq!(eo.rank(g.slot(u, v).unwrap()) as usize, rank);
+        assert_eq!(eo.rank(g.slot(v, u).unwrap()) as usize, rank);
+        assert_eq!(flags, later_flags(g, &full, rank));
+    }
+    assert_eq!(peel.next(&eo, |_, _| {}), None);
+    assert_eq!(peel.tau(), whole.tau);
+    for s in 0..2 * g.m() {
+        assert_eq!(eo.rank(s), full.rank(s));
+    }
 }
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -135,8 +161,8 @@ proptest! {
         // largest count is exactly tau.
         let t = truss_ordering(&g);
         let eo = edge_ordering(&g, EdgeOrderingKind::Truss);
-        prop_assert_eq!(&eo.order, &t.edges);
-        let largest = (0..eo.order.len())
+        prop_assert_eq!(eo.edges().collect::<Vec<_>>(), t.edges.clone());
+        let largest = (0..eo.len())
             .map(|rank| later_flags(&g, &eo, rank).iter().filter(|f| f.1).count())
             .max()
             .unwrap_or(0);
@@ -195,14 +221,13 @@ proptest! {
     fn edge_orderings_hold_each_rank_at_both_slots(g in arb_graph()) {
         for kind in EDGE_ORDERINGS {
             let eo = edge_ordering(&g, kind);
-            prop_assert_eq!(eo.order.len(), g.m());
-            prop_assert_eq!(eo.position.len(), 2 * g.m());
-            let mut sorted = eo.order.clone();
+            prop_assert_eq!(eo.len(), g.m());
+            let mut sorted: Vec<_> = eo.edges().collect();
             sorted.sort_unstable();
             prop_assert_eq!(sorted, g.edges().collect::<Vec<_>>());
-            for (rank, &(u, v)) in eo.order.iter().enumerate() {
-                prop_assert_eq!(eo.position[g.slot(u, v).unwrap()] as usize, rank);
-                prop_assert_eq!(eo.position[g.slot(v, u).unwrap()] as usize, rank);
+            for (rank, (u, v)) in eo.edges().enumerate() {
+                prop_assert_eq!(eo.rank(g.slot(u, v).unwrap()) as usize, rank);
+                prop_assert_eq!(eo.rank(g.slot(v, u).unwrap()) as usize, rank);
             }
         }
     }
@@ -211,8 +236,8 @@ proptest! {
     fn later_flag_reads_the_rank_of_both_triangle_edges(g in arb_graph()) {
         for kind in EDGE_ORDERINGS {
             let eo = edge_ordering(&g, kind);
-            let rank_of = |a: u32, b: u32| eo.position[g.slot(a, b).unwrap()] as usize;
-            for (rank, &(u, v)) in eo.order.iter().enumerate() {
+            let rank_of = |a: u32, b: u32| eo.rank(g.slot(a, b).unwrap()) as usize;
+            for (rank, (u, v)) in eo.edges().enumerate() {
                 let want: Vec<(u32, bool)> = g
                     .neighbors(u)
                     .iter()
@@ -223,6 +248,16 @@ proptest! {
                 prop_assert_eq!(later_flags(&g, &eo, rank), want);
             }
         }
+    }
+
+    #[test]
+    fn truss_peel_steps_match_the_whole_ordering(g in arb_graph()) {
+        check_truss_peel(&g);
+    }
+
+    #[test]
+    fn truss_peel_steps_match_the_whole_ordering_on_hub_graphs(g in arb_hub_graph()) {
+        check_truss_peel(&g);
     }
 
     #[test]
