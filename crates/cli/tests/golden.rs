@@ -72,9 +72,15 @@ fn replay(graph: &str, output: &str, preset: Option<&str>, golden: &str) {
     replay_command("enumerate", graph, Some(output), preset, golden);
 }
 
+/// The goldens made under a preset other than the default: a golden named
+/// `STEM.SUFFIX.MODE.golden` ran under the preset its suffix names.
+/// `regen.sh` and the CI replay loop read the same table.
+const PRESET_SUFFIXES: [(&str, &str); 2] = [(".rdegen", "RDegen"), (".ebbmc", "EBBMC")];
+
 /// Every corpus golden of one `mce enumerate` output mode, as
-/// `(graph, preset, golden)`: `STEM[.rdegen].MODE.golden` was generated from
-/// `STEM.txt` (or `STEM.col`), under the RDegen preset for `.rdegen`.
+/// `(graph, preset, golden)`: `STEM[.SUFFIX].MODE.golden` was generated from
+/// `STEM.txt` (or `STEM.col`), under the preset of [`PRESET_SUFFIXES`] for a
+/// `.SUFFIX`.
 fn goldens_of(mode: &str) -> Vec<(String, Option<&'static str>, String)> {
     let suffix = format!(".{mode}.golden");
     let mut found = Vec::new();
@@ -83,10 +89,10 @@ fn goldens_of(mode: &str) -> Vec<(String, Option<&'static str>, String)> {
         let Some(stem) = golden.strip_suffix(&suffix) else {
             continue;
         };
-        let (stem, preset) = match stem.strip_suffix(".rdegen") {
-            Some(stem) => (stem, Some("RDegen")),
-            None => (stem, None),
-        };
+        let (stem, preset) = PRESET_SUFFIXES
+            .iter()
+            .find_map(|&(suffix, preset)| Some((stem.strip_suffix(suffix)?, Some(preset))))
+            .unwrap_or((stem, None));
         let text = format!("{stem}.txt");
         let graph = if corpus_dir().join(&text).exists() {
             text
@@ -157,6 +163,18 @@ fn vertex_oriented_preset_matches_golden() {
         "text",
         Some("RDegen"),
         "planted-60.rdegen.text.golden",
+    );
+}
+
+/// EBBMC branches on edges at every level, so this golden pins the order in
+/// which the edge levels below the root emit.
+#[test]
+fn edge_levels_preset_matches_golden() {
+    replay(
+        "planted-60.txt",
+        "text",
+        Some("EBBMC"),
+        "planted-60.ebbmc.text.golden",
     );
 }
 
