@@ -112,7 +112,8 @@ pub(crate) fn for_each_k_clique_with_state(
         // so a k-clique is visited exactly once: at its earliest edge. The
         // edges the peel has not reached yet read as later.
         let rank = rank as u32;
-        lg.rebuild(g, &candidates, &[], |s| eo.rank(s) > rank, &mut position);
+        let later = |s, _, _| eo.rank(s) > rank;
+        lg.rebuild(g, &candidates, &[], later, &mut position);
         let root = &mut levels[0];
         root.reset(lg.len());
         for i in 0..lg.len() {

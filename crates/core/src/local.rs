@@ -20,11 +20,13 @@
 //!   maximality checking (moving vertices to `X`) and for the
 //!   early-termination plex test.
 //! * `cand_adj` — the *candidate* adjacency between candidates: `g_adj`
-//!   minus the edges excluded by earlier sibling branches of an
-//!   edge-oriented branching step (Eq. 2 of the paper removes processed
-//!   edges from the candidate graph). Only rows of `C` exist, over `C`:
-//!   every reader intersects them with a candidate set. When no edge has
-//!   been excluded they agree with the `C` columns of the true rows.
+//!   minus the edges Eq. (2) of the paper removes from the candidate graph.
+//!   An edge root keeps only the edges ranked after its own; an edge level
+//!   below it drops each edge it branches on in place
+//!   (`LocalGraph::drop_cand`) and puts them back when it is done
+//!   (`LocalGraph::restore_cand`). Only rows of `C` exist, over `C`: every
+//!   reader intersects them with a candidate set. When no edge has been
+//!   excluded they agree with the `C` columns of the true rows.
 //!
 //! With `k = |C ∪ X|` a root therefore stores at most about `3·|C|·k` bits
 //! plus its `k` ids, instead of two `k × k` matrices; a root with a huge `X`
@@ -93,7 +95,7 @@ impl LocalGraph {
     }
 
     /// Whether the candidates `v` and `w` are adjacent in the candidate graph.
-    #[inline]
+    #[cfg(test)]
     pub fn cand_contains(&self, v: usize, w: usize) -> bool {
         debug_assert!(v < self.c_len && w < self.c_len);
         self.cand_adj.contains(v, w)
@@ -114,8 +116,9 @@ impl LocalGraph {
         Self::from_vertices_filtered(g, vertices, |_| true)
     }
 
-    /// Builds a fresh local graph over the candidates `vertices`; see
-    /// [`LocalGraph::rebuild`] for `keep`.
+    /// Builds a fresh local graph over the candidates `vertices`, keeping
+    /// the candidate edges whose CSR slot passes `keep`; see
+    /// [`LocalGraph::rebuild`].
     #[cfg(test)]
     pub fn from_vertices_filtered<F>(g: &Graph, vertices: &[VertexId], keep: F) -> Self
     where
@@ -123,14 +126,15 @@ impl LocalGraph {
     {
         let mut lg = Self::new();
         let mut position = vec![u32::MAX; g.n()];
-        lg.rebuild(g, vertices, &[], keep, &mut position);
+        lg.rebuild(g, vertices, &[], |s, _, _| keep(s), &mut position);
         lg
     }
 
     /// Rebuilds this local graph in place over `candidates ++ excluded`,
     /// keeping in the *candidate* adjacency only those edges between two
-    /// candidates for which `keep(s)` returns `true`, where `s` is one of
-    /// the edge's CSR slots ([`Graph::slot`]). `keep` is asked about no
+    /// candidates for which `keep(s, i, j)` returns `true`, where `s` is one
+    /// of the edge's CSR slots ([`Graph::slot`]) and `i < j` are its ends'
+    /// local ids. `keep` is asked about each such edge once, and about no
     /// other edge. The true adjacency always contains every stored edge of
     /// the input graph.
     ///
@@ -145,11 +149,11 @@ impl LocalGraph {
         g: &Graph,
         candidates: &[VertexId],
         excluded: &[VertexId],
-        keep: F,
+        mut keep: F,
         position: &mut [u32],
     ) -> &mut Self
     where
-        F: Fn(usize) -> bool,
+        F: FnMut(usize, usize, usize) -> bool,
     {
         debug_assert_eq!(position.len(), g.n());
         let c = candidates.len();
@@ -184,7 +188,7 @@ impl LocalGraph {
         let mut link = |i: usize, j: usize, s: usize| {
             if j < c {
                 c_rows.insert_sym(i, j);
-                if keep(s) {
+                if keep(s, i, j) {
                     cand_adj.insert_sym(i, j);
                 }
             } else {
@@ -217,33 +221,18 @@ impl LocalGraph {
         self
     }
 
-    /// Returns a copy of this local graph whose candidate adjacency
-    /// additionally drops every edge for which `keep(u, v)` is `false`
-    /// (`u`/`v` original ids). Used when descending another edge-oriented
-    /// branching level: the sub-branch must exclude the sibling edges already
-    /// processed at the current level. Allocates fresh buffers — this only
-    /// runs in the shallow edge-oriented phase, never in the vertex-oriented
-    /// steady state.
-    pub fn restrict_candidate<F>(&self, keep: F) -> Self
-    where
-        F: Fn(VertexId, VertexId) -> bool,
-    {
-        let c = self.c_len;
-        let mut cand_adj = AdjMatrix::new(c);
-        for i in 0..c {
-            for j in self.cand_adj.row_iter(i) {
-                if j > i && keep(self.orig[i], self.orig[j]) {
-                    cand_adj.insert_sym(i, j);
-                }
-            }
-        }
-        LocalGraph {
-            orig: self.orig.clone(),
-            c_len: c,
-            c_rows: self.c_rows.clone(),
-            x_rows: self.x_rows.clone(),
-            cand_adj,
-        }
+    /// Drops the candidate edge between the candidates `a` and `b`: an edge
+    /// level branches on it, so the later branches exclude it (Eq. 2). The
+    /// true adjacency keeps it.
+    #[inline]
+    pub fn drop_cand(&mut self, a: usize, b: usize) {
+        self.cand_adj.remove_sym(a, b);
+    }
+
+    /// Puts back a candidate edge that [`LocalGraph::drop_cand`] dropped.
+    #[inline]
+    pub fn restore_cand(&mut self, a: usize, b: usize) {
+        self.cand_adj.insert_sym(a, b);
     }
 }
 
@@ -296,19 +285,26 @@ mod tests {
     }
 
     #[test]
-    fn restrict_candidate_composes_filters() {
+    fn dropped_candidate_edges_compose_with_the_filter_and_come_back() {
         let g = Graph::complete(4);
         let edge01 = [g.slot(0, 1).unwrap(), g.slot(1, 0).unwrap()];
-        let lg = LocalGraph::from_vertices_filtered(&g, &[0, 1, 2, 3], |s| !edge01.contains(&s));
-        let lg2 = lg.restrict_candidate(|u, v| (u, v) != (2, 3) && (v, u) != (2, 3));
+        let mut lg =
+            LocalGraph::from_vertices_filtered(&g, &[0, 1, 2, 3], |s| !edge01.contains(&s));
+        let built = lg.clone();
+        lg.drop_cand(3, 2);
         // Both (0,1) and (2,3) are gone from the candidate adjacency…
-        assert!(!lg2.cand_contains(0, 1));
-        assert!(!lg2.cand_contains(2, 3));
+        assert!(!lg.cand_contains(0, 1));
+        assert!(!lg.cand_contains(2, 3) && !lg.cand_contains(3, 2));
         // …but the true adjacency still has them.
-        assert!(lg2.gadj_contains(0, 1));
-        assert!(lg2.gadj_contains(2, 3));
+        assert!(lg.gadj_contains(0, 1));
+        assert!(lg.gadj_contains(2, 3));
         // Untouched edges survive.
-        assert!(lg2.cand_contains(0, 2));
+        assert!(lg.cand_contains(0, 2));
+        // Putting the dropped edge back restores the rows as built.
+        lg.restore_cand(2, 3);
+        for v in 0..lg.len() {
+            assert_eq!(lg.cand(v), built.cand(v));
+        }
     }
 
     #[test]
@@ -316,11 +312,11 @@ mod tests {
         let g = Graph::complete(5);
         let mut position = vec![u32::MAX; g.n()];
         let mut lg = LocalGraph::new();
-        lg.rebuild(&g, &[0, 1, 2, 3], &[], |_| true, &mut position);
+        lg.rebuild(&g, &[0, 1, 2, 3], &[], |_, _, _| true, &mut position);
         assert_eq!(lg.len(), 4);
         assert!(lg.gadj_contains(0, 3));
         // Rebuild over a different (smaller) universe: stale bits must be gone.
-        lg.rebuild(&g, &[4, 1], &[], |_| true, &mut position);
+        lg.rebuild(&g, &[4, 1], &[], |_, _, _| true, &mut position);
         assert_eq!(lg.len(), 2);
         assert_eq!(lg.orig, vec![4, 1]);
         assert!(lg.gadj_contains(0, 1));
@@ -368,9 +364,9 @@ mod tests {
     fn candidates_come_first_and_exclusion_rows_cover_them_only() {
         let g = Graph::complete(5);
         let (candidates, excluded) = ([3, 1], [0, 4, 2]);
-        let asked = std::cell::RefCell::new(Vec::new());
-        let keep = |s| {
-            asked.borrow_mut().push(s);
+        let mut asked = Vec::new();
+        let keep = |s: usize, i: usize, j: usize| {
+            asked.push((s, i, j));
             true
         };
         let mut position = vec![u32::MAX; g.n()];
@@ -378,11 +374,12 @@ mod tests {
         lg.rebuild(&g, &candidates, &excluded, keep, &mut position);
         assert_eq!(lg.orig, vec![3, 1, 0, 4, 2]);
         check_layout(&g, &lg, &candidates, |_| true);
-        // The filter is asked about the one edge between two candidates.
-        assert_eq!(*asked.borrow(), vec![g.slot(3, 1).unwrap()]);
+        // The filter is asked about the one edge between two candidates,
+        // with its ends' local ids.
+        assert_eq!(asked, vec![(g.slot(3, 1).unwrap(), 0, 1)]);
         assert!(position.iter().all(|&p| p == u32::MAX));
         // No candidates: X rows are empty, whatever X holds.
-        lg.rebuild(&g, &[], &[0, 1, 2, 3, 4], |_| true, &mut position);
+        lg.rebuild(&g, &[], &[0, 1, 2, 3, 4], |_, _, _| true, &mut position);
         check_layout(&g, &lg, &[], |_| true);
     }
 
@@ -400,7 +397,7 @@ mod tests {
             (&[0, 3][..], &[299, 2][..]),
             (&[1, 2, 0][..], &[][..]),
         ] {
-            lg.rebuild(&g, candidates, excluded, keep, &mut position);
+            lg.rebuild(&g, candidates, excluded, |s, _, _| keep(s), &mut position);
             check_layout(&g, &lg, candidates, keep);
         }
     }

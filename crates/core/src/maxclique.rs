@@ -335,7 +335,7 @@ pub(crate) fn solve(
             continue;
         }
         bb.stats.initial_branches += 1;
-        build_root_branch(g, worker, |_| true);
+        build_root_branch(g, worker, |_, _, _| true);
         worker.partial.clear();
         worker.partial.push(v);
         let root_c_len = worker.candidates.len();
@@ -378,7 +378,7 @@ pub(crate) fn solve(
                 continue;
             }
             bb.stats.initial_branches += 1;
-            build_root_branch(g, worker, |_| true);
+            build_root_branch(g, worker, |_, _, _| true);
             worker.partial.clear();
             worker.partial.push(v);
             let root_c_len = worker.candidates.len();

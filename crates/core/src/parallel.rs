@@ -611,17 +611,7 @@ pub(crate) fn par_enumerate_ordered_driver<R: CliqueReporter + Send + ?Sized>(
     }
 
     // Rank-independent output first (deterministic given the plan).
-    let mut merged = contain(|| {
-        solver.run_on_plan(
-            &plan,
-            &mut (0..0),
-            true,
-            &mut WorkerState::new(),
-            None,
-            Some(budget),
-            &mut reporter,
-        )
-    })?;
+    let mut merged = contain(|| solver.run_static(&plan, &mut reporter))?;
     hook.cliques(merged.maximal_cliques);
 
     // Worker 0 peels a streamed plan; a whole one is published at once.
@@ -768,7 +758,6 @@ fn run_worker<R: CliqueReporter + Send + ?Sized>(
                         solver.run_on_plan(
                             plan,
                             &mut ranks,
-                            false,
                             &mut state,
                             Some(&sink),
                             Some(budget),
@@ -1009,14 +998,27 @@ mod tests {
     fn ordered_splitting_with_forced_fragmentation_still_matches() {
         // Donate at every branch step: the donation tree is as deep and as
         // fragmented as it can get, and the sequence keys must still
-        // reassemble the sequential stream exactly.
-        let g = test_graph();
-        let baseline = ordered_bytes(&g, &SolverConfig::hbbmc_pp(), 1);
-        for threads in [2, 3, 4, 8] {
-            let (bytes, stats) =
-                driver_bytes(&g, &SolverConfig::hbbmc_pp(), threads, aggressive_pool());
-            assert_eq!(bytes, baseline, "threads {threads}");
-            assert_eq!(stats.splits, stats.steals, "every donation is executed");
+        // reassemble the sequential stream exactly. The edge-level presets
+        // keep branching on later edges after a child returns, so nothing
+        // beneath an edge level may be donated.
+        let mut cases = vec![(test_graph(), SolverConfig::hbbmc_pp())];
+        for g in [mce_gen::moon_moser(5), mce_gen::random_t_plex(30, 3, 5)] {
+            for cfg in [
+                SolverConfig::hbbmc_pp_depth(2),
+                SolverConfig::hbbmc_pp_depth(3),
+                SolverConfig::ebbmc(),
+            ] {
+                cases.push((g.clone(), cfg));
+            }
+        }
+        for (g, cfg) in &cases {
+            let baseline = ordered_bytes(g, cfg, 1);
+            for threads in [2, 3, 4, 8] {
+                let (bytes, stats) = driver_bytes(g, cfg, threads, aggressive_pool());
+                let label = format!("{:?} on n = {}, threads {threads}", cfg.initial, g.n());
+                assert!(bytes == baseline, "{label}: bytes differ");
+                assert_eq!(stats.splits, stats.steals, "every donation is executed");
+            }
         }
     }
 
@@ -1066,7 +1068,8 @@ mod tests {
         // tree, and a tail of disjoint edges puts cliques into later chunks.
         // With cap 1 the second worker's first deposit parks more than the
         // cap, so it is held back, counts as starving and receives the
-        // hub's donations.
+        // hub's donations. The hub waits for that before it starts, so the
+        // donation cannot miss it.
         let hub = mce_gen::planted_hub(29, 4);
         let n = hub.n() + 4 * CHUNK;
         let mut edges: Vec<_> = hub.edges().collect();
@@ -1076,6 +1079,7 @@ mod tests {
         let baseline = ordered_bytes(&g, &cfg, 1);
         let pool = PoolConfig {
             parked_cap: 1,
+            head_waits_for_starving: true,
             ..PoolConfig::default()
         };
         let (bytes, stats) = driver_bytes(&g, &cfg, 2, pool);
@@ -1321,23 +1325,19 @@ mod tests {
         let state = BudgetState::new(&Budget::unlimited());
         let mut worker = WorkerState::new();
         let mut sink = CountReporter::new();
-        let mut run = |ranks: Range<usize>, with_static: bool| {
-            let mut ranks = ranks;
+        solver.run_static(&plan, &mut sink);
+        let mut marks = vec![state.steps_taken()];
+        for rank in 0..plan.root_count() {
             let budget = Some(&state);
             solver.run_on_plan(
                 &plan,
-                &mut ranks,
-                with_static,
+                &mut (rank..rank + 1),
                 &mut worker,
                 None,
                 budget,
                 &mut sink,
             );
-            state.steps_taken()
-        };
-        let mut marks = vec![run(0..0, true)];
-        for rank in 0..plan.root_count() {
-            marks.push(run(rank..rank + 1, false));
+            marks.push(state.steps_taken());
         }
         marks
     }
@@ -1347,15 +1347,9 @@ mod tests {
         let solver = Solver::new(g, *cfg).unwrap();
         let plan = solver.whole_plan();
         let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
-        solver.run_on_plan(
-            &plan,
-            &mut ranks,
-            true,
-            &mut WorkerState::new(),
-            None,
-            None,
-            &mut reporter,
-        );
+        solver.run_static(&plan, &mut reporter);
+        let mut worker = WorkerState::new();
+        solver.run_on_plan(&plan, &mut ranks, &mut worker, None, None, &mut reporter);
         reporter.finish().unwrap()
     }
 
@@ -1672,10 +1666,17 @@ mod tests {
     fn splitting_stats_balance_on_a_skewed_graph() {
         // Natural-order vertex roots on a planted hub: the hub is rank 0 and
         // owns the whole recursion tree. With default settings the idle
-        // worker starves and the hub's root donates to it.
+        // worker starves and the hub's root donates to it; the hub waits
+        // until it does before it starts.
         let g = mce_gen::planted_hub(29, 4);
+        let pool = PoolConfig {
+            head_waits_for_starving: true,
+            ..PoolConfig::default()
+        };
         let mut count = CountReporter::new();
-        let stats = ordered_into(&g, &SolverConfig::bk_pivot(), 2, &mut count);
+        let cfg = SolverConfig::bk_pivot();
+        let stats = par_enumerate_ordered_driver(&g, &cfg, 2, pool, None, &unlimited(), &mut count)
+            .unwrap();
         assert_eq!(count.count, mce_gen::planted_hub_clique_count(29, 4));
         assert!(stats.splits > 0, "{stats:?}");
         assert_eq!(stats.splits, stats.steals);

@@ -164,6 +164,10 @@ pub(crate) struct PoolConfig {
     /// session stops, so a budget cut lands while the peel runs.
     #[cfg(test)]
     pub peel_hold_at: Option<usize>,
+    /// Test-only: the worker that claims rank 0 waits until another worker
+    /// starves before it runs the rank, so a long head root must donate.
+    #[cfg(test)]
+    pub head_waits_for_starving: bool,
 }
 
 impl Default for PoolConfig {
@@ -177,6 +181,8 @@ impl Default for PoolConfig {
             peel_panic_at: None,
             #[cfg(test)]
             peel_hold_at: None,
+            #[cfg(test)]
+            head_waits_for_starving: false,
         }
     }
 }
@@ -273,7 +279,13 @@ impl TaskPool {
                 let start = state.next_rank;
                 state.next_rank = (start + CHUNK).min(state.published);
                 state.active += 1;
-                return Some(PoolWork::Chunk(start..state.next_rank));
+                let chunk = start..state.next_rank;
+                #[cfg(test)]
+                if start == 0 && self.config.head_waits_for_starving {
+                    drop(state);
+                    self.wait_for_starving();
+                }
+                return Some(PoolWork::Chunk(chunk));
             }
             if state.active == 0 && state.next_rank == self.total {
                 // Termination: every chunk claimed, every task executed, no
@@ -370,6 +382,17 @@ impl TaskPool {
                 assert!(Instant::now() < give_up, "the held peel was never stopped");
                 thread::yield_now();
             }
+        }
+    }
+
+    /// Waits until some worker starves (giving up with a panic after ten
+    /// seconds): [`PoolConfig::head_waits_for_starving`].
+    #[cfg(test)]
+    fn wait_for_starving(&self) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while self.starving.load(Ordering::Relaxed) == 0 {
+            assert!(Instant::now() < give_up, "no worker ever starved");
+            thread::yield_now();
         }
     }
 

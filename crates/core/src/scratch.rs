@@ -61,7 +61,10 @@ pub(crate) struct Frame {
     pub branch: Vec<usize>,
     /// Secondary vertex list (the alternative branching set of `BK_Fac`).
     pub alt: Vec<usize>,
-    /// Candidate edges of an edge-oriented step: `(global rank, a, b)`.
+    /// Candidate edges of an edge-oriented step in rank order:
+    /// `(global rank, a, b)`. Only the edge root reads the ranks, to sort its
+    /// list; a deeper level takes its list, already in order, from its
+    /// parent's.
     pub edges: Vec<(u32, usize, usize)>,
 }
 
@@ -155,6 +158,18 @@ impl Frame {
         let c = BitsRef::new(&self.cx[self.base..self.base + self.live], self.cap);
         self.branch.clear();
         c.and_not_collect(row, &mut self.branch);
+    }
+
+    /// Rebuilds the edge list from `edges` (a parent level's later edges, in
+    /// rank order), keeping those with both ends in `C`.
+    pub fn edges_within_c(&mut self, edges: &[(u32, usize, usize)]) {
+        let c = BitsRef::new(&self.cx[self.base..self.base + self.live], self.cap);
+        self.edges.clear();
+        self.edges.extend(
+            edges
+                .iter()
+                .filter(|&&(_, a, b)| c.contains(a) && c.contains(b)),
+        );
     }
 
     /// Splits the frame into disjoint mutable borrows of every buffer, for

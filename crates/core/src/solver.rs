@@ -20,8 +20,10 @@
 //!    truss parameter τ (edge roots).
 //! 2. **Recursive phase.** Inside the local graph the branch `(S, C, X)` is
 //!    refined by vertex-oriented branching with pivoting (Algorithm 1), the
-//!    `BK_Rcd` top-down rule, or — for hybrid depths `d ≥ 2` (Table IV) —
-//!    further edge-oriented levels before switching.
+//!    `BK_Rcd` top-down rule, or — for hybrid depths `d ≥ 2` (Table IV) and
+//!    EBBMC — further edge-oriented levels before switching. An edge level
+//!    branches inside the root's local graph: it drops each edge it branches
+//!    on from the candidate rows and puts them back when it is done.
 //!
 //! # Allocation-free hot path
 //!
@@ -29,11 +31,12 @@
 //! `(C, X)` sets and branch lists of a node at depth `d` live in frame `d` of
 //! a depth-indexed `SearchScratch` arena, children are derived by fused
 //! word-parallel kernels writing into frame `d + 1`, and the root-phase
-//! `LocalGraph` matrices are rebuilt in place per root. Once the buffers have
-//! warmed up, steady-state enumeration performs **zero heap allocations**,
-//! early-terminated branches included: the emitter walks the complement into
-//! flat buffers of the same arena. Use [`Solver::run_with_state`] to carry
-//! the warm buffers across runs.
+//! `LocalGraph` matrices are rebuilt in place per root and edited in place by
+//! the edge levels below it. Once the buffers have warmed up, steady-state
+//! enumeration performs **zero heap allocations**, early-terminated branches
+//! included: the emitter walks the complement into flat buffers of the same
+//! arena. Use [`Solver::run_with_state`] to carry the warm buffers across
+//! runs.
 //!
 //! Early termination (Section IV) and graph reduction are hooked into both
 //! phases exactly as the paper describes: the t-plex test rides along the
@@ -250,7 +253,31 @@ struct Ctx<'a> {
     topk: Option<&'a mut TopKBound>,
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    /// A context with no donor and no top-k bound.
+    fn new(
+        config: SolverConfig,
+        reporter: &'a mut dyn CliqueReporter,
+        budget: Option<&'a BudgetState>,
+    ) -> Self {
+        Ctx {
+            config,
+            stats: EnumerationStats::default(),
+            reporter,
+            donor: None,
+            budget,
+            topk: None,
+        }
+    }
+
+    /// The run's statistics, its wall time since `start` all counted busy.
+    fn finish(self, start: Instant) -> EnumerationStats {
+        let mut stats = self.stats;
+        stats.elapsed = start.elapsed();
+        stats.busy_time = stats.elapsed;
+        stats
+    }
+
     fn report(&mut self, clique: &[VertexId]) {
         self.stats.maximal_cliques += 1;
         self.stats.max_clique_size = self.stats.max_clique_size.max(clique.len());
@@ -495,18 +522,9 @@ impl<'g> Solver<'g> {
         roots_done: &mut dyn FnMut(usize),
     ) -> EnumerationStats {
         let start = Instant::now();
-        let mut ctx = Ctx {
-            config: self.config,
-            stats: EnumerationStats::default(),
-            reporter,
-            donor: None,
-            budget,
-            topk: None,
-        };
+        let mut ctx = Ctx::new(self.config, reporter, budget);
         self.run_chunks(plan, feed, worker, &mut ctx, roots_done);
-        ctx.stats.elapsed = start.elapsed();
-        ctx.stats.busy_time = ctx.stats.elapsed;
-        ctx.stats
+        ctx.finish(start)
     }
 
     /// The loop of [`Solver::run_sequential`], under the caller's context.
@@ -519,7 +537,6 @@ impl<'g> Solver<'g> {
         roots_done: &mut dyn FnMut(usize),
     ) {
         worker.prepare_for(self.graph.n());
-        ctx.stats.ordering_time = plan.ordering_time;
         self.emit_static(plan, ctx);
         while !feed.is_done() && !ctx.budget.is_some_and(BudgetState::poll) {
             let mut ranks = feed.advance(plan, Some(&mut worker.splits));
@@ -535,11 +552,22 @@ impl<'g> Solver<'g> {
         ctx.stats.ordering_time += feed.peel_time();
     }
 
+    /// Emits a plan's rank-independent output (graph reduction cliques,
+    /// isolated vertices): the part of a run that precedes every rank.
+    pub(crate) fn run_static(
+        &self,
+        plan: &RootPlan,
+        reporter: &mut dyn CliqueReporter,
+    ) -> EnumerationStats {
+        let start = Instant::now();
+        let mut ctx = Ctx::new(self.config, reporter, None);
+        self.emit_static(plan, &mut ctx);
+        ctx.finish(start)
+    }
+
     /// Runs root ranks from the front of `ranks` over a prepared plan,
-    /// advancing `ranks.start` past every rank it starts. `with_static`
-    /// selects whether this call also emits the rank-independent output
-    /// (graph reduction cliques, isolated vertices) — exactly one call of a
-    /// run must do so.
+    /// advancing `ranks.start` past every rank it starts. The
+    /// rank-independent output is [`Solver::run_static`]'s.
     ///
     /// With a `sink`, donation is armed: whenever the sink reports starving
     /// workers and this worker has invested at least the sink's step
@@ -550,12 +578,10 @@ impl<'g> Solver<'g> {
     /// its own output and before the next rank's. The run also stops early
     /// when the budget stops the session; the ranks left in `ranks` were not
     /// started.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_on_plan(
         &self,
         plan: &RootPlan,
         ranks: &mut Range<usize>,
-        with_static: bool,
         worker: &mut WorkerState,
         sink: Option<&dyn DonationSink>,
         budget: Option<&BudgetState>,
@@ -571,26 +597,14 @@ impl<'g> Solver<'g> {
                 mem::take(&mut worker.split_stack),
             )
         });
-        let mut ctx = Ctx {
-            config: self.config,
-            stats: EnumerationStats::default(),
-            reporter,
-            donor,
-            budget,
-            topk: None,
-        };
+        let mut ctx = Ctx::new(self.config, reporter, budget);
+        ctx.donor = donor;
         worker.prepare_for(self.graph.n());
-        if with_static {
-            ctx.stats.ordering_time = plan.ordering_time;
-            self.emit_static(plan, &mut ctx);
-        }
         self.run_ranks(plan, ranks, worker, &mut ctx);
         if let Some(donor) = ctx.donor.take() {
             worker.split_stack = donor.stack;
         }
-        ctx.stats.elapsed = start.elapsed();
-        ctx.stats.busy_time = ctx.stats.elapsed;
-        ctx.stats
+        ctx.finish(start)
     }
 
     /// Runs root ranks from the front of `ranks` until they run out, the
@@ -644,14 +658,8 @@ impl<'g> Solver<'g> {
             ..
         } = task;
         let donor = Donor::new(sink, slot, key, mem::take(&mut worker.split_stack));
-        let mut ctx = Ctx {
-            config: self.config,
-            stats: EnumerationStats::default(),
-            reporter,
-            donor: Some(donor),
-            budget,
-            topk: None,
-        };
+        let mut ctx = Ctx::new(self.config, reporter, budget);
+        ctx.donor = Some(donor);
         worker.lg = task_lg;
         worker.scratch.load_root(&c, &x, &branch);
         worker.partial.clear();
@@ -668,9 +676,7 @@ impl<'g> Solver<'g> {
             *split_stack = donor.stack;
         }
         ctx.stats.steals = 1;
-        ctx.stats.elapsed = start.elapsed();
-        ctx.stats.busy_time = ctx.stats.elapsed;
-        ctx.stats
+        ctx.finish(start)
     }
 
     /// Runs an anchored query: streams exactly the maximal cliques of the
@@ -694,14 +700,7 @@ impl<'g> Solver<'g> {
     ) -> EnumerationStats {
         let g = self.graph;
         let start = Instant::now();
-        let mut ctx = Ctx {
-            config: self.config,
-            stats: EnumerationStats::default(),
-            reporter,
-            donor: None,
-            budget,
-            topk: None,
-        };
+        let mut ctx = Ctx::new(self.config, reporter, budget);
         worker.prepare_for(g.n());
         // Common neighbourhood of the anchor, walked from its smallest
         // adjacency list.
@@ -718,7 +717,7 @@ impl<'g> Solver<'g> {
         }
         ctx.stats.anchored_roots_skipped = (g.n() - anchor.len() - worker.candidates.len()) as u64;
         ctx.stats.initial_branches = 1;
-        build_root_branch(g, worker, |_| true);
+        build_root_branch(g, worker, |_, _, _| true);
         worker.partial.clear();
         worker.partial.extend_from_slice(anchor);
         let WorkerState {
@@ -727,10 +726,8 @@ impl<'g> Solver<'g> {
             partial,
             ..
         } = worker;
-        self.dispatch(lg, partial, 0, 0, None, &mut ctx, scratch);
-        ctx.stats.elapsed = start.elapsed();
-        ctx.stats.busy_time = ctx.stats.elapsed;
-        ctx.stats
+        self.dispatch(lg, partial, 0, 0, &mut ctx, scratch);
+        ctx.finish(start)
     }
 
     /// Runs a `TopKBySize { k }` query sequentially with the bound
@@ -769,18 +766,10 @@ impl<'g> Solver<'g> {
             0
         };
         let mut bound = TopKBound::new(k, seed_floor, deg.core);
-        let mut ctx = Ctx {
-            config: self.config,
-            stats: EnumerationStats::default(),
-            reporter,
-            donor: None,
-            budget,
-            topk: Some(&mut bound),
-        };
+        let mut ctx = Ctx::new(self.config, reporter, budget);
+        ctx.topk = Some(&mut bound);
         self.run_chunks(&plan, &mut feed, worker, &mut ctx, &mut |_| {});
-        ctx.stats.elapsed = start.elapsed();
-        ctx.stats.busy_time = ctx.stats.elapsed;
-        ctx.stats
+        ctx.finish(start)
     }
 
     /// The donation check, run once per branch step: after `threshold` steps,
@@ -848,6 +837,7 @@ impl<'g> Solver<'g> {
     /// reported by the graph reduction and — under edge-oriented branching —
     /// the isolated vertices of Eq. (3).
     fn emit_static(&self, plan: &RootPlan, ctx: &mut Ctx<'_>) {
+        ctx.stats.ordering_time = plan.ordering_time;
         ctx.stats.gr_removed_vertices = plan.reduction.removed_count() as u64;
         for clique in &plan.reduction.cliques {
             ctx.stats.gr_cliques += 1;
@@ -903,7 +893,7 @@ impl<'g> Solver<'g> {
             }
         }
         ctx.stats.initial_branches += 1;
-        build_root_branch(g, worker, |_| true);
+        build_root_branch(g, worker, |_, _, _| true);
         worker.partial.clear();
         worker.partial.push(v);
         let WorkerState {
@@ -912,7 +902,7 @@ impl<'g> Solver<'g> {
             partial,
             ..
         } = worker;
-        self.dispatch(lg, partial, 0, 0, None, ctx, scratch);
+        self.dispatch(lg, partial, 0, 0, ctx, scratch);
     }
 
     /// Eq. (2): the root branch of the `rank`-th edge of the ordering.
@@ -956,9 +946,22 @@ impl<'g> Solver<'g> {
         ctx.stats.initial_branches += 1;
         // Eq. (2): edges already processed at the root are removed from the
         // candidate graph of this branch. Only edges between two candidates
-        // are tested: nothing reads a candidate edge with an end in X.
+        // are tested: nothing reads a candidate edge with an end in X. When
+        // edge levels follow, frame 0 lists the kept edges in rank order; a
+        // plan deeper than one level is whole, so their ranks are final.
         let rank = rank as u32;
-        build_root_branch(g, worker, |s| eo.rank(s) > rank);
+        worker.scratch.ensure(0);
+        let mut edges = mem::take(&mut worker.scratch.frame_mut(0).edges);
+        edges.clear();
+        build_root_branch(g, worker, |s, a, b| {
+            let edge_rank = eo.rank(s);
+            if edge_rank > rank && depth > 1 {
+                edges.push((edge_rank, a, b));
+            }
+            edge_rank > rank
+        });
+        edges.sort_unstable();
+        worker.scratch.frame_mut(0).edges = edges;
         worker.partial.clear();
         worker.partial.push(u);
         worker.partial.push(v);
@@ -968,37 +971,30 @@ impl<'g> Solver<'g> {
             partial,
             ..
         } = worker;
-        self.dispatch(
-            lg,
-            partial,
-            0,
-            depth.saturating_sub(1),
-            Some(eo),
-            ctx,
-            scratch,
-        );
+        self.dispatch(lg, partial, 0, depth - 1, ctx, scratch);
     }
 
     // ------------------------------------------------------------------
     // Recursive phase (arena-based: the node at depth `d` owns frame `d`)
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &self,
-        lg: &LocalGraph,
+        lg: &mut LocalGraph,
         partial: &mut Vec<VertexId>,
         depth: usize,
         edge_levels: usize,
-        eo: Option<&EdgeOrdering>,
         ctx: &mut Ctx<'_>,
         scratch: &mut SearchScratch,
     ) {
         if edge_levels > 0 {
-            if let Some(eo) = eo {
-                self.edge_branch_step(lg, partial, depth, edge_levels, eo, ctx, scratch);
-                return;
-            }
+            // Nothing beneath an edge level is donated: the level goes on to
+            // emit its later edges' cliques after a child returns, while a
+            // donation from inside the child is sequenced after all of them.
+            let donor = ctx.donor.take();
+            self.edge_branch_step(lg, partial, depth, edge_levels, ctx, scratch);
+            ctx.donor = donor;
+            return;
         }
         match self.config.recursion {
             RecursionStrategy::Pivoting(strategy) => {
@@ -1008,20 +1004,20 @@ impl<'g> Solver<'g> {
         }
     }
 
-    /// One edge-oriented branching level (Eq. 2 + Eq. 3) inside a local graph.
+    /// One edge-oriented branching level (Eq. 2 + Eq. 3) inside the root's
+    /// local graph, whose frame lists the candidate edges between members of
+    /// `C` in rank order.
     ///
-    /// Unlike the vertex-oriented steady state this step genuinely changes
-    /// the candidate adjacency per child ([`LocalGraph::restrict_candidate`]),
-    /// so it allocates fresh matrices; it only runs for the first
-    /// `depth` levels of the tree (Table IV's `d ≤ 3`).
-    #[allow(clippy::too_many_arguments)]
+    /// Before child `i` the level drops edge `i` from the candidate rows, so
+    /// the child sees exactly the edges ranked after it (Eq. 2). The level
+    /// puts every edge it dropped back before its Eq. (3) loop and before it
+    /// returns, so its caller finds the rows as they were.
     fn edge_branch_step(
         &self,
-        lg: &LocalGraph,
+        lg: &mut LocalGraph,
         partial: &mut Vec<VertexId>,
         depth: usize,
         edge_levels: usize,
-        eo: &EdgeOrdering,
         ctx: &mut Ctx<'_>,
         scratch: &mut SearchScratch,
     ) {
@@ -1036,64 +1032,43 @@ impl<'g> Solver<'g> {
         if ctx.topk_prunes(lg, scratch.frame(depth).c(), partial.len()) {
             return;
         }
+        scratch.frame_mut(depth).branch_from_c();
 
-        // Members of C and their candidate edges, ordered by global position
-        // (the branch inherits π_τ), collected into the frame's buffers.
-        {
-            let f = scratch.frame_mut(depth);
-            f.branch_from_c();
-            f.edges.clear();
-            for (i, &a) in f.branch.iter().enumerate() {
-                for &b in &f.branch[i + 1..] {
-                    if lg.cand_contains(a, b) {
-                        if let Some(s) = self.graph.slot(lg.orig[a], lg.orig[b]) {
-                            f.edges.push((eo.rank(s), a, b));
-                        }
-                    }
-                }
-            }
-            f.edges.sort_unstable();
-        }
-
-        let mut i = 0;
-        while let Some(&(pos, a, b)) = scratch.frame(depth).edges.get(i) {
-            i += 1;
+        let mut dropped = 0;
+        let mut aborted = false;
+        while let Some(&(_, a, b)) = scratch.frame(depth).edges.get(dropped) {
             if ctx.budget_step_abort() {
-                return;
+                aborted = true;
+                break;
             }
-            // Earlier sibling edges of this level (and the current one) are
-            // excluded from the child's candidate graph (Eq. 2), so candidacy
-            // must be evaluated against the restricted adjacency: a common
-            // neighbour whose edge to `a` or `b` was already processed belongs
-            // to the exclusion side.
-            let child_lg = lg.restrict_candidate(|pu, pv| {
-                self.graph.slot(pu, pv).map_or(true, |s| eo.rank(s) > pos)
-            });
+            lg.drop_cand(a, b);
+            dropped += 1;
             {
                 let (parent, child) = scratch.pair(depth);
                 child.set_cap(parent.cap());
                 let (pc, px) = (parent.c(), parent.x());
                 let (mut cc, mut cx) = child.cx_mut();
-                cc.assign_and_count(pc, child_lg.cand(a));
-                cc.intersect_with_words(child_lg.cand(b));
+                cc.assign_and_count(pc, lg.cand(a));
+                cc.intersect_with_words(lg.cand(b));
                 cx.copy_from(pc);
                 cx.union_with_words(px.words());
                 cx.intersect_with_words(lg.gadj(a));
                 cx.intersect_with_words(lg.gadj(b));
                 cx.difference_with_words(cc.as_ref().words());
+                if edge_levels > 1 {
+                    child.edges_within_c(&parent.edges[dropped..]);
+                }
             }
             partial.push(lg.orig[a]);
             partial.push(lg.orig[b]);
-            self.dispatch(
-                &child_lg,
-                partial,
-                depth + 1,
-                edge_levels.saturating_sub(1),
-                Some(eo),
-                ctx,
-                scratch,
-            );
+            self.dispatch(lg, partial, depth + 1, edge_levels - 1, ctx, scratch);
             partial.truncate(partial.len() - 2);
+        }
+        for &(_, a, b) in &scratch.frame(depth).edges[..dropped] {
+            lg.restore_cand(a, b);
+        }
+        if aborted {
+            return;
         }
 
         // Eq. (3): candidates with no candidate edge can only extend S by themselves.
@@ -1372,13 +1347,13 @@ impl<'g> Solver<'g> {
 }
 
 /// Rebuilds the worker's local graph over `candidates ++ excluded`, keeping
-/// the candidate edges whose CSR slot passes `keep_edge` (asked only about
-/// edges between two candidates), and fills frame 0 of the arena with the
-/// root's `C`/`X` sets. Reuses every buffer. Shared with the
-/// branch-and-bound engine in [`crate::maxclique`].
+/// the candidate edges that pass `keep_edge(slot, i, j)` (asked only about
+/// edges between two candidates; see [`LocalGraph::rebuild`]), and fills
+/// frame 0 of the arena with the root's `C`/`X` sets. Reuses every buffer.
+/// Shared with the branch-and-bound engine in [`crate::maxclique`].
 pub(crate) fn build_root_branch<F>(g: &Graph, worker: &mut WorkerState, keep_edge: F)
 where
-    F: Fn(usize) -> bool,
+    F: FnMut(usize, usize, usize) -> bool,
 {
     let WorkerState {
         scratch,
@@ -1674,15 +1649,10 @@ mod tests {
             for part in (0..parts).rev() {
                 let mut ranks = part * total / parts..(part + 1) * total / parts;
                 let mut collector = CollectReporter::new();
-                solver.run_on_plan(
-                    &plan,
-                    &mut ranks,
-                    part == 0,
-                    &mut worker,
-                    None,
-                    None,
-                    &mut collector,
-                );
+                if part == 0 {
+                    solver.run_static(&plan, &mut collector);
+                }
+                solver.run_on_plan(&plan, &mut ranks, &mut worker, None, None, &mut collector);
                 assert!(ranks.is_empty(), "an unbudgeted run starts every rank");
                 all.extend(collector.cliques);
             }

@@ -133,6 +133,36 @@ fn steady_state_recursion_does_not_allocate() {
 }
 
 #[test]
+fn edge_levels_below_the_root_do_not_allocate() {
+    // Table IV's depths 2 and 3, and EBBMC's edge levels all the way down,
+    // branch inside the root's one local graph: a warm run allocates no more
+    // than HBBMC+'s, whose edge levels end at the root.
+    let g = moon_moser(7);
+    let plain = |mut config: SolverConfig| {
+        config.graph_reduction = false;
+        config.early_termination_t = 0;
+        config
+    };
+    let (root_only, root_calls) = warm_run_allocations(&g, &plain(SolverConfig::hbbmc_plus()));
+    for (name, config) in [
+        ("depth 2", SolverConfig::hbbmc_pp_depth(2)),
+        ("depth 3", SolverConfig::hbbmc_pp_depth(3)),
+        ("EBBMC", SolverConfig::ebbmc()),
+    ] {
+        let (allocs, calls) = warm_run_allocations(&g, &plain(config));
+        assert!(
+            calls > root_calls,
+            "{name}: {calls} calls, {root_calls} at depth 1"
+        );
+        assert!(
+            allocs <= root_only,
+            "{name}: warm run allocated {allocs} times over {calls} recursive calls, \
+             {root_only} at depth 1"
+        );
+    }
+}
+
+#[test]
 fn early_terminated_branches_do_not_allocate() {
     // A random 3-plex: HBBMC++ ends thousands of its branches early, each
     // reading its complement's paths and cycles off the local rows. A warm

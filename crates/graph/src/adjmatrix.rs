@@ -85,6 +85,20 @@ impl AdjMatrix {
         self.insert(j, i);
     }
 
+    /// Clears both `(i, j)` and `(j, i)` — removes an undirected edge.
+    #[inline]
+    pub fn remove_sym(&mut self, i: usize, j: usize) {
+        for (r, c) in [(i, j), (j, i)] {
+            debug_assert!(
+                r < self.rows && c < self.cols,
+                "({r}, {c}) out of {} × {}",
+                self.rows,
+                self.cols
+            );
+            self.words[r * self.stride + c / WORD_BITS] &= !(1 << (c % WORD_BITS));
+        }
+    }
+
     /// Whether bit `(i, j)` is set.
     #[inline]
     pub fn contains(&self, i: usize, j: usize) -> bool {
@@ -100,22 +114,6 @@ impl AdjMatrix {
     /// Number of set bits in row `i` (the degree of vertex `i`).
     pub fn row_len(&self, i: usize) -> usize {
         crate::bitset::popcount(self.row(i))
-    }
-
-    /// Iterates over the set bits of row `i` in increasing order.
-    pub fn row_iter(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        self.row(i).iter().enumerate().flat_map(|(wi, &word)| {
-            let mut w = word;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * WORD_BITS + b)
-                }
-            })
-        })
     }
 }
 
@@ -141,7 +139,11 @@ mod tests {
         assert!(m.contains(3, 4));
         assert!(!m.contains(4, 3), "insert is directed");
         assert_eq!(m.row_len(0), 1);
-        assert_eq!(m.row_iter(0).collect::<Vec<_>>(), vec![65]);
+        m.insert_sym(0, 3);
+        m.remove_sym(65, 0);
+        assert!(!m.contains(0, 65) && !m.contains(65, 0));
+        assert_eq!((m.row_len(0), m.row_len(65)), (1, 0), "only (0, 65) went");
+        assert!(m.contains(0, 3) && m.contains(3, 4));
     }
 
     #[test]
@@ -172,7 +174,7 @@ mod tests {
         m.reset(3, 130);
         assert_eq!((m.rows(), m.stride()), (3, 3));
         m.insert(2, 129);
-        assert_eq!(m.row_iter(2).collect::<Vec<_>>(), vec![129]);
+        assert!(m.contains(2, 129) && m.row_len(2) == 1);
         m.reset(200, 3);
         assert_eq!((m.rows(), m.stride()), (200, 1));
         assert!((0..200).all(|i| m.row_len(i) == 0));
