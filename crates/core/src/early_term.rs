@@ -18,7 +18,7 @@
 //! buffers, and streams the cross product depth-first into the caller's
 //! sink, so a warm worker ends a branch without touching the allocator.
 
-use mce_graph::{BitsRef, VertexId};
+use mce_graph::{BitSet, VertexId};
 
 use crate::local::LocalGraph;
 
@@ -96,7 +96,7 @@ impl PlexScratch {
 /// Returns the number of cliques reported (0 for an empty `C`).
 pub(crate) fn enumerate_plex_branch(
     lg: &LocalGraph,
-    c: BitsRef<'_>,
+    c: &BitSet,
     buf: &mut PlexScratch,
     s: &mut Vec<VertexId>,
     report: &mut dyn FnMut(&[VertexId]),
@@ -225,10 +225,9 @@ mod tests {
     /// reported clique in emission order, each as reported.
     fn emitted(lg: &LocalGraph, c: &BitSet, s: &mut Vec<VertexId>) -> Vec<Vec<VertexId>> {
         let mut got = Vec::new();
-        let count =
-            enumerate_plex_branch(lg, c.view(), &mut PlexScratch::default(), s, &mut |cl| {
-                got.push(cl.to_vec())
-            });
+        let count = enumerate_plex_branch(lg, c, &mut PlexScratch::default(), s, &mut |cl| {
+            got.push(cl.to_vec())
+        });
         assert_eq!(count, got.len() as u64);
         got
     }
@@ -440,7 +439,7 @@ mod tests {
         let lg = LocalGraph::from_vertices(&big, &(0..9).collect::<Vec<_>>());
         let count = enumerate_plex_branch(
             &lg,
-            BitSet::full(9).view(),
+            &BitSet::full(9),
             &mut buf,
             &mut Vec::new(),
             &mut |_| {},
@@ -451,7 +450,7 @@ mod tests {
         let mut got = Vec::new();
         let count = enumerate_plex_branch(
             &lg,
-            BitSet::full(4).view(),
+            &BitSet::full(4),
             &mut buf,
             &mut Vec::new(),
             &mut |cl| got.push(cl.to_vec()),

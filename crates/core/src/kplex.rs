@@ -22,11 +22,7 @@ mod tests {
     /// Whether `plex_condition` accepts all of `g` as a t-plex.
     fn is_plex(g: &Graph, t: usize) -> bool {
         let n = g.n();
-        let scan = scan_branch(
-            &local(g),
-            BitSet::full(n).view(),
-            BitSet::with_capacity(n).view(),
-        );
+        let scan = scan_branch(&local(g), &BitSet::full(n), &BitSet::with_capacity(n));
         plex_condition(&scan, n, t)
     }
 
@@ -51,7 +47,7 @@ mod tests {
         let mut cliques = Vec::new();
         let count = enumerate_plex_branch(
             &local(g),
-            BitSet::full(g.n()).view(),
+            &BitSet::full(g.n()),
             &mut buf,
             &mut Vec::new(),
             &mut |cl| cliques.push(cl.to_vec()),

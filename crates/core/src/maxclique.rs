@@ -56,7 +56,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use mce_graph::{degeneracy_ordering, BitSet, BitsRef, Graph, VertexId};
+use mce_graph::{degeneracy_ordering, BitSet, Graph, VertexId};
 
 use crate::budget::{BudgetState, Outcome};
 use crate::local::LocalGraph;
@@ -95,8 +95,8 @@ impl ColoringScratch {
     /// inside `c`, and exactly `|c|` iff the candidate graph is complete.
     /// Each class is an independent set built by repeatedly taking the
     /// smallest still-available vertex and discarding its neighbours.
-    pub(crate) fn color_count(&mut self, lg: &LocalGraph, c: BitsRef<'_>) -> usize {
-        self.uncolored.copy_from_view(c);
+    pub(crate) fn color_count(&mut self, lg: &LocalGraph, c: &BitSet) -> usize {
+        self.uncolored.copy_from(c);
         let mut colors = 0usize;
         while !self.uncolored.is_empty() {
             colors += 1;
@@ -430,7 +430,7 @@ impl Bb<'_> {
 
     /// Greedy-coloring upper bound over `c` (see
     /// [`ColoringScratch::color_count`]).
-    fn color_count(&mut self, lg: &LocalGraph, c: BitsRef<'_>) -> usize {
+    fn color_count(&mut self, lg: &LocalGraph, c: &BitSet) -> usize {
         self.coloring.color_count(lg, c)
     }
 
@@ -458,7 +458,7 @@ impl Bb<'_> {
             self.stats.branches_pruned_by_color += 1;
             return;
         }
-        let colors = self.color_count(lg, scratch.frame(depth).c());
+        let colors = self.color_count(lg, &scratch.frame(depth).c);
         if partial.len() + colors <= self.best.len() {
             self.stats.branches_pruned_by_color += 1;
             return;
@@ -499,7 +499,7 @@ impl Bb<'_> {
             if self.aborted {
                 return;
             }
-            scratch.frame_mut(depth).c_mut().remove(v);
+            scratch.frame_mut(depth).c.remove(v);
             remaining -= 1;
         }
     }
@@ -529,7 +529,7 @@ impl Bb<'_> {
             self.stats.branches_pruned_by_color += 1;
             return false;
         }
-        let colors = self.color_count(lg, scratch.frame(depth).c());
+        let colors = self.color_count(lg, &scratch.frame(depth).c);
         if partial.len() + colors < target {
             self.stats.branches_pruned_by_color += 1;
             return false;
@@ -566,7 +566,7 @@ impl Bb<'_> {
             if found || self.aborted {
                 return found;
             }
-            scratch.frame_mut(depth).c_mut().remove(v);
+            scratch.frame_mut(depth).c.remove(v);
             remaining -= 1;
         }
         false

@@ -12,7 +12,7 @@
 //!   least `|C| − t`, and no candidate edge removed inside `C`), which the
 //!   paper explicitly piggybacks on the pivot scan so its overhead is `O(|C|)`.
 
-use mce_graph::BitsRef;
+use mce_graph::BitSet;
 
 use crate::local::LocalGraph;
 
@@ -44,7 +44,7 @@ pub(crate) struct BranchScan {
 }
 
 /// Scans the branch `(C, X)` over `lg`.
-pub(crate) fn scan_branch(lg: &LocalGraph, c: BitsRef<'_>, x: BitsRef<'_>) -> BranchScan {
+pub(crate) fn scan_branch(lg: &LocalGraph, c: &BitSet, x: &BitSet) -> BranchScan {
     let c_len = c.len();
     let mut scan = BranchScan {
         pivot: usize::MAX,
@@ -129,7 +129,7 @@ mod tests {
         let lg = crate::local::LocalGraph::from_vertices(&g, &[0, 1, 2, 3]);
         let c = set(&[0, 1, 2, 3], 4);
         let x = set(&[], 4);
-        let scan = scan_branch(&lg, c.view(), x.view());
+        let scan = scan_branch(&lg, &c, &x);
         assert_eq!(scan.pivot, 0);
         assert_eq!(scan.pivot_score, 3);
         assert_eq!(scan.min_candidate_gdegree, 1); // vertex 3 only sees 0
@@ -143,7 +143,7 @@ mod tests {
         let lg = crate::local::LocalGraph::from_vertices(&g, &[0, 1, 2, 3]);
         let c = set(&[0, 1, 2], 4);
         let x = set(&[3], 4);
-        let scan = scan_branch(&lg, c.view(), x.view());
+        let scan = scan_branch(&lg, &c, &x);
         assert!(scan.dominated_by_exclusion);
     }
 
@@ -153,7 +153,7 @@ mod tests {
         let g = Graph::from_edges(3, [(0, 1), (0, 2)]).unwrap();
         let lg = crate::local::LocalGraph::from_vertices(&g, &[0, 1, 2]);
         let c = set(&[0, 1, 2], 3);
-        let scan = scan_branch(&lg, c.view(), set(&[], 3).view());
+        let scan = scan_branch(&lg, &c, &set(&[], 3));
         assert_eq!(scan.universal_candidate, Some(0));
     }
 
@@ -165,7 +165,7 @@ mod tests {
             !edge01.contains(&s)
         });
         let c = set(&[0, 1, 2], 3);
-        let scan = scan_branch(&lg, c.view(), set(&[], 3).view());
+        let scan = scan_branch(&lg, &c, &set(&[], 3));
         assert!(!scan.candidate_matches_graph);
     }
 
@@ -173,7 +173,7 @@ mod tests {
     fn scan_of_empty_sets() {
         let g = Graph::complete(3);
         let lg = crate::local::LocalGraph::from_vertices(&g, &[0, 1, 2]);
-        let scan = scan_branch(&lg, set(&[], 3).view(), set(&[], 3).view());
+        let scan = scan_branch(&lg, &set(&[], 3), &set(&[], 3));
         assert_eq!(scan.pivot, usize::MAX);
         assert_eq!(scan.min_candidate_gdegree, 0);
     }
@@ -183,7 +183,7 @@ mod tests {
         let g = Graph::complete(5);
         let lg = crate::local::LocalGraph::from_vertices(&g, &[0, 1, 2, 3, 4]);
         let c = set(&[0, 1, 2, 3, 4], 5);
-        let scan = scan_branch(&lg, c.view(), set(&[], 5).view());
+        let scan = scan_branch(&lg, &c, &set(&[], 5));
         // A clique is a 1-plex.
         assert!(plex_condition(&scan, c.len(), 1));
         assert!(plex_condition(&scan, c.len(), 3));
@@ -195,7 +195,7 @@ mod tests {
         let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
         let lg = crate::local::LocalGraph::from_vertices(&g, &[0, 1, 2, 3, 4]);
         let c = set(&[0, 1, 2, 3, 4], 5);
-        let scan = scan_branch(&lg, c.view(), set(&[], 5).view());
+        let scan = scan_branch(&lg, &c, &set(&[], 5));
         assert!(!plex_condition(&scan, c.len(), 2));
         assert!(plex_condition(&scan, c.len(), 3));
     }
@@ -208,7 +208,7 @@ mod tests {
             !edge01.contains(&s)
         });
         let c = set(&[0, 1, 2, 3], 4);
-        let scan = scan_branch(&lg, c.view(), set(&[], 4).view());
+        let scan = scan_branch(&lg, &c, &set(&[], 4));
         assert!(!plex_condition(&scan, c.len(), 3));
     }
 }

@@ -10,52 +10,24 @@
 //! depth is enough, and after the arena has grown to the deepest branch every
 //! further node runs with **zero heap allocations**.
 //!
-//! # Frame slab layout
-//!
-//! Each [`Frame`] stores its `C` and `X` rows in **one contiguous `Vec<u64>`
-//! slab**: the `C` row starts at a 64-byte-aligned offset and the `X` row
-//! follows at a stride rounded up to a whole number of cache lines (8 words).
-//! The node's two hottest bit rows therefore live on adjacent cache lines
-//! with no pointer chase between them, and `C`/`X` never share a line (no
-//! false sharing between the intersect and exclusion kernels of one child
-//! derivation). Rows are exposed as [`BitsRef`]/[`BitsMut`] views carrying
-//! the exact `BitSet` word semantics; the branch/alt/edge lists stay separate
-//! `Vec`s because their lengths are data-dependent.
-//!
-//! After [`Frame::set_cap`] changes the row geometry the row *contents* are
-//! unspecified — every caller either fully rewrites both rows (the child
-//! derivation) or explicitly resets them ([`Frame::reset`], the root loader).
-//!
 //! [`WorkerState`] bundles the arena with the root-phase buffers (the
 //! candidate/exclusion splits, the dense [`LocalGraph`] whose adjacency
 //! matrices are rebuilt in place per root, and the original-id → local-id
 //! position map), so a whole enumeration run touches the allocator only while
 //! warming up.
 
-use mce_graph::{BitSet, BitsMut, BitsRef, VertexId};
+use mce_graph::{BitSet, VertexId};
 
 use crate::early_term::PlexScratch;
 use crate::local::LocalGraph;
 
-const WORD_BITS: usize = 64;
-/// Words per cache line; row strides are rounded up to this.
-const LINE_WORDS: usize = 8;
-
-/// Scratch buffers of one recursion depth. `C` and `X` live in one
-/// cache-line-aligned slab (see the module docs); the vertex/edge lists are
-/// plain `Vec`s.
+/// Scratch buffers of one recursion depth.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Frame {
-    /// The C/X slab: alignment padding, then the `C` row, then the `X` row.
-    cx: Vec<u64>,
-    /// Start offset (in words) of the `C` row within the slab.
-    base: usize,
-    /// Row stride in words (`live` rounded up to a cache line).
-    row_words: usize,
-    /// Live words per row: `cap.div_ceil(64)`, the `BitSet` invariant.
-    live: usize,
-    /// Capacity (universe size) of both rows.
-    cap: usize,
+    /// The candidate set `C`.
+    pub c: BitSet,
+    /// The exclusion set `X`.
+    pub x: BitSet,
     /// Branch vertex list (pivot-pruned candidates, or the member list of an
     /// edge-oriented step).
     pub branch: Vec<usize>,
@@ -69,101 +41,26 @@ pub(crate) struct Frame {
 }
 
 impl Frame {
-    /// Capacity (universe size) of the frame's `C`/`X` rows.
-    #[inline]
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Adjusts the slab geometry for rows of capacity `cap`. Row contents are
-    /// **unspecified** after a capacity change (callers fully rewrite or
-    /// [`Frame::reset`]); a same-capacity call keeps the rows intact.
-    pub fn set_cap(&mut self, cap: usize) {
-        if cap == self.cap && !self.cx.is_empty() {
-            return;
-        }
-        let live = cap.div_ceil(WORD_BITS);
-        let row_words = live.div_ceil(LINE_WORDS).max(1) * LINE_WORDS;
-        // Up to 7 leading words bring the C row to a 64-byte boundary.
-        self.cx.resize(LINE_WORDS - 1 + 2 * row_words, 0);
-        // align_offset counts elements; a u64 pointer is 8-byte aligned, so
-        // the offset is always < 8 and fits the padding above. Alignment is a
-        // performance property only — offsets stay valid if the Vec is ever
-        // cloned onto a differently aligned allocation.
-        let base = self.cx.as_ptr().align_offset(64).min(LINE_WORDS - 1);
-        self.base = base;
-        self.row_words = row_words;
-        self.live = live;
-        self.cap = cap;
-    }
-
-    /// [`Frame::set_cap`] followed by zeroing both rows — the slab analogue
-    /// of `BitSet::reset` on `C` and `X`.
-    pub fn reset(&mut self, cap: usize) {
-        self.set_cap(cap);
-        let end = self.base + self.row_words + self.live;
-        self.cx[self.base..end].iter_mut().for_each(|w| *w = 0);
-    }
-
-    /// The candidate row `C` as a read-only view.
-    #[inline]
-    pub fn c(&self) -> BitsRef<'_> {
-        BitsRef::new(&self.cx[self.base..self.base + self.live], self.cap)
-    }
-
-    /// The exclusion row `X` as a read-only view.
-    #[inline]
-    pub fn x(&self) -> BitsRef<'_> {
-        let x0 = self.base + self.row_words;
-        BitsRef::new(&self.cx[x0..x0 + self.live], self.cap)
-    }
-
-    /// The candidate row `C` as a mutable view.
-    #[inline]
-    pub fn c_mut(&mut self) -> BitsMut<'_> {
-        BitsMut::new(&mut self.cx[self.base..self.base + self.live], self.cap)
-    }
-
-    /// The exclusion row `X` as a mutable view.
-    #[inline]
-    pub fn x_mut(&mut self) -> BitsMut<'_> {
-        let x0 = self.base + self.row_words;
-        BitsMut::new(&mut self.cx[x0..x0 + self.live], self.cap)
-    }
-
-    /// Both rows as simultaneous mutable views.
-    #[inline]
-    pub fn cx_mut(&mut self) -> (BitsMut<'_>, BitsMut<'_>) {
-        let x0 = self.base + self.row_words;
-        let (left, right) = self.cx.split_at_mut(x0);
-        (
-            BitsMut::new(&mut left[self.base..self.base + self.live], self.cap),
-            BitsMut::new(&mut right[..self.live], self.cap),
-        )
-    }
-
     /// Rebuilds the branch list from the current contents of `C` (ascending
     /// local ids), reusing the list's allocation.
     #[inline]
     pub fn branch_from_c(&mut self) {
-        let c = BitsRef::new(&self.cx[self.base..self.base + self.live], self.cap);
         self.branch.clear();
-        self.branch.extend(c.iter());
+        self.branch.extend(self.c.iter());
     }
 
     /// Rebuilds the branch list as `C \ row` (the pivot-pruned candidate
     /// list), reusing the list's allocation.
     #[inline]
     pub fn branch_from_c_and_not(&mut self, row: &[u64]) {
-        let c = BitsRef::new(&self.cx[self.base..self.base + self.live], self.cap);
         self.branch.clear();
-        c.and_not_collect(row, &mut self.branch);
+        self.c.and_not_collect(row, &mut self.branch);
     }
 
     /// Rebuilds the edge list from `edges` (a parent level's later edges, in
     /// rank order), keeping those with both ends in `C`.
     pub fn edges_within_c(&mut self, edges: &[(u32, usize, usize)]) {
-        let c = BitsRef::new(&self.cx[self.base..self.base + self.live], self.cap);
+        let c = &self.c;
         self.edges.clear();
         self.edges.extend(
             edges
@@ -171,31 +68,6 @@ impl Frame {
                 .filter(|&&(_, a, b)| c.contains(a) && c.contains(b)),
         );
     }
-
-    /// Splits the frame into disjoint mutable borrows of every buffer, for
-    /// callers that mix row kernels with list edits in one pass.
-    pub fn parts(&mut self) -> FrameParts<'_> {
-        let x0 = self.base + self.row_words;
-        let (left, right) = self.cx.split_at_mut(x0);
-        FrameParts {
-            c: BitsMut::new(&mut left[self.base..self.base + self.live], self.cap),
-            x: BitsMut::new(&mut right[..self.live], self.cap),
-            branch: &mut self.branch,
-            alt: &mut self.alt,
-        }
-    }
-}
-
-/// Disjoint mutable borrows of one [`Frame`]'s buffers (see [`Frame::parts`]).
-pub(crate) struct FrameParts<'a> {
-    /// The candidate row `C`.
-    pub c: BitsMut<'a>,
-    /// The exclusion row `X`.
-    pub x: BitsMut<'a>,
-    /// The branch vertex list.
-    pub branch: &'a mut Vec<usize>,
-    /// The alternative branching list of `BK_Fac`.
-    pub alt: &'a mut Vec<usize>,
 }
 
 /// Depth-indexed arena of [`Frame`]s for one worker, plus the buffers of
@@ -219,11 +91,11 @@ impl SearchScratch {
         &mut self.frames[depth]
     }
 
-    /// The candidate row of frame `depth` with the early-termination
+    /// The candidate set of frame `depth` with the early-termination
     /// buffers, borrowed together for the emitter.
     #[inline]
-    pub fn plex_parts(&mut self, depth: usize) -> (BitsRef<'_>, &mut PlexScratch) {
-        (self.frames[depth].c(), &mut self.plex)
+    pub fn plex_parts(&mut self, depth: usize) -> (&BitSet, &mut PlexScratch) {
+        (&self.frames[depth].c, &mut self.plex)
     }
 
     /// Grows the arena so frames `0..=depth` exist.
@@ -252,9 +124,8 @@ impl SearchScratch {
         debug_assert_eq!(c.capacity(), x.capacity());
         self.ensure(0);
         let f0 = self.frame_mut(0);
-        f0.set_cap(c.capacity());
-        f0.c_mut().copy_from(c.view());
-        f0.x_mut().copy_from(x.view());
+        f0.c.copy_from(c);
+        f0.x.copy_from(x);
         f0.branch.clear();
         f0.branch.extend_from_slice(branch);
     }
@@ -272,26 +143,21 @@ impl SearchScratch {
     #[inline]
     pub fn make_child(&mut self, depth: usize, lg: &LocalGraph, v: usize) -> usize {
         let (parent, child) = self.pair(depth);
-        child.set_cap(parent.cap());
-        let (pc, px) = (parent.c(), parent.x());
-        let (mut cc, mut cx) = child.cx_mut();
-        let count = cc.assign_and_count(pc, lg.cand(v));
-        cx.copy_from(pc);
-        cx.union_with_words(px.words());
-        cx.intersect_with_words(lg.gadj(v));
-        cx.difference_with_words(cc.as_ref().words());
+        let count = parent.c.intersect_into_count(lg.cand(v), &mut child.c);
+        child.x.copy_from(&parent.c);
+        child.x.union_with_words(parent.x.words());
+        child.x.intersect_with_words(lg.gadj(v));
+        child.x.difference_with_words(child.c.words());
         count
     }
 
     /// The `C`-only child derivation of the branch-and-bound engine:
-    /// `C' = C ∩ row`, returning `|C'|`. The child's `X` row is left
-    /// untouched (the B&B recursion never reads it).
+    /// `C' = C ∩ row`, returning `|C'|`. The child's `X` is left untouched
+    /// (the B&B recursion never reads it).
     #[inline]
     pub fn make_child_c(&mut self, depth: usize, row: &[u64]) -> usize {
         let (parent, child) = self.pair(depth);
-        child.set_cap(parent.cap());
-        let pc = parent.c();
-        child.c_mut().assign_and_count(pc, row)
+        parent.c.intersect_into_count(row, &mut child.c)
     }
 }
 
@@ -413,6 +279,7 @@ impl WorkerState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::splitmix64;
     use mce_graph::Graph;
 
     #[test]
@@ -428,52 +295,11 @@ mod tests {
     }
 
     #[test]
-    fn frame_rows_share_one_slab_with_line_stride() {
-        let mut f = Frame::default();
-        f.reset(130); // 3 live words → stride 8
-        assert_eq!(f.cap(), 130);
-        assert_eq!(f.c().words().len(), 3);
-        assert_eq!(f.x().words().len(), 3);
-        let c0 = f.c().words().as_ptr() as usize;
-        let x0 = f.x().words().as_ptr() as usize;
-        assert_eq!(x0 - c0, 8 * 8, "X starts one cache-line stride after C");
-        assert_eq!(c0 % 64, 0, "C row is cache-line aligned");
-    }
-
-    #[test]
-    fn frame_reset_zeroes_and_set_cap_keeps_same_cap() {
-        let mut f = Frame::default();
-        f.reset(70);
-        f.c_mut().insert(69);
-        f.x_mut().insert(1);
-        // Same capacity: rows intact.
-        f.set_cap(70);
-        assert!(f.c().contains(69) && f.x().contains(1));
-        // Reset clears both rows.
-        f.reset(70);
-        assert!(f.c().is_empty() && f.x().is_empty());
-    }
-
-    #[test]
-    fn frame_rows_have_bitset_out_of_range_contract() {
-        let mut f = Frame::default();
-        f.reset(70);
-        let mut c = f.c_mut();
-        assert!(!c.insert(70), "insert past cap is a no-op");
-        assert!(!c.insert(1000));
-        assert!(c.is_empty());
-        assert!(!c.contains(70));
-        assert!(!c.remove(70));
-        assert!(c.insert(69));
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
     fn branch_from_c_lists_candidates_in_order() {
         let mut f = Frame::default();
-        f.reset(100);
+        f.c.reset(100);
         for v in [70, 3, 65] {
-            f.c_mut().insert(v);
+            f.c.insert(v);
         }
         f.branch.push(999); // stale content is replaced
         f.branch_from_c();
@@ -488,18 +314,19 @@ mod tests {
         let mut s = SearchScratch::default();
         s.ensure(0);
         let f0 = s.frame_mut(0);
-        f0.reset(4);
+        f0.c.reset(4);
+        f0.x.reset(4);
         for v in [1, 2, 3] {
-            f0.c_mut().insert(v);
+            f0.c.insert(v);
         }
-        f0.x_mut().insert(0);
+        f0.x.insert(0);
         // Branch on local vertex 2: C' = {1, 3}, X' = {0} (0 adjacent to 2).
         let count = s.make_child(0, &lg, 2);
         assert_eq!(count, 2, "fused count is |C'|");
-        assert_eq!(s.frame(1).c().iter().collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(s.frame(1).x().iter().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(s.frame(1).c.iter().collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(s.frame(1).x.iter().collect::<Vec<_>>(), vec![0]);
         // Parent frame is untouched.
-        assert_eq!(s.frame(0).c().iter().collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(s.frame(0).c.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
     #[test]
@@ -509,13 +336,15 @@ mod tests {
         let mut s = SearchScratch::default();
         s.ensure(0);
         let f0 = s.frame_mut(0);
-        f0.reset(3);
+        f0.c.reset(3);
+        f0.x.reset(3);
         for v in [0, 1, 2] {
-            f0.c_mut().insert(v);
+            f0.c.insert(v);
         }
         let count = s.make_child_c(0, lg.cand(0));
         assert_eq!(count, 2);
-        assert_eq!(s.frame(1).c().iter().collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(s.frame(1).c.iter().collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(s.frame(1).x, BitSet::default(), "X' is never written");
     }
 
     #[test]
@@ -527,13 +356,83 @@ mod tests {
         let mut x = BitSet::with_capacity(6);
         x.insert(0);
         s.load_root(&c, &x, &[4, 1]);
-        assert_eq!(s.frame(0).c().iter().collect::<Vec<_>>(), vec![1, 4]);
-        assert_eq!(s.frame(0).x().iter().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(s.frame(0).c.iter().collect::<Vec<_>>(), vec![1, 4]);
+        assert_eq!(s.frame(0).x.iter().collect::<Vec<_>>(), vec![0]);
         assert_eq!(s.frame(0).branch, vec![4, 1]);
         // Reloading reuses the frame and replaces its contents.
         s.load_root(&x, &c, &[2]);
-        assert_eq!(s.frame(0).c().iter().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(s.frame(0).c.iter().collect::<Vec<_>>(), vec![0]);
         assert_eq!(s.frame(0).branch, vec![2]);
+    }
+
+    /// Derives the child of frame `depth` on `v` and checks it against the
+    /// formula, computed from the local graph's membership tests over the
+    /// universe `0..k`.
+    fn check_make_child(s: &mut SearchScratch, depth: usize, lg: &LocalGraph, v: usize, k: usize) {
+        let (c, x) = (s.frame(depth).c.clone(), s.frame(depth).x.clone());
+        let count = s.make_child(depth, lg, v);
+        let want_c: Vec<usize> = c.iter().filter(|&w| lg.cand_contains(v, w)).collect();
+        let want_x: Vec<usize> = (0..k)
+            .filter(|&w| (c.contains(w) || x.contains(w)) && lg.gadj_contains(v, w))
+            .filter(|w| !want_c.contains(w))
+            .collect();
+        let child = s.frame(depth + 1);
+        assert_eq!(child.c.iter().collect::<Vec<_>>(), want_c, "C' at k = {k}");
+        assert_eq!(child.x.iter().collect::<Vec<_>>(), want_x, "X' at k = {k}");
+        assert_eq!(count, want_c.len());
+        assert_eq!((child.c.capacity(), child.x.capacity()), (k, k));
+        assert_eq!(child.c.words().len(), k.div_ceil(64));
+        assert_eq!(child.x.words().len(), k.div_ceil(64));
+    }
+
+    #[test]
+    fn frames_stay_exact_across_capacity_changes() {
+        // One warm arena through local graphs whose sizes cross 64-bit word
+        // boundaries both ways: every loaded or derived set is exactly the
+        // formula's, over exactly the new universe, so no bit of a larger
+        // graph survives into a smaller one.
+        for seed in 0..16u64 {
+            let mut s = SearchScratch::default();
+            let mut draws = 0u64;
+            let mut draw = || {
+                draws += 1;
+                splitmix64(seed << 32 | draws)
+            };
+            for k in [3usize, 70, 130, 64, 1, 200] {
+                let g = mce_gen::erdos_renyi(k, k * k / 4, seed);
+                // Root candidates first (vertex 0 always is one), and some
+                // candidate edges dropped so N_cand(v) is smaller than N(v).
+                let (cands, excl): (Vec<VertexId>, Vec<VertexId>) =
+                    (0..k as VertexId).partition(|&v| v == 0 || draw() % 4 != 0);
+                let mut lg = LocalGraph::new();
+                let mut position = vec![u32::MAX; k];
+                lg.rebuild(&g, &cands, &excl, |slot, _, _| slot % 5 != 0, &mut position);
+                let mut c = BitSet::with_capacity(k);
+                let mut x = BitSet::with_capacity(k);
+                for v in 0..k {
+                    match draw() % 3 {
+                        0 if v < cands.len() => c.insert(v),
+                        1 => x.insert(v),
+                        _ => false,
+                    };
+                }
+                let branch: Vec<usize> = c.iter().collect();
+                s.load_root(&c, &x, &branch);
+                assert_eq!((&s.frame(0).c, &s.frame(0).x), (&c, &x), "root at k = {k}");
+                assert_eq!(s.frame(0).branch, branch);
+                for &v in &branch {
+                    check_make_child(&mut s, 0, &lg, v, k);
+                    if let Some(w) = s.frame(1).c.first() {
+                        check_make_child(&mut s, 1, &lg, w, k);
+                    }
+                    let count = s.make_child_c(0, lg.cand(v));
+                    let want: Vec<usize> = c.iter().filter(|&w| lg.cand_contains(v, w)).collect();
+                    assert_eq!(s.frame(1).c.iter().collect::<Vec<_>>(), want);
+                    assert_eq!(count, want.len());
+                    assert_eq!(s.frame(1).c.capacity(), k);
+                }
+            }
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 
 use mce_graph::ordering::{edge_ordering, vertex_ordering, EdgeOrdering};
 use mce_graph::truss::TrussPeel;
-use mce_graph::{degeneracy_ordering, BitsRef, EdgeOrderingKind, Graph, VertexId};
+use mce_graph::{degeneracy_ordering, BitSet, EdgeOrderingKind, Graph, VertexId};
 
 use crate::budget::BudgetState;
 use crate::config::{
@@ -293,7 +293,7 @@ impl<'a> Ctx<'a> {
     /// the greedy-coloring upper bound on `C` — and was pruned (counted in
     /// [`EnumerationStats::branches_pruned_by_color`]). Always `false`
     /// outside a top-k run or before `k` cliques have been observed.
-    fn topk_prunes(&mut self, lg: &LocalGraph, c: BitsRef<'_>, partial_len: usize) -> bool {
+    fn topk_prunes(&mut self, lg: &LocalGraph, c: &BitSet, partial_len: usize) -> bool {
         let Some(tb) = self.topk.as_deref_mut() else {
             return false;
         };
@@ -801,19 +801,16 @@ impl<'g> Solver<'g> {
             if entry.next_idx >= f.branch.len() {
                 continue; // the current vertex is this loop's last
             }
-            if !f.branch[entry.next_idx..]
-                .iter()
-                .any(|&w| f.c().contains(w))
-            {
+            if !f.branch[entry.next_idx..].iter().any(|&w| f.c.contains(w)) {
                 continue;
             }
             // The loop is inside `branch[next_idx - 1]`'s subtree: in the
             // sequential order the donated siblings run *after* it finishes,
             // with the current vertex moved from C to X.
             let cur = f.branch[entry.next_idx - 1];
-            let mut c = f.c().to_bitset();
+            let mut c = f.c.clone();
             c.remove(cur);
-            let mut x = f.x().to_bitset();
+            let mut x = f.x.clone();
             x.insert(cur);
             let task = BranchTask {
                 slot: donor.slot,
@@ -1024,12 +1021,12 @@ impl<'g> Solver<'g> {
         ctx.stats.recursive_calls += 1;
         {
             let f = scratch.frame(depth);
-            if f.c().is_empty() && f.x().is_empty() {
+            if f.c.is_empty() && f.x.is_empty() {
                 ctx.report(partial);
                 return;
             }
         }
-        if ctx.topk_prunes(lg, scratch.frame(depth).c(), partial.len()) {
+        if ctx.topk_prunes(lg, &scratch.frame(depth).c, partial.len()) {
             return;
         }
         scratch.frame_mut(depth).branch_from_c();
@@ -1045,16 +1042,13 @@ impl<'g> Solver<'g> {
             dropped += 1;
             {
                 let (parent, child) = scratch.pair(depth);
-                child.set_cap(parent.cap());
-                let (pc, px) = (parent.c(), parent.x());
-                let (mut cc, mut cx) = child.cx_mut();
-                cc.assign_and_count(pc, lg.cand(a));
-                cc.intersect_with_words(lg.cand(b));
-                cx.copy_from(pc);
-                cx.union_with_words(px.words());
-                cx.intersect_with_words(lg.gadj(a));
-                cx.intersect_with_words(lg.gadj(b));
-                cx.difference_with_words(cc.as_ref().words());
+                parent.c.intersect_into(lg.cand(a), &mut child.c);
+                child.c.intersect_with_words(lg.cand(b));
+                child.x.copy_from(&parent.c);
+                child.x.union_with_words(parent.x.words());
+                child.x.intersect_with_words(lg.gadj(a));
+                child.x.intersect_with_words(lg.gadj(b));
+                child.x.difference_with_words(child.c.words());
                 if edge_levels > 1 {
                     child.edges_within_c(&parent.edges[dropped..]);
                 }
@@ -1079,10 +1073,10 @@ impl<'g> Solver<'g> {
                 return;
             }
             let f = scratch.frame(depth);
-            if f.c().intersection_len_words(lg.cand(w)) == 0 {
+            if f.c.intersection_len_words(lg.cand(w)) == 0 {
                 ctx.stats.recursive_calls += 1;
-                let extendable = f.c().intersection_len_words(lg.gadj(w)) > 0
-                    || f.x().intersection_len_words(lg.gadj(w)) > 0;
+                let extendable = f.c.intersection_len_words(lg.gadj(w)) > 0
+                    || f.x.intersection_len_words(lg.gadj(w)) > 0;
                 if !extendable {
                     partial.push(lg.orig[w]);
                     ctx.report(partial);
@@ -1106,15 +1100,15 @@ impl<'g> Solver<'g> {
         ctx.stats.recursive_calls += 1;
         let (c_len, x_empty) = {
             let f = scratch.frame(depth);
-            if f.c().is_empty() {
-                if f.x().is_empty() {
+            if f.c.is_empty() {
+                if f.x.is_empty() {
                     ctx.report(partial);
                 }
                 return;
             }
-            (f.c().len(), f.x().is_empty())
+            (f.c.len(), f.x.is_empty())
         };
-        if ctx.topk_prunes(lg, scratch.frame(depth).c(), partial.len()) {
+        if ctx.topk_prunes(lg, &scratch.frame(depth).c, partial.len()) {
             return;
         }
         let t = ctx.config.early_termination_t;
@@ -1122,7 +1116,7 @@ impl<'g> Solver<'g> {
             t >= 1 || matches!(strategy, PivotStrategy::Classic | PivotStrategy::Refined);
         let scan = if need_scan {
             let f = scratch.frame(depth);
-            Some(scan_branch(lg, f.c(), f.x()))
+            Some(scan_branch(lg, &f.c, &f.x))
         } else {
             None
         };
@@ -1157,13 +1151,10 @@ impl<'g> Solver<'g> {
                     // maximal clique of this branch, so absorb it without branching.
                     {
                         let (parent, child) = scratch.pair(depth);
-                        child.set_cap(parent.cap());
-                        let (pc, px) = (parent.c(), parent.x());
-                        let (mut cc, mut cx) = child.cx_mut();
-                        cc.copy_from(pc);
-                        cc.remove(u);
-                        cx.copy_from(px);
-                        cx.intersect_with_words(lg.gadj(u));
+                        child.c.copy_from(&parent.c);
+                        child.c.remove(u);
+                        child.x.copy_from(&parent.x);
+                        child.x.intersect_with_words(lg.gadj(u));
                     }
                     partial.push(lg.orig[u]);
                     self.pivot_rec(lg, partial, depth + 1, strategy, ctx, scratch);
@@ -1200,7 +1191,7 @@ impl<'g> Solver<'g> {
         let mut i = 0;
         while let Some(&v) = scratch.frame(depth).branch.get(i) {
             i += 1;
-            if !scratch.frame(depth).c().contains(v) {
+            if !scratch.frame(depth).c.contains(v) {
                 continue;
             }
             if ctx.budget_step_abort() {
@@ -1215,7 +1206,7 @@ impl<'g> Solver<'g> {
             if ctx.branch_loop_donated(slot) {
                 break;
             }
-            let mut f = scratch.frame_mut(depth).parts();
+            let f = scratch.frame_mut(depth);
             f.c.remove(v);
             f.x.insert(v);
         }
@@ -1234,29 +1225,29 @@ impl<'g> Solver<'g> {
     ) {
         {
             let f = scratch.frame_mut(depth);
-            let Some(v0) = f.c().first() else { return };
+            let Some(v0) = f.c.first() else { return };
             f.branch_from_c_and_not(lg.cand(v0));
         }
         while let Some(&u) = scratch.frame(depth).branch.first() {
             if ctx.budget_step_abort() {
                 return;
             }
-            if scratch.frame(depth).c().contains(u) {
+            if scratch.frame(depth).c.contains(u) {
                 scratch.make_child(depth, lg, u);
                 partial.push(lg.orig[u]);
                 self.pivot_rec(lg, partial, depth + 1, PivotStrategy::Factor, ctx, scratch);
                 partial.pop();
-                let mut f = scratch.frame_mut(depth).parts();
+                let f = scratch.frame_mut(depth);
                 f.c.remove(u);
                 f.x.insert(u);
             }
-            let f = scratch.frame_mut(depth).parts();
-            let c = f.c.as_ref();
+            let f = scratch.frame_mut(depth);
+            let c = &f.c;
             f.branch.retain(|&w| w != u && c.contains(w));
             f.alt.clear();
-            c.and_not_collect(lg.cand(u), f.alt);
+            c.and_not_collect(lg.cand(u), &mut f.alt);
             if f.alt.len() < f.branch.len() {
-                std::mem::swap(f.branch, f.alt);
+                std::mem::swap(&mut f.branch, &mut f.alt);
             }
         }
     }
@@ -1274,7 +1265,7 @@ impl<'g> Solver<'g> {
         ctx.stats.recursive_calls += 1;
         {
             let f = scratch.frame(depth);
-            if f.c().is_empty() && f.x().is_empty() {
+            if f.c.is_empty() && f.x.is_empty() {
                 ctx.report(partial);
                 return;
             }
@@ -1286,17 +1277,17 @@ impl<'g> Solver<'g> {
             }
             let (c_len, x_empty) = {
                 let f = scratch.frame(depth);
-                if f.c().is_empty() {
+                if f.c.is_empty() {
                     return;
                 }
-                (f.c().len(), f.x().is_empty())
+                (f.c.len(), f.x.is_empty())
             };
-            if ctx.topk_prunes(lg, scratch.frame(depth).c(), partial.len()) {
+            if ctx.topk_prunes(lg, &scratch.frame(depth).c, partial.len()) {
                 return;
             }
             let scan = {
                 let f = scratch.frame(depth);
-                scan_branch(lg, f.c(), f.x())
+                scan_branch(lg, &f.c, &f.x)
             };
             if t >= 1 && plex_condition(&scan, c_len, t) {
                 ctx.stats.et_eligible += 1;
@@ -1310,7 +1301,7 @@ impl<'g> Solver<'g> {
             if candidate_is_clique {
                 if !scan.dominated_by_exclusion {
                     let before = partial.len();
-                    for v in scratch.frame(depth).c().iter() {
+                    for v in scratch.frame(depth).c.iter() {
                         partial.push(lg.orig[v]);
                     }
                     ctx.report(partial);
@@ -1323,7 +1314,7 @@ impl<'g> Solver<'g> {
             partial.push(lg.orig[v]);
             self.rcd_rec(lg, partial, depth + 1, ctx, scratch);
             partial.pop();
-            let mut f = scratch.frame_mut(depth).parts();
+            let f = scratch.frame_mut(depth);
             f.c.remove(v);
             f.x.insert(v);
         }
@@ -1367,14 +1358,13 @@ where
     let k = lg.len();
     scratch.ensure(0);
     let f0 = scratch.frame_mut(0);
-    f0.reset(k);
-    let mut c = f0.c_mut();
+    f0.c.reset(k);
+    f0.x.reset(k);
     for i in 0..candidates.len() {
-        c.insert(i);
+        f0.c.insert(i);
     }
-    let mut x = f0.x_mut();
     for i in candidates.len()..k {
-        x.insert(i);
+        f0.x.insert(i);
     }
 }
 
@@ -1385,7 +1375,7 @@ fn prune_by_pivot_into(lg: &LocalGraph, f: &mut Frame, pivot: usize) {
         f.branch_from_c();
         return;
     }
-    let row = if f.c().contains(pivot) {
+    let row = if f.c.contains(pivot) {
         lg.cand(pivot)
     } else {
         lg.gadj(pivot)

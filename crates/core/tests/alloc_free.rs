@@ -257,14 +257,12 @@ fn fused_kernels_are_allocation_free() {
     let mut bits = Vec::with_capacity(4096);
     // Warm the destination buffers.
     a.intersect_into_count(&row, &mut out);
-    a.difference_into(&row, &mut out);
     bits.clear();
     a.and_not_collect(&row, &mut bits);
 
     let ((), allocs) = allocations_of(|| {
         for _ in 0..256 {
             a.intersect_into_count(&row, &mut out);
-            a.difference_into(&row, &mut out);
             let _ = a.intersection_len_words(&row);
             bits.clear();
             a.and_not_collect(&row, &mut bits);
@@ -275,7 +273,7 @@ fn fused_kernels_are_allocation_free() {
 
 #[test]
 fn steady_state_top_k_search_reuses_its_worker() {
-    // The dedicated top-k search rides the same WorkerState scratch slab as
+    // The dedicated top-k search rides the same WorkerState scratch arena as
     // plain enumeration: a warm re-run pays the per-plan vectors (root
     // ordering, degeneracy cores, the bound's k-entry heap) but never
     // allocates per node, even with the coloring bound firing.

@@ -28,15 +28,12 @@
 //!
 //! The dense part of every fused kernel is one of a handful of private
 //! 4×-unrolled `u64` loops at the end of this file, called directly by
-//! [`BitSet`], [`BitsRef`], [`BitsMut`] and [`AdjMatrix`](crate::AdjMatrix).
-//! The loops take equal-length slices: callers slice both operands to their
-//! shared word prefix and handle ragged tails themselves, so the tail rules
-//! live in the methods and the loops are pure word math. Local rows are
-//! ⌈δ/64⌉ words, usually one or two, so plain 64-bit word operations are the
-//! whole trick (the bit-parallel layout of San Segundo et al.).
-//!
-//! [`BitsRef`]/[`BitsMut`] are borrowed views with the same semantics over
-//! word rows owned elsewhere (the per-depth scratch slab of the solver).
+//! [`BitSet`] and [`AdjMatrix`](crate::AdjMatrix). The loops take
+//! equal-length slices: callers slice both operands to their shared word
+//! prefix and handle ragged tails themselves, so the tail rules live in the
+//! methods and the loops are pure word math. Local rows are ⌈δ/64⌉ words,
+//! usually one or two, so plain 64-bit word operations are the whole trick
+//! (the bit-parallel layout of San Segundo et al.).
 
 /// A fixed-capacity bit set over the universe `0..capacity`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -161,30 +158,6 @@ impl BitSet {
     }
 
     // ------------------------------------------------------------------
-    // Set-against-set kernels
-    // ------------------------------------------------------------------
-
-    /// Number of elements present in both `self` and `other`.
-    pub fn intersection_len(&self, other: &BitSet) -> usize {
-        self.intersection_len_words(&other.words)
-    }
-
-    /// In-place intersection with `other`.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        self.intersect_with_words(&other.words);
-    }
-
-    /// In-place union with `other` (capacities must match or `other` be smaller).
-    pub fn union_with(&mut self, other: &BitSet) {
-        self.union_with_words(&other.words);
-    }
-
-    /// In-place difference: removes every element of `other` from `self`.
-    pub fn difference_with(&mut self, other: &BitSet) {
-        self.difference_with_words(&other.words);
-    }
-
-    // ------------------------------------------------------------------
     // Fused word-row kernels (hot path)
     // ------------------------------------------------------------------
 
@@ -193,7 +166,8 @@ impl BitSet {
     /// The branching hot loops call this once per candidate per pivot scan.
     #[inline]
     pub fn intersection_len_words(&self, row: &[u64]) -> usize {
-        self.view().intersection_len_words(row)
+        let shared = self.words.len().min(row.len());
+        intersection_len(&self.words[..shared], &row[..shared])
     }
 
     /// In-place intersection with a word row; words missing from a shorter
@@ -243,17 +217,14 @@ impl BitSet {
     pub fn intersect_into_count(&self, row: &[u64], out: &mut BitSet) -> usize {
         out.capacity = self.capacity;
         out.words.resize(self.words.len(), 0);
-        BitsMut::new(&mut out.words, self.capacity).assign_and_count(self.view(), row)
-    }
-
-    /// Writes `self \ row` into `out` (fused copy + and-not). `out` takes
-    /// `self`'s capacity, reusing its allocation. Elements of `self` in
-    /// words `row` is missing all survive (the tail is copied verbatim).
-    #[inline]
-    pub fn difference_into(&self, row: &[u64], out: &mut BitSet) {
-        out.capacity = self.capacity;
-        out.words.resize(self.words.len(), 0);
-        BitsMut::new(&mut out.words, self.capacity).assign_difference(self.view(), row);
+        let shared = self.words.len().min(row.len());
+        let count = intersect_count(
+            &self.words[..shared],
+            &row[..shared],
+            &mut out.words[..shared],
+        );
+        out.words[shared..].iter_mut().for_each(|w| *w = 0);
+        count
     }
 
     /// Iterates over the set bits in increasing order, one word at a time
@@ -298,298 +269,11 @@ impl BitSet {
     /// bounds checks). Words missing from a shorter `mask` are treated as
     /// zero, so those elements of `self` are all appended.
     pub fn and_not_collect(&self, mask: &[u64], out: &mut Vec<usize>) {
-        self.view().and_not_collect(mask, out);
-    }
-
-    /// A borrowed read-only view of the whole set.
-    #[inline]
-    pub fn view(&self) -> BitsRef<'_> {
-        BitsRef {
-            words: &self.words,
-            capacity: self.capacity,
-        }
-    }
-
-    /// Makes `self` a copy of `view` (capacity and contents), reusing the
-    /// existing allocation whenever possible.
-    #[inline]
-    pub fn copy_from_view(&mut self, view: BitsRef<'_>) {
-        self.words.clear();
-        self.words.extend_from_slice(view.words);
-        self.capacity = view.capacity;
-    }
-}
-
-/// A borrowed, read-only bit-set view over a word row owned elsewhere.
-///
-/// Semantically identical to an immutable [`BitSet`] with `words().len() ==
-/// capacity.div_ceil(64)`: the solver's per-depth scratch slab stores its C/X
-/// rows in one contiguous allocation and hands them out as views, so the hot
-/// path keeps the exact `BitSet` word semantics without per-row `Vec`s.
-#[derive(Clone, Copy, Debug)]
-pub struct BitsRef<'a> {
-    words: &'a [u64],
-    capacity: usize,
-}
-
-impl<'a> BitsRef<'a> {
-    /// Wraps a word row as a read-only view; `words.len()` must equal
-    /// `capacity.div_ceil(64)` (the `BitSet` invariant).
-    #[inline]
-    pub fn new(words: &'a [u64], capacity: usize) -> Self {
-        debug_assert_eq!(words.len(), capacity.div_ceil(WORD_BITS));
-        BitsRef { words, capacity }
-    }
-
-    /// The capacity (universe size) of the viewed set.
-    #[inline]
-    pub fn capacity(self) -> usize {
-        self.capacity
-    }
-
-    /// The backing words.
-    #[inline]
-    pub fn words(self) -> &'a [u64] {
-        self.words
-    }
-
-    /// Number of set bits.
-    #[inline]
-    pub fn len(self) -> usize {
-        popcount(self.words)
-    }
-
-    /// Returns `true` when no bit is set.
-    pub fn is_empty(self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Membership test; `false` for any value `>= capacity`.
-    #[inline]
-    pub fn contains(self, value: usize) -> bool {
-        if value >= self.capacity {
-            return false;
-        }
-        self.words[value / WORD_BITS] & (1 << (value % WORD_BITS)) != 0
-    }
-
-    /// The smallest element of the set, if any.
-    #[inline]
-    pub fn first(self) -> Option<usize> {
-        self.words
-            .iter()
-            .position(|&w| w != 0)
-            .map(|wi| wi * WORD_BITS + self.words[wi].trailing_zeros() as usize)
-    }
-
-    /// Iterates over the set bits in increasing order.
-    pub fn iter(self) -> impl Iterator<Item = usize> + 'a {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            let mut w = word;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * WORD_BITS + b)
-                }
-            })
-        })
-    }
-
-    /// Number of elements of the view whose bit is also set in `row`.
-    #[inline]
-    pub fn intersection_len_words(self, row: &[u64]) -> usize {
-        let shared = self.words.len().min(row.len());
-        intersection_len(&self.words[..shared], &row[..shared])
-    }
-
-    /// Appends the elements of `self \ mask` to `out` in increasing order
-    /// (same tail semantics as [`BitSet::and_not_collect`]).
-    pub fn and_not_collect(self, mask: &[u64], out: &mut Vec<usize>) {
         let shared = self.words.len().min(mask.len());
         and_not_collect(&self.words[..shared], &mask[..shared], out);
         for wi in shared..self.words.len() {
             push_bits(wi, self.words[wi], out);
         }
-    }
-
-    /// Iterates over the elements of `self \ mask` in increasing order (same
-    /// tail semantics as [`BitSet::and_not_iter`]).
-    pub fn and_not_iter(self, mask: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
-        self.words.iter().enumerate().flat_map(move |(wi, &word)| {
-            let mut w = word & !mask.get(wi).copied().unwrap_or(0);
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * WORD_BITS + b)
-                }
-            })
-        })
-    }
-
-    /// Copies the view into an owned [`BitSet`].
-    pub fn to_bitset(self) -> BitSet {
-        BitSet {
-            words: self.words.to_vec(),
-            capacity: self.capacity,
-        }
-    }
-}
-
-/// A borrowed, mutable bit-set view over a word row owned elsewhere — the
-/// writable twin of [`BitsRef`], with the fused assign kernels the search
-/// frames need (`self = a ∩ row`, `self = a \ row`).
-#[derive(Debug)]
-pub struct BitsMut<'a> {
-    words: &'a mut [u64],
-    capacity: usize,
-}
-
-impl<'a> BitsMut<'a> {
-    /// Wraps a word row as a mutable view; `words.len()` must equal
-    /// `capacity.div_ceil(64)` (the `BitSet` invariant).
-    #[inline]
-    pub fn new(words: &'a mut [u64], capacity: usize) -> Self {
-        debug_assert_eq!(words.len(), capacity.div_ceil(WORD_BITS));
-        BitsMut { words, capacity }
-    }
-
-    /// Reborrows as a read-only view.
-    #[inline]
-    pub fn as_ref(&self) -> BitsRef<'_> {
-        BitsRef {
-            words: self.words,
-            capacity: self.capacity,
-        }
-    }
-
-    /// The capacity (universe size) of the viewed set.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of set bits.
-    #[inline]
-    pub fn len(&self) -> usize {
-        popcount(self.words)
-    }
-
-    /// Returns `true` when no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Membership test; `false` for any value `>= capacity`.
-    #[inline]
-    pub fn contains(&self, value: usize) -> bool {
-        self.as_ref().contains(value)
-    }
-
-    /// Inserts `value` (out-of-range is a no-op returning `false`, the
-    /// [`BitSet::insert`] contract).
-    #[inline]
-    pub fn insert(&mut self, value: usize) -> bool {
-        if value >= self.capacity {
-            return false;
-        }
-        let (w, b) = (value / WORD_BITS, value % WORD_BITS);
-        let had = self.words[w] & (1 << b) != 0;
-        self.words[w] |= 1 << b;
-        !had
-    }
-
-    /// Removes `value` (out-of-range returns `false`, the
-    /// [`BitSet::remove`] contract).
-    #[inline]
-    pub fn remove(&mut self, value: usize) -> bool {
-        if value >= self.capacity {
-            return false;
-        }
-        let (w, b) = (value / WORD_BITS, value % WORD_BITS);
-        let had = self.words[w] & (1 << b) != 0;
-        self.words[w] &= !(1 << b);
-        had
-    }
-
-    /// Removes all elements, keeping the capacity.
-    pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
-    /// Makes the view a copy of `other`, which must have the same capacity
-    /// (views cannot resize their backing row).
-    #[inline]
-    pub fn copy_from(&mut self, other: BitsRef<'_>) {
-        debug_assert_eq!(self.capacity, other.capacity);
-        self.words.copy_from_slice(other.words);
-    }
-
-    /// In-place intersection with a word row; words missing from a shorter
-    /// `row` count as zero.
-    #[inline]
-    pub fn intersect_with_words(&mut self, row: &[u64]) {
-        let shared = self.words.len().min(row.len());
-        for (a, b) in self.words[..shared].iter_mut().zip(row.iter()) {
-            *a &= *b;
-        }
-        for a in self.words[shared..].iter_mut() {
-            *a = 0;
-        }
-    }
-
-    /// In-place union with a word row (bits beyond the view's length
-    /// ignored).
-    #[inline]
-    pub fn union_with_words(&mut self, row: &[u64]) {
-        for (a, b) in self.words.iter_mut().zip(row.iter()) {
-            *a |= *b;
-        }
-    }
-
-    /// In-place difference with a word row.
-    #[inline]
-    pub fn difference_with_words(&mut self, row: &[u64]) {
-        for (a, b) in self.words.iter_mut().zip(row.iter()) {
-            *a &= !*b;
-        }
-    }
-
-    /// `self = a ∩ row`, returning the element count — the view twin of
-    /// [`BitSet::intersect_into_count`]. `a` must have the view's capacity.
-    #[inline]
-    pub fn assign_and_count(&mut self, a: BitsRef<'_>, row: &[u64]) -> usize {
-        debug_assert_eq!(self.capacity, a.capacity);
-        let shared = self.words.len().min(row.len());
-        let count = intersect_count(
-            &a.words[..shared],
-            &row[..shared],
-            &mut self.words[..shared],
-        );
-        for w in self.words[shared..].iter_mut() {
-            *w = 0;
-        }
-        count
-    }
-
-    /// `self = a \ row` — the view twin of [`BitSet::difference_into`]
-    /// (elements of `a` in words `row` is missing all survive). `a` must
-    /// have the view's capacity.
-    #[inline]
-    pub fn assign_difference(&mut self, a: BitsRef<'_>, row: &[u64]) {
-        debug_assert_eq!(self.capacity, a.capacity);
-        let shared = self.words.len().min(row.len());
-        difference(
-            &a.words[..shared],
-            &row[..shared],
-            &mut self.words[..shared],
-        );
-        self.words[shared..].copy_from_slice(&a.words[shared..]);
     }
 }
 
@@ -654,25 +338,6 @@ fn intersection_len(a: &[u64], b: &[u64]) -> usize {
         i += 1;
     }
     total
-}
-
-/// `dst = a & !b`.
-#[inline]
-fn difference(a: &[u64], b: &[u64], dst: &mut [u64]) {
-    debug_assert!(a.len() == b.len() && a.len() == dst.len());
-    let n = a.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        dst[i] = a[i] & !b[i];
-        dst[i + 1] = a[i + 1] & !b[i + 1];
-        dst[i + 2] = a[i + 2] & !b[i + 2];
-        dst[i + 3] = a[i + 3] & !b[i + 3];
-        i += 4;
-    }
-    while i < n {
-        dst[i] = a[i] & !b[i];
-        i += 1;
-    }
 }
 
 /// Appends the bit positions of word `w` (word index `wi`) in increasing
@@ -828,33 +493,40 @@ mod tests {
     fn intersection_len_counts_common_bits() {
         let a: BitSet = [1usize, 3, 5, 64, 65].into_iter().collect();
         let b: BitSet = [3usize, 5, 65, 66].into_iter().collect();
-        assert_eq!(a.intersection_len(&b), 3);
-        assert_eq!(b.intersection_len(&a), 3);
+        assert_eq!(a.intersection_len_words(b.words()), 3);
+        assert_eq!(b.intersection_len_words(a.words()), 3);
     }
 
     #[test]
     fn intersect_with_keeps_common() {
         let mut a: BitSet = [1usize, 3, 5, 64].into_iter().collect();
         let b: BitSet = [3usize, 64].into_iter().collect();
-        a.intersect_with(&b);
+        a.intersect_with_words(b.words());
         let got: Vec<usize> = a.iter().collect();
         assert_eq!(got, vec![3, 64]);
+        // Shorter row: missing words count as zero.
+        a.intersect_with_words(&b.words()[..1]);
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![3]);
     }
 
     #[test]
     fn union_with_merges() {
-        let mut a: BitSet = [1usize, 2].into_iter().collect();
-        let b: BitSet = [2usize].into_iter().collect();
-        a.union_with(&b);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 2]);
+        let mut a: BitSet = [1usize, 2, 70].into_iter().collect();
+        let b: BitSet = [2usize, 65].into_iter().collect();
+        a.union_with_words(b.words());
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 2, 65, 70]);
     }
 
     #[test]
     fn difference_with_removes_members() {
         let mut a: BitSet = [1usize, 2, 65, 70].into_iter().collect();
         let b: BitSet = [2usize, 70].into_iter().collect();
-        a.difference_with(&b);
+        a.difference_with_words(b.words());
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 65]);
+        // Shorter row: elements in the missing words all survive.
+        let mut a: BitSet = [1usize, 2, 65, 70].into_iter().collect();
+        a.difference_with_words(&b.words()[..1]);
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 65, 70]);
     }
 
     #[test]
@@ -870,19 +542,6 @@ mod tests {
         a.intersect_into(&row.words()[..1], &mut out2);
         assert_eq!(out2.iter().collect::<Vec<_>>(), vec![3]);
         assert_eq!(out2.words().len(), a.words().len());
-    }
-
-    #[test]
-    fn difference_into_writes_fused_result() {
-        let a: BitSet = [1usize, 3, 64, 100].into_iter().collect();
-        let row: BitSet = [3usize, 64].into_iter().collect();
-        let mut out = BitSet::default();
-        a.difference_into(row.words(), &mut out);
-        assert_eq!(out.iter().collect::<Vec<_>>(), vec![1, 100]);
-        // Shorter mask: elements in the missing words all survive.
-        let mut out2 = BitSet::default();
-        a.difference_into(&row.words()[..1], &mut out2);
-        assert_eq!(out2.iter().collect::<Vec<_>>(), vec![1, 64, 100]);
     }
 
     #[test]

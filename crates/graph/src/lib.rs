@@ -47,7 +47,7 @@ pub mod triangles;
 pub mod truss;
 
 pub use adjmatrix::AdjMatrix;
-pub use bitset::{BitSet, BitsMut, BitsRef};
+pub use bitset::BitSet;
 pub use builder::GraphBuilder;
 pub use components::{connected_components, ConnectedComponents};
 pub use degeneracy::{degeneracy_ordering, DegeneracyOrdering};

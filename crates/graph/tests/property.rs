@@ -8,7 +8,7 @@ use mce_graph::degeneracy::degeneracy_ordering;
 use mce_graph::ordering::{edge_ordering, EdgeOrdering};
 use mce_graph::triangles::{edge_supports, triangle_count};
 use mce_graph::truss::{truss_ordering, TrussPeel};
-use mce_graph::{AdjMatrix, BitSet, BitsMut, BitsRef, EdgeOrderingKind, Graph, GraphStats};
+use mce_graph::{AdjMatrix, BitSet, EdgeOrderingKind, Graph, GraphStats};
 use proptest::prelude::*;
 
 /// Word vectors biased toward the edge cases of the unrolled word loops:
@@ -303,14 +303,7 @@ proptest! {
         // 0..=9 words covers empty, sub-chunk, exact-chunk and
         // chunk-plus-tail shapes on both sides, including every mismatched
         // (self longer / mask longer) combination.
-        let mut a = BitSet::with_capacity(words_a.len() * 64);
-        for (wi, &w) in words_a.iter().enumerate() {
-            for b in 0..64 {
-                if w >> b & 1 == 1 {
-                    a.insert(wi * 64 + b);
-                }
-            }
-        }
+        let a = bitset_of(&words_a);
         prop_assert_eq!(a.words(), words_a.as_slice());
         let shared = words_a.len().min(mask.len());
 
@@ -334,13 +327,6 @@ proptest! {
         prop_assert_eq!(out.words(), expected_inter.as_slice());
         prop_assert_eq!(count, expected_len);
 
-        // difference_into: a & !m on shared words, verbatim tail copy.
-        let mut expected_diff: Vec<u64> =
-            (0..shared).map(|i| words_a[i] & !mask[i]).collect();
-        expected_diff.extend_from_slice(&words_a[shared..]);
-        a.difference_into(&mask, &mut out);
-        prop_assert_eq!(out.words(), expected_diff.as_slice());
-
         // and_not_collect: identical element stream to and_not_iter.
         let mut collected = Vec::new();
         a.and_not_collect(&mask, &mut collected);
@@ -357,41 +343,44 @@ proptest! {
         let mut sb = BitSet::with_capacity(96);
         for &v in &b { sb.insert(v); }
         let expected: Vec<usize> = a.intersection(&b).copied().collect();
-        prop_assert_eq!(sa.intersection_len(&sb), expected.len());
+        prop_assert_eq!(sa.intersection_len_words(sb.words()), expected.len());
         let mut inter = sa.clone();
-        inter.intersect_with(&sb);
+        inter.intersect_with_words(sb.words());
         prop_assert_eq!(inter.iter().collect::<Vec<_>>(), expected);
         let mut diff = sa.clone();
-        diff.difference_with(&sb);
+        diff.difference_with_words(sb.words());
         let expected_diff: Vec<usize> = a.difference(&b).copied().collect();
         prop_assert_eq!(diff.iter().collect::<Vec<_>>(), expected_diff);
+        let mut union = sa.clone();
+        union.union_with_words(sb.words());
+        let expected_union: Vec<usize> = a.union(&b).copied().collect();
+        prop_assert_eq!(union.iter().collect::<Vec<_>>(), expected_union);
     }
 
-    /// The word loops on equal-length rows, through the borrowed views: every
-    /// result is the one-word-at-a-time definition, for empty, full and
-    /// arbitrary words at every chunk/tail shape.
+    /// The word loops on equal-length rows: every result is the
+    /// one-word-at-a-time definition, for empty, full and arbitrary words at
+    /// every chunk/tail shape.
     #[test]
     fn word_kernels_match_per_word_model_on_equal_rows(a in arb_words(), b in arb_words()) {
         let shared = a.len().min(b.len());
         let (a, b) = (&a[..shared], &b[..shared]);
-        let view = BitsRef::new(a, shared * 64);
+        let set = bitset_of(a);
         let and: Vec<u64> = (0..shared).map(|i| a[i] & b[i]).collect();
         let and_not: Vec<u64> = (0..shared).map(|i| a[i] & !b[i]).collect();
 
-        let mut dst = vec![!0u64; shared];
-        let count = BitsMut::new(&mut dst, shared * 64).assign_and_count(view, b);
+        // A destination full of stale bits over a larger universe.
+        let mut dst = bitset_of(&vec![!0u64; shared + 1]);
+        let count = set.intersect_into_count(b, &mut dst);
         prop_assert_eq!(count, popcount(&and));
-        prop_assert_eq!(&dst, &and);
-        prop_assert_eq!(view.intersection_len_words(b), popcount(&and));
-        let mut dst = vec![!0u64; shared];
-        BitsMut::new(&mut dst, shared * 64).assign_difference(view, b);
-        prop_assert_eq!(&dst, &and_not);
+        prop_assert_eq!(dst.words(), and.as_slice());
+        prop_assert_eq!(dst.capacity(), shared * 64);
+        prop_assert_eq!(set.intersection_len_words(b), popcount(&and));
         let mut bits = vec![usize::MAX]; // non-empty: appends must preserve
-        view.and_not_collect(b, &mut bits);
+        set.and_not_collect(b, &mut bits);
         let mut want = vec![usize::MAX];
         want.extend(bit_positions(&and_not));
         prop_assert_eq!(bits, want);
-        prop_assert_eq!(view.len(), popcount(a));
+        prop_assert_eq!(set.len(), popcount(a));
     }
 
     /// The fused `BitSet` operations on ragged rows (different word counts)
@@ -425,10 +414,6 @@ proptest! {
         prop_assert_eq!(a.intersect_into_count(&row, &mut inter), popcount(&and));
         prop_assert_eq!(inter.words(), and.as_slice());
         prop_assert_eq!(inter.capacity(), cap);
-        let mut diff = BitSet::default();
-        a.difference_into(&row, &mut diff);
-        prop_assert_eq!(diff.words(), and_not.as_slice());
-        prop_assert_eq!(diff.capacity(), cap);
         let mut bits = Vec::new();
         a.and_not_collect(&row, &mut bits);
         prop_assert_eq!(bits, bit_positions(&and_not));
@@ -450,7 +435,7 @@ proptest! {
         for v in g.vertices() {
             let degree = g.neighbors(v).len();
             prop_assert_eq!(dense.row_len(v as usize), degree);
-            prop_assert_eq!(BitsRef::new(dense.row(v as usize), n).len(), degree);
+            prop_assert_eq!(popcount(dense.row(v as usize)), degree);
             let mut csr_row = BitSet::with_capacity(n);
             for &u in g.neighbors(v) {
                 csr_row.insert(u as usize);
@@ -480,4 +465,13 @@ fn bit_positions(words: &[u64]) -> Vec<usize> {
     (0..words.len() * 64)
         .filter(|&idx| words[idx / 64] >> (idx % 64) & 1 == 1)
         .collect()
+}
+
+/// The bit set over `0..words.len() * 64` whose words are `words`.
+fn bitset_of(words: &[u64]) -> BitSet {
+    let mut set = BitSet::with_capacity(words.len() * 64);
+    for idx in bit_positions(words) {
+        set.insert(idx);
+    }
+    set
 }
