@@ -10,6 +10,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io::{self, Write};
 
+use mce_graph::io::push_decimal;
 use mce_graph::VertexId;
 
 /// Consumer of maximal cliques produced by the enumeration frameworks.
@@ -304,7 +305,7 @@ pub struct WriterReporter<W: Write> {
     out: W,
     format: CliqueLineFormat,
     sorted: Vec<VertexId>,
-    line: String,
+    line: Vec<u8>,
     error: Option<io::Error>,
 }
 
@@ -315,7 +316,7 @@ impl<W: Write> WriterReporter<W> {
             out,
             format,
             sorted: Vec::new(),
-            line: String::new(),
+            line: Vec::new(),
             error: None,
         }
     }
@@ -335,32 +336,29 @@ impl<W: Write> WriterReporter<W> {
     }
 
     fn render(&mut self, clique: &[VertexId]) {
-        use std::fmt::Write as _;
         self.sorted.clear();
         self.sorted.extend_from_slice(clique);
         self.sorted.sort_unstable();
         self.line.clear();
-        match self.format {
-            CliqueLineFormat::Text => {
-                for (i, v) in self.sorted.iter().enumerate() {
-                    if i > 0 {
-                        self.line.push(' ');
-                    }
-                    let _ = write!(self.line, "{v}");
-                }
-            }
+        let separator = match self.format {
+            CliqueLineFormat::Text => b' ',
             CliqueLineFormat::Ndjson => {
-                let _ = write!(self.line, "{{\"size\":{},\"clique\":[", self.sorted.len());
-                for (i, v) in self.sorted.iter().enumerate() {
-                    if i > 0 {
-                        self.line.push(',');
-                    }
-                    let _ = write!(self.line, "{v}");
-                }
-                self.line.push_str("]}");
+                self.line.extend_from_slice(b"{\"size\":");
+                push_decimal(&mut self.line, self.sorted.len() as u64);
+                self.line.extend_from_slice(b",\"clique\":[");
+                b','
             }
+        };
+        for (i, &v) in self.sorted.iter().enumerate() {
+            if i > 0 {
+                self.line.push(separator);
+            }
+            push_decimal(&mut self.line, v as u64);
         }
-        self.line.push('\n');
+        if self.format == CliqueLineFormat::Ndjson {
+            self.line.extend_from_slice(b"]}");
+        }
+        self.line.push(b'\n');
     }
 }
 
@@ -370,7 +368,7 @@ impl<W: Write> CliqueReporter for WriterReporter<W> {
             return;
         }
         self.render(clique);
-        if let Err(e) = self.out.write_all(self.line.as_bytes()) {
+        if let Err(e) = self.out.write_all(&self.line) {
             self.error = Some(e);
         }
     }

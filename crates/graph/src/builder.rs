@@ -24,6 +24,10 @@ use crate::graph::{Graph, VertexId};
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct GraphBuilder {
+    /// `table[label]` is the label's id plus one, or 0 while it is unseen,
+    /// for every label below `table.len()`.
+    table: Vec<VertexId>,
+    /// The ids of the labels at or above `table.len()`.
     labels: HashMap<u64, VertexId>,
     label_of: Vec<u64>,
     edges: Vec<(VertexId, VertexId)>,
@@ -34,6 +38,18 @@ impl GraphBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates a builder that looks the labels below `limit` up in a table
+    /// indexed by label instead of hashing them. The text loaders pass the
+    /// input's byte length: the table then costs at most 4 bytes per input
+    /// byte, and it is zero-filled, so the allocator maps in only the pages
+    /// that the input's labels touch.
+    pub(crate) fn with_label_table(limit: usize) -> Self {
+        GraphBuilder {
+            table: vec![0; limit],
+            ..Self::default()
+        }
     }
 
     /// Creates a builder and pre-registers the labels `0..n` so that the
@@ -47,12 +63,21 @@ impl GraphBuilder {
     }
 
     fn intern(&mut self, label: u64) -> VertexId {
-        if let Some(&id) = self.labels.get(&label) {
-            return id;
+        // Past `u32::MAX` labels the ids wrap, as the vertex count then
+        // fails `build` anyway.
+        let next = self.label_of.len() as VertexId;
+        let id = if label < self.table.len() as u64 {
+            let entry = &mut self.table[label as usize];
+            if *entry == 0 {
+                *entry = next.wrapping_add(1);
+            }
+            entry.wrapping_sub(1)
+        } else {
+            *self.labels.entry(label).or_insert(next)
+        };
+        if id == next {
+            self.label_of.push(label);
         }
-        let id = self.label_of.len() as VertexId;
-        self.labels.insert(label, id);
-        self.label_of.push(label);
         id
     }
 

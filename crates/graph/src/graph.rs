@@ -66,6 +66,12 @@ impl Graph {
     /// Self-loops are dropped and duplicate edges (in either orientation) are
     /// collapsed, so any iterator of pairs is accepted.
     ///
+    /// The CSR arrays are built by counting: the edges are collected into
+    /// one vector (a `Vec` is taken over without a copy), the degrees are
+    /// counted into the offset array and summed, one pass fills every row,
+    /// and each row is then sorted (unless it already is) and deduplicated
+    /// in place. Besides the edges it allocates only the two CSR arrays.
+    ///
     /// # Errors
     /// Returns [`GraphError::VertexOutOfRange`] if an endpoint is `>= n`,
     /// [`GraphError::TooManyVertices`] if `n > u32::MAX` and
@@ -80,46 +86,72 @@ impl Graph {
                 limit: u32::MAX as u64,
             });
         }
-        let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        let edges: Vec<(VertexId, VertexId)> = edges.into_iter().collect();
+        // `offsets[v + 1]` counts v's degree, then holds the start of v's
+        // row, then (once the fill has advanced it) the row's end.
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in &edges {
+            for w in [u, v] {
+                if w as usize >= n {
+                    return Err(GraphError::VertexOutOfRange {
+                        vertex: w as u64,
+                        n,
+                    });
+                }
+            }
+            if u != v {
+                offsets[u as usize + 1] += 1;
+                offsets[v as usize + 1] += 1;
+            }
+        }
+        let mut start = 0;
+        for slot in &mut offsets[1..] {
+            let degree = *slot;
+            *slot = start;
+            start += degree;
+        }
+        let mut adjacency: Vec<VertexId> = vec![0; start];
         for (u, v) in edges {
-            if u as usize >= n {
-                return Err(GraphError::VertexOutOfRange {
-                    vertex: u as u64,
-                    n,
-                });
+            if u != v {
+                for (a, b) in [(u, v), (v, u)] {
+                    let next = &mut offsets[a as usize + 1];
+                    adjacency[*next] = b;
+                    *next += 1;
+                }
             }
-            if v as usize >= n {
-                return Err(GraphError::VertexOutOfRange {
-                    vertex: v as u64,
-                    n,
-                });
-            }
-            if u == v {
-                continue;
-            }
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut adjacency = Vec::new();
-        for list in adj.iter_mut() {
-            list.sort_unstable();
-            list.dedup();
-            adjacency.extend_from_slice(list);
-            offsets.push(adjacency.len());
+        // Sort and deduplicate each row, moving it down over the entries
+        // that earlier rows dropped.
+        let mut kept = 0;
+        for v in 0..n {
+            let row = offsets[v]..offsets[v + 1];
+            offsets[v] = kept;
+            let list = &mut adjacency[row.clone()];
+            if !list.windows(2).all(|pair| pair[0] <= pair[1]) {
+                list.sort_unstable();
+            }
+            for i in row {
+                let w = adjacency[i];
+                if kept == offsets[v] || adjacency[kept - 1] != w {
+                    adjacency[kept] = w;
+                    kept += 1;
+                }
+            }
         }
+        offsets[n] = kept;
+        adjacency.truncate(kept);
+        adjacency.shrink_to_fit();
         check_adjacency_len(adjacency.len())?;
         Ok(Graph { offsets, adjacency })
     }
 
-    /// Builds a graph directly from raw CSR arrays in `O(n + m)` memory.
+    /// Builds a graph directly from raw CSR arrays in `O(n + m)` time and
+    /// memory.
     ///
-    /// This is the scale-path constructor: unlike [`Graph::from_edges`] it
-    /// never materialises a `Vec<Vec<VertexId>>` intermediate, so loading a
-    /// 1M-vertex / 10M-edge graph peaks at the size of the two arrays plus
-    /// constants. The binary `.mcg` loader ([`crate::mcg`]) and large
-    /// generators feed this directly.
+    /// This is the scale-path constructor: the binary `.mcg` loader
+    /// ([`crate::mcg`]) hands its streamed arrays straight to it, so loading
+    /// a 1M-vertex / 10M-edge graph peaks at the size of the two arrays plus
+    /// one cursor per vertex for the symmetry check.
     ///
     /// Every CSR invariant is validated before the graph is accepted:
     ///
@@ -204,30 +236,37 @@ impl Graph {
                 prev = Some(u);
             }
         }
-        // Symmetry: every forward entry (u < v) must have its mirror, and the
-        // forward/backward entry counts must agree — with strictly sorted
-        // lists this proves the adjacency relation is symmetric.
-        let (mut forward, mut backward) = (0usize, 0usize);
+        // Symmetry, in one pass with one cursor per vertex: `next[v]` is v's
+        // first unmatched slot. The lists are strictly increasing, so v's
+        // lower neighbours lead its list in increasing order, and visiting
+        // every u in increasing order meets the entries (u, v), u < v, in
+        // that same order: each must find u at v's cursor.
+        let no_mirror = |u: VertexId, v: VertexId| GraphError::InvalidData {
+            message: format!("edge ({u}, {v}) has no mirror entry ({v}, {u})"),
+        };
+        // Slots fit in u32: `check_adjacency_len` passed.
+        let mut next: Vec<u32> = g.offsets[..n].iter().map(|&s| s as u32).collect();
         for u in 0..n as VertexId {
             for &v in g.neighbors(u) {
                 if v > u {
-                    forward += 1;
-                    if g.neighbors(v).binary_search(&u).is_err() {
-                        return Err(GraphError::InvalidData {
-                            message: format!("edge ({u}, {v}) has no mirror entry ({v}, {u})"),
-                        });
+                    let cursor = &mut next[v as usize];
+                    let s = *cursor as usize;
+                    if s == g.offsets[v as usize + 1] || g.adjacency[s] > u {
+                        return Err(no_mirror(u, v));
                     }
-                } else {
-                    backward += 1;
+                    if g.adjacency[s] < u {
+                        return Err(no_mirror(v, g.adjacency[s]));
+                    }
+                    *cursor += 1;
                 }
             }
         }
-        if forward != backward {
-            return Err(GraphError::InvalidData {
-                message: format!(
-                    "asymmetric adjacency: {forward} forward entries vs {backward} backward"
-                ),
-            });
+        // Every lower neighbour must have been matched.
+        for v in 0..n as VertexId {
+            let s = next[v as usize] as usize;
+            if s < g.offsets[v as usize + 1] && g.adjacency[s] < v {
+                return Err(no_mirror(v, g.adjacency[s]));
+            }
         }
         Ok(g)
     }

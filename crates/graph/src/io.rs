@@ -8,9 +8,17 @@
 //! The [`crate::mcg`] binary format (`.mcg`) is dispatched through the same
 //! [`GraphFormat`] surface: it stores the CSR arrays verbatim, so loading it
 //! is a streamed `O(n + m)` copy instead of a parse (see `docs/FORMAT.md`).
+//!
+//! Both text formats are parsed from bytes by one tokenizer: lines end at
+//! `\n`, and tokens are separated by the ASCII bytes that
+//! [`char::is_whitespace`] accepts (space, tab, `\n`, VT, FF and `\r`, so a
+//! CRLF line end is a separator too). Ids are parsed in place with exactly
+//! the grammar of `u64::from_str`: an optional `+`, then decimal digits.
+//! The readers over [`Read`] collect their input first; [`read_graph_bytes`]
+//! parses a buffer the caller already holds without a copy.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
 
 use crate::builder::GraphBuilder;
@@ -45,36 +53,33 @@ impl GraphFormat {
     }
 
     /// Sniffs the format from raw file bytes: the `.mcg` magic wins outright
-    /// (it starts with a non-ASCII byte precisely so no text file can collide),
-    /// anything else is treated as text and dispatched by [`GraphFormat::sniff`].
+    /// (it starts with a non-ASCII byte precisely so no text file can collide).
+    /// Otherwise the first line that is neither blank nor an edge-list comment
+    /// decides, read with the loaders' tokenizer: a leading token `p`, `e` or
+    /// `c` marks DIMACS, anything else an edge list. Defaults to edge list
+    /// when nothing decides. Only the bytes up to the deciding line are read,
+    /// and nothing is allocated.
     pub fn sniff_bytes(content: &[u8]) -> GraphFormat {
         if mcg::is_mcg(content) {
             return GraphFormat::Mcg;
         }
-        GraphFormat::sniff(&String::from_utf8_lossy(content))
-    }
-
-    /// Sniffs the format from file content: the first line whose leading token
-    /// is `p` or `e` marks DIMACS; the first line that parses as `u v` marks
-    /// an edge list. Defaults to edge list when nothing decides.
-    pub fn sniff(content: &str) -> GraphFormat {
-        for line in content.lines() {
-            let trimmed = line.trim();
-            if trimmed.is_empty()
-                || trimmed.starts_with('#')
-                || trimmed.starts_with('%')
-                || trimmed.starts_with("//")
-            {
+        let mut tokens = Tokens::new(content);
+        while let Some(line) = tokens.next_line() {
+            if is_edge_list_comment(line) {
+                tokens.skip_line();
                 continue;
             }
-            let mut it = trimmed.split_whitespace();
-            match it.next() {
-                Some("p") | Some("e") | Some("c") => return GraphFormat::Dimacs,
-                Some(tok) if tok.parse::<u64>().is_ok() => return GraphFormat::EdgeList,
-                _ => return GraphFormat::EdgeList,
-            }
+            return match tokens.token() {
+                b"p" | b"e" | b"c" => GraphFormat::Dimacs,
+                _ => GraphFormat::EdgeList,
+            };
         }
         GraphFormat::EdgeList
+    }
+
+    /// Sniffs the format from file content; see [`GraphFormat::sniff_bytes`].
+    pub fn sniff(content: &str) -> GraphFormat {
+        GraphFormat::sniff_bytes(content.as_bytes())
     }
 }
 
@@ -90,102 +95,109 @@ pub fn read_graph_str(content: &str, format: GraphFormat) -> Result<Graph, Graph
 
 /// Parses raw file bytes as `format`. This is the dispatch point that treats
 /// all three formats uniformly; use [`GraphFormat::sniff_bytes`] first when
-/// the format is unknown.
+/// the format is unknown. The text formats are parsed in place.
 pub fn read_graph_bytes(content: &[u8], format: GraphFormat) -> Result<Graph, GraphError> {
     match format {
-        GraphFormat::EdgeList => read_edge_list(content),
-        GraphFormat::Dimacs => read_dimacs(content),
+        GraphFormat::EdgeList => parse_edge_list(content),
+        GraphFormat::Dimacs => parse_dimacs(content),
         GraphFormat::Mcg => mcg::read_mcg(content),
     }
 }
 
 /// Reads a whitespace-separated edge list from `reader`.
 ///
-/// Lines starting with `#`, `%` or `//` and blank lines are ignored. Vertex
-/// labels may be arbitrary non-negative integers; they are densely relabelled
-/// in first-seen order.
-pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, GraphError> {
-    let mut builder = GraphBuilder::new();
-    let buf = BufReader::new(reader);
-    for (lineno, line) in buf.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty()
-            || trimmed.starts_with('#')
-            || trimmed.starts_with('%')
-            || trimmed.starts_with("//")
-        {
-            continue;
-        }
-        let mut it = trimmed.split_whitespace();
-        let u = parse_token(it.next(), lineno + 1)?;
-        let v = parse_token(it.next(), lineno + 1)?;
-        builder.add_edge(u, v);
-    }
-    builder.build()
+/// Lines whose first token starts with `#`, `%` or `//` and blank lines are
+/// ignored, and so are the tokens after the first two of a line. Vertex
+/// labels may be arbitrary non-negative integers; they are densely
+/// relabelled in first-seen order. The input is read to its end and then
+/// parsed like [`read_graph_bytes`] does.
+pub fn read_edge_list<R: Read>(mut reader: R) -> Result<Graph, GraphError> {
+    let mut content = Vec::new();
+    reader.read_to_end(&mut content)?;
+    parse_edge_list(&content)
 }
 
 /// Reads an edge list from a file path. See [`read_edge_list`].
 pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<Graph, GraphError> {
-    read_edge_list(File::open(path)?)
+    parse_edge_list(&std::fs::read(path)?)
 }
 
 /// The largest vertex count a DIMACS `p edge n m` header may declare: 2^25.
 ///
 /// A header may declare isolated vertices, so `n` is not bounded by the
-/// input's size. Building the graph allocates about 32 bytes per declared
-/// vertex, so this cap keeps that allocation near 1 GiB.
+/// input's size. Building the graph allocates an 8-byte offset per declared
+/// vertex, so this cap keeps that allocation at 256 MiB.
 pub const MAX_DIMACS_VERTICES: u64 = 1 << 25;
 
 /// Reads a DIMACS `.col` / `.clq` graph (`p edge n m` header, `e u v` edges,
-/// 1-based vertex ids).
+/// 1-based vertex ids). Lines whose first token starts with `c` are
+/// comments. The input is read to its end and then parsed like
+/// [`read_graph_bytes`] does.
 ///
 /// # Errors
 /// [`GraphError::TooManyVertices`] if the header declares more than
 /// [`MAX_DIMACS_VERTICES`] vertices; [`GraphError::VertexOutOfRange`] for an
 /// edge endpoint above the declared count.
-pub fn read_dimacs<R: Read>(reader: R) -> Result<Graph, GraphError> {
-    let buf = BufReader::new(reader);
-    let mut n: Option<usize> = None;
-    let mut edges: Vec<(u64, u64)> = Vec::new();
-    for (lineno, line) in buf.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('c') {
+pub fn read_dimacs<R: Read>(mut reader: R) -> Result<Graph, GraphError> {
+    let mut content = Vec::new();
+    reader.read_to_end(&mut content)?;
+    parse_dimacs(&content)
+}
+
+fn parse_edge_list(content: &[u8]) -> Result<Graph, GraphError> {
+    let mut builder = GraphBuilder::with_label_table(content.len());
+    let mut tokens = Tokens::new(content);
+    while let Some(line) = tokens.next_line() {
+        if is_edge_list_comment(line) {
+            tokens.skip_line();
             continue;
         }
-        let mut it = trimmed.split_whitespace();
-        match it.next() {
-            Some("p") => {
-                let _format = it.next();
-                let nv = parse_token(it.next(), lineno + 1)?;
+        let u = tokens.id()?;
+        let v = tokens.id()?;
+        builder.add_edge(u, v);
+        tokens.end_line()?;
+    }
+    builder.build()
+}
+
+fn parse_dimacs(content: &[u8]) -> Result<Graph, GraphError> {
+    let mut n: Option<usize> = None;
+    let mut edges: Vec<(u64, u64)> = Vec::new();
+    let mut tokens = Tokens::new(content);
+    while let Some(line) = tokens.next_line() {
+        if line[0] == b'c' {
+            tokens.skip_line();
+            continue;
+        }
+        match tokens.token() {
+            b"p" => {
+                let _format = tokens.token();
+                let nv = tokens.id()?;
                 if nv > MAX_DIMACS_VERTICES {
-                    return Err(GraphError::TooManyVertices {
+                    return Err(tokens.fail(GraphError::TooManyVertices {
                         n: nv,
                         limit: MAX_DIMACS_VERTICES,
-                    });
+                    }));
                 }
                 n = Some(nv as usize);
             }
-            Some("e") => {
-                let u = parse_token(it.next(), lineno + 1)?;
-                let v = parse_token(it.next(), lineno + 1)?;
+            b"e" => {
+                let u = tokens.id()?;
+                let v = tokens.id()?;
                 if u == 0 || v == 0 {
-                    return Err(GraphError::Parse {
-                        line: lineno + 1,
-                        message: "DIMACS vertices are 1-based; found 0".into(),
-                    });
+                    return Err(tokens.parse_error("DIMACS vertices are 1-based; found 0".into()));
                 }
                 edges.push((u - 1, v - 1));
             }
-            Some(other) => {
-                return Err(GraphError::Parse {
-                    line: lineno + 1,
-                    message: format!("unexpected record type '{other}'"),
-                })
+            other => {
+                let message = format!(
+                    "unexpected record type '{}'",
+                    String::from_utf8_lossy(other)
+                );
+                return Err(tokens.parse_error(message));
             }
-            None => continue,
         }
+        tokens.end_line()?;
     }
     let n = n.ok_or(GraphError::Parse {
         line: 0,
@@ -208,15 +220,162 @@ pub fn read_dimacs<R: Read>(reader: R) -> Result<Graph, GraphError> {
     )
 }
 
+/// Whether an edge-list line, starting at its first token, is a comment.
+fn is_edge_list_comment(line: &[u8]) -> bool {
+    matches!(line[0], b'#' | b'%') || line.starts_with(b"//")
+}
+
+/// Whether `byte` separates tokens: the ASCII bytes that
+/// [`char::is_whitespace`] accepts. Unlike [`u8::is_ascii_whitespace`],
+/// this includes VT (`0x0B`).
+#[inline]
+fn is_separator(byte: u8) -> bool {
+    byte == b' ' || (b'\t'..=b'\r').contains(&byte)
+}
+
+/// The tokenizer of the text loaders: a cursor over the input bytes that
+/// hands out the tokens of one line at a time and numbers the lines from 1,
+/// as `BufRead::lines` did.
+///
+/// Comment lines are skipped without looking at their bytes. Every other
+/// line must be UTF-8, as it had to be when the loaders read `String`
+/// lines: [`Tokens::end_line`] and [`Tokens::fail`] check it when the line
+/// holds a non-ASCII byte, and report an invalid line as that I/O error.
+struct Tokens<'a> {
+    text: &'a [u8],
+    pos: usize,
+    /// Where the current line starts.
+    line_start: usize,
+    /// The current line's number.
+    line: usize,
+}
+
+impl<'a> Tokens<'a> {
+    fn new(text: &'a [u8]) -> Self {
+        Tokens {
+            text,
+            pos: 0,
+            line_start: 0,
+            line: 1,
+        }
+    }
+
+    /// Moves to the first token of the next line that holds one and
+    /// returns the input from there on; `None` at the end of the input.
+    fn next_line(&mut self) -> Option<&'a [u8]> {
+        while let Some(&byte) = self.text.get(self.pos) {
+            if !is_separator(byte) {
+                return Some(&self.text[self.pos..]);
+            }
+            self.pos += 1;
+            if byte == b'\n' {
+                self.line += 1;
+                self.line_start = self.pos;
+            }
+        }
+        None
+    }
+
+    /// Moves to the current line's next token; false at the line's end.
+    fn at_token(&mut self) -> bool {
+        while let Some(&byte) = self.text.get(self.pos) {
+            if !is_separator(byte) {
+                return true;
+            }
+            if byte == b'\n' {
+                return false;
+            }
+            self.pos += 1;
+        }
+        false
+    }
+
+    /// The current line's next token; empty at the line's end.
+    fn token(&mut self) -> &'a [u8] {
+        self.at_token();
+        let start = self.pos;
+        while self.pos < self.text.len() && !is_separator(self.text[self.pos]) {
+            self.pos += 1;
+        }
+        &self.text[start..self.pos]
+    }
+
+    /// Parses the current line's next token as a vertex id, with exactly
+    /// the grammar of `u64::from_str`: an optional `+`, then decimal digits,
+    /// with no overflow. The digits are read in place; a token that is not
+    /// an id is read again, by [`Tokens::token`], to name it in the error.
+    fn id(&mut self) -> Result<u64, GraphError> {
+        if self.at_token() {
+            let text = self.text;
+            let start = self.pos + usize::from(text[self.pos] == b'+');
+            let mut end = start;
+            let mut value = 0u64;
+            while let Some(digit) = text.get(end).map(|byte| byte.wrapping_sub(b'0')) {
+                if digit > 9 {
+                    break;
+                }
+                match value
+                    .checked_mul(10)
+                    .and_then(|v| v.checked_add(digit as u64))
+                {
+                    Some(v) => value = v,
+                    None => break,
+                }
+                end += 1;
+            }
+            if end > start && text.get(end).map_or(true, |&byte| is_separator(byte)) {
+                self.pos = end;
+                return Ok(value);
+            }
+        }
+        let message = match self.token() {
+            b"" => "missing field".to_string(),
+            token => format!("'{}' is not a vertex id", String::from_utf8_lossy(token)),
+        };
+        Err(self.parse_error(message))
+    }
+
+    /// Skips the rest of the current line and returns the whole line.
+    fn skip_line(&mut self) -> &'a [u8] {
+        let end = self.text[self.pos..]
+            .iter()
+            .position(|&byte| byte == b'\n')
+            .map_or(self.text.len(), |i| self.pos + i);
+        self.pos = end;
+        &self.text[self.line_start..end]
+    }
+
+    /// Skips the rest of a parsed line, ignoring its extra tokens; the I/O
+    /// error if the line is not UTF-8.
+    fn end_line(&mut self) -> Result<(), GraphError> {
+        let line = self.skip_line();
+        if line.is_ascii() || std::str::from_utf8(line).is_ok() {
+            return Ok(());
+        }
+        // The error `BufRead::lines` gives for a line that is not UTF-8.
+        Err(GraphError::Io(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )))
+    }
+
+    /// `error` for the current line, unless the line is not UTF-8: then
+    /// the I/O error that reading it as a `String` line gave.
+    fn fail(&mut self, error: GraphError) -> GraphError {
+        self.end_line().err().unwrap_or(error)
+    }
+
+    /// A parse error naming the current line; see [`Tokens::fail`].
+    fn parse_error(&mut self, message: String) -> GraphError {
+        let line = self.line;
+        self.fail(GraphError::Parse { line, message })
+    }
+}
+
 /// Writes `g` as a whitespace-separated edge list (one `u v` pair per line).
 pub fn write_edge_list<W: Write>(g: &Graph, writer: W) -> Result<(), GraphError> {
-    let mut out = BufWriter::new(writer);
-    writeln!(out, "# {} vertices, {} edges", g.n(), g.m())?;
-    for (u, v) in g.edges() {
-        writeln!(out, "{u} {v}")?;
-    }
-    out.flush()?;
-    Ok(())
+    let header = format!("# {} vertices, {} edges\n", g.n(), g.m());
+    write_edge_lines(g, writer, header, b"", 0)
 }
 
 /// Writes `g` as an edge list to a file path. See [`write_edge_list`].
@@ -229,14 +388,57 @@ pub fn write_edge_list_file<P: AsRef<Path>>(g: &Graph, path: P) -> Result<(), Gr
 /// Unlike the edge-list format, DIMACS declares the vertex count in its
 /// header, so isolated vertices survive a round trip through this writer.
 pub fn write_dimacs<W: Write>(g: &Graph, writer: W) -> Result<(), GraphError> {
-    let mut out = BufWriter::new(writer);
-    writeln!(out, "c generated by mce-graph")?;
-    writeln!(out, "p edge {} {}", g.n(), g.m())?;
+    let header = format!("c generated by mce-graph\np edge {} {}\n", g.n(), g.m());
+    write_edge_lines(g, writer, header, b"e ", 1)
+}
+
+/// Bytes the text writers gather before each write to their sink.
+const WRITE_CHUNK: usize = 64 * 1024;
+
+/// Writes `header`, then one `{prefix}{u + base} {v + base}` line per edge
+/// `(u, v)`, `u < v`, in [`Graph::edges`] order, and flushes `writer`.
+fn write_edge_lines<W: Write>(
+    g: &Graph,
+    mut writer: W,
+    header: String,
+    prefix: &[u8],
+    base: u64,
+) -> Result<(), GraphError> {
+    let mut buf = header.into_bytes();
+    buf.reserve(WRITE_CHUNK);
     for (u, v) in g.edges() {
-        writeln!(out, "e {} {}", u + 1, v + 1)?;
+        buf.extend_from_slice(prefix);
+        push_decimal(&mut buf, u as u64 + base);
+        buf.push(b' ');
+        push_decimal(&mut buf, v as u64 + base);
+        buf.push(b'\n');
+        if buf.len() >= WRITE_CHUNK {
+            writer.write_all(&buf)?;
+            buf.clear();
+        }
     }
-    out.flush()?;
+    writer.write_all(&buf)?;
+    writer.flush()?;
     Ok(())
+}
+
+/// Appends the decimal digits of `value` to `out`: the bytes that
+/// `write!(out, "{value}")` writes, without going through `core::fmt`.
+/// The edge-list and DIMACS writers write their ids with this, and so do
+/// the text and NDJSON clique lines of `hbbmc`'s `WriterReporter`.
+#[inline]
+pub fn push_decimal(out: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// Writes `g` as `format` to `writer`.
@@ -246,17 +448,6 @@ pub fn write_graph<W: Write>(g: &Graph, writer: W, format: GraphFormat) -> Resul
         GraphFormat::Dimacs => write_dimacs(g, writer),
         GraphFormat::Mcg => mcg::write_mcg(g, writer),
     }
-}
-
-fn parse_token(token: Option<&str>, line: usize) -> Result<u64, GraphError> {
-    let token = token.ok_or_else(|| GraphError::Parse {
-        line,
-        message: "missing field".into(),
-    })?;
-    token.parse::<u64>().map_err(|_| GraphError::Parse {
-        line,
-        message: format!("'{token}' is not a vertex id"),
-    })
 }
 
 #[cfg(test)]
@@ -471,6 +662,38 @@ mod tests {
             GraphFormat::sniff_bytes(&[0xff, 0xfe, 0x00, 0x01]),
             GraphFormat::EdgeList
         );
+    }
+
+    #[test]
+    fn sniff_bytes_decides_on_the_first_deciding_line() {
+        // Bytes after the deciding line are never read, so they need not
+        // be UTF-8.
+        assert_eq!(
+            GraphFormat::sniff_bytes(b"% header\n0 1\n\xff\xfe 2\n"),
+            GraphFormat::EdgeList
+        );
+        assert_eq!(
+            GraphFormat::sniff_bytes(b"\r\n\tp edge 3 1\n\xe9\n"),
+            GraphFormat::Dimacs
+        );
+        // Comment lines are skipped whatever their bytes.
+        assert_eq!(
+            GraphFormat::sniff_bytes(b"# caf\xe9\n// \xff\ne 1 2\n"),
+            GraphFormat::Dimacs
+        );
+    }
+
+    #[test]
+    fn push_decimal_writes_what_display_writes() {
+        let mut values = vec![0, 1, 9, 10, 99, 100, 4_294_967_295, u64::MAX - 1, u64::MAX];
+        values.extend((0..64).map(|shift| 1u64 << shift));
+        values.extend((1..20).map(|digits| 10u64.pow(digits) - 1));
+        let mut out = b"x".to_vec();
+        for v in values {
+            out.truncate(1);
+            push_decimal(&mut out, v);
+            assert_eq!(out, format!("x{v}").into_bytes());
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use mce_graph::degeneracy::degeneracy_ordering;
 use mce_graph::ordering::{edge_ordering, EdgeOrdering};
 use mce_graph::triangles::{edge_supports, triangle_count};
 use mce_graph::truss::{truss_ordering, TrussPeel};
-use mce_graph::{AdjMatrix, BitSet, EdgeOrderingKind, Graph, GraphStats};
+use mce_graph::{AdjMatrix, BitSet, EdgeOrderingKind, Graph, GraphError, GraphStats};
 use proptest::prelude::*;
 
 /// Word vectors biased toward the edge cases of the unrolled word loops:
@@ -474,4 +474,94 @@ fn bitset_of(words: &[u64]) -> BitSet {
         set.insert(idx);
     }
     set
+}
+
+/// The symmetry rule `Graph::from_csr_parts` applied before its one-pass
+/// check, kept as the model: every entry `(u, v)` finds `u` in N(v) by
+/// binary search.
+fn symmetric_by_search(lists: &[Vec<u32>]) -> bool {
+    lists.iter().enumerate().all(|(u, list)| {
+        list.iter()
+            .all(|&v| lists[v as usize].binary_search(&(u as u32)).is_ok())
+    })
+}
+
+/// Changes one entry of strictly increasing adjacency lists and keeps them
+/// strictly increasing and free of self-loops: `kind` 0 drops the entry
+/// numbered `pick`, 1 moves it to another list, 2 copies it into another
+/// list (`target` picks the list among those that can take it). Returns
+/// false, changing nothing, where no entry or no list fits.
+fn mutate_entry(lists: &mut [Vec<u32>], kind: u32, pick: u64, target: u64) -> bool {
+    let entries: usize = lists.iter().map(Vec::len).sum();
+    if entries == 0 {
+        return false;
+    }
+    let mut k = (pick % entries as u64) as usize;
+    let mut u = 0;
+    while k >= lists[u].len() {
+        k -= lists[u].len();
+        u += 1;
+    }
+    let v = lists[u][k];
+    if kind > 0 {
+        let targets: Vec<usize> = (0..lists.len())
+            .filter(|&w| w != u && w != v as usize && lists[w].binary_search(&v).is_err())
+            .collect();
+        if targets.is_empty() {
+            return false;
+        }
+        let w = targets[(target % targets.len() as u64) as usize];
+        let at = lists[w].binary_search(&v).unwrap_err();
+        lists[w].insert(at, v);
+    }
+    if kind < 2 {
+        lists[u].remove(k);
+    }
+    true
+}
+
+/// The CSR arrays of `lists`.
+fn csr_of(lists: &[Vec<u32>]) -> (Vec<usize>, Vec<u32>) {
+    let mut offsets = vec![0];
+    let mut adjacency = Vec::new();
+    for list in lists {
+        adjacency.extend_from_slice(list);
+        offsets.push(adjacency.len());
+    }
+    (offsets, adjacency)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `from_csr_parts` accepts exactly the CSRs the binary-search rule
+    /// calls symmetric: valid graphs, and lists after up to three dropped,
+    /// moved or copied entries (two can cancel out); one alone never does.
+    #[test]
+    fn csr_symmetry_check_matches_the_search_model(
+        g in arb_graph(),
+        mutations in proptest::collection::vec((0u32..3, any::<u64>(), any::<u64>()), 1..=3),
+    ) {
+        let mut lists: Vec<Vec<u32>> = g.vertices().map(|v| g.neighbors(v).to_vec()).collect();
+        prop_assert!(symmetric_by_search(&lists));
+        let (offsets, adjacency) = csr_of(&lists);
+        prop_assert_eq!(&Graph::from_csr_parts(offsets, adjacency).unwrap(), &g);
+
+        let mut applied = 0;
+        for &(kind, pick, target) in &mutations {
+            applied += usize::from(mutate_entry(&mut lists, kind, pick, target));
+            let symmetric = symmetric_by_search(&lists);
+            if applied == 1 {
+                prop_assert!(!symmetric, "one changed entry left {lists:?} symmetric");
+            }
+            let (offsets, adjacency) = csr_of(&lists);
+            match Graph::from_csr_parts(offsets, adjacency) {
+                Ok(_) => prop_assert!(symmetric, "accepted {lists:?}"),
+                Err(GraphError::InvalidData { .. }) => {
+                    prop_assert!(!symmetric, "rejected {lists:?}")
+                }
+                Err(other) => panic!("{lists:?}: {other}"),
+            }
+        }
+    }
 }
